@@ -1,6 +1,9 @@
 """Machine-state stream assembly and design-matrix encoding.
 
-Events are left-joined onto the hourly telemetry grid (hours without a
+The stream is one columnar table, a numpy record array with the columns
+``schema.STREAM_COLUMNS``: one row per labelable telemetry hour in
+canonical (machine_id, datetime) order.  Events are left-joined onto the
+hourly telemetry grid on (machine_id, datetime) pairs (hours without a
 matching event keep all flags false), machine descriptors and day of week
 are attached, and each row is labeled with the machine failure state at
 ``datetime + horizon_hours``.  Rows whose horizon extends past the last
@@ -10,14 +13,12 @@ grid hour of their machine are dropped: their label is undefined.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import schema
-from .ingest import DatasetBundle, HOUR
-from .schema import MachineStateRow
+from .ingest import DatasetBundle
 
 
 class AssembleError(Exception):
@@ -47,13 +48,34 @@ class HorizonConfig:
 
 @dataclass
 class DesignMatrix:
-    """Encoded features with labels, per-row weights and join keys."""
+    """Encoded features with labels and per-row weights."""
 
     rows: np.ndarray
     labels: np.ndarray
     sample_weights: np.ndarray
-    keys: list
     encoding: schema.FeatureEncoding
+
+
+def _column(records, name, dtype) -> np.ndarray:
+    return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+
+def _pairs(machine_ids, datetimes) -> np.ndarray:
+    """(machine_id, datetime) join keys; they sort machine first."""
+    return np.rec.fromarrays([machine_ids, datetimes], names="machine_id,datetime")
+
+
+def _keys(records) -> np.ndarray:
+    return _pairs(_column(records, "machine_id", np.int64),
+                  _column(records, "datetime", "datetime64[s]"))
+
+
+def _rows_with(keys, queries) -> np.ndarray:
+    """Mask of the rows of the sorted ``keys`` that equal some query."""
+    marks = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.add.at(marks, np.searchsorted(keys, queries, side="left"), 1)
+    np.add.at(marks, np.searchsorted(keys, queries, side="right"), -1)
+    return np.cumsum(marks[:-1]) > 0
 
 
 def _machine_failed(rec) -> bool:
@@ -61,61 +83,62 @@ def _machine_failed(rec) -> bool:
 
 
 def build_event_stream(bundle: DatasetBundle, horizon: HorizonConfig = HorizonConfig()):
-    """Join the bundle into one MachineStateRow per labelable telemetry hour.
+    """Join the bundle into the stream table, one row per labelable
+    telemetry hour, in canonical (machine_id, datetime) order.
 
-    Rows come back in canonical (machine_id, datetime) order.  A telemetry
-    machine missing from the machines dataset aborts with AssembleError.
+    A telemetry machine missing from the machines dataset aborts with
+    AssembleError.
     """
-    descriptors = {m.machine_id: m for m in bundle.machines}
-    errors = {(r.machine_id, r.datetime): r for r in bundle.errors}
-    maintenance = {(r.machine_id, r.datetime): r for r in bundle.maintenance}
-    failure_hours = {(r.machine_id, r.datetime)
-                     for r in bundle.failures if _machine_failed(r)}
+    telemetry = bundle.telemetry
+    machine_id = _column(telemetry, "machine_id", np.int64)
+    when = _column(telemetry, "datetime", "datetime64[s]")
+    known_ids = _column(bundle.machines, "machine_id", np.int64)
+    missing = machine_id[~np.isin(machine_id, known_ids)]
+    if len(missing):
+        raise AssembleError(f"telemetry references machine_id {missing.min()} "
+                            "absent from the machines dataset")
 
-    last_hour = {}
-    for rec in bundle.telemetry:
-        prev = last_hour.get(rec.machine_id)
-        if prev is None or rec.datetime > prev:
-            last_hour[rec.machine_id] = rec.datetime
+    order = np.lexsort((when, machine_id))
+    _, first, count = np.unique(machine_id[order], return_index=True,
+                                return_counts=True)
+    last_hour = np.repeat(when[order][first + count - 1], count)
+    rows = order[when[order] + np.timedelta64(horizon.horizon_hours, "h") <= last_hour]
+    machine_id, when = machine_id[rows], when[rows]
 
-    delta = dt.timedelta(hours=horizon.horizon_hours)
-    rows = []
-    for rec in sorted(bundle.telemetry, key=lambda r: (r.machine_id, r.datetime)):
-        descriptor = descriptors.get(rec.machine_id)
-        if descriptor is None:
-            raise AssembleError(
-                f"telemetry references machine_id {rec.machine_id} "
-                "absent from the machines dataset")
-        if rec.datetime + delta > last_hour[rec.machine_id]:
-            continue
-        key = (rec.machine_id, rec.datetime)
-        err = errors.get(key)
-        mnt = maintenance.get(key)
-        if horizon.window:
-            label = any((rec.machine_id, rec.datetime + k * HOUR) in failure_hours
-                        for k in range(1, horizon.horizon_hours + 1))
-        else:
-            label = (rec.machine_id, rec.datetime + delta) in failure_hours
-        rows.append(MachineStateRow(
-            machine_id=rec.machine_id,
-            datetime=rec.datetime,
-            **{f: bool(err and getattr(err, f)) for f in schema.ERROR_FLAGS},
-            **{f: bool(mnt and getattr(mnt, f))
-               for f in schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS},
-            volt=rec.volt, rotate=rec.rotate,
-            pressure=rec.pressure, vibration=rec.vibration,
-            age=descriptor.age,
-            **{f: bool(getattr(descriptor, f)) for f in schema.MODEL_FLAGS},
-            day_of_week=schema.day_of_week(rec.datetime),
-            label=label,
-        ))
-    return rows
+    columns = {"machine_id": machine_id, "datetime": when}
+    keys = _pairs(machine_id, when)
+    for records, flags in ((bundle.errors, schema.ERROR_FLAGS),
+                           (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
+        event_keys = _keys(records)
+        for f in flags:
+            columns[f] = _rows_with(keys, event_keys[_column(records, f, bool)])
+    for f in schema.TELEMETRY_FIELDS:
+        columns[f] = _column(telemetry, f, float)[rows]
+    # Where machine ids repeat, the last descriptor wins.
+    by_id = np.argsort(known_ids, kind="stable")
+    descriptor = by_id[np.searchsorted(known_ids[by_id], machine_id, side="right") - 1]
+    columns["age"] = _column(bundle.machines, "age", np.int64)[descriptor]
+    for f in schema.MODEL_FLAGS:
+        columns[f] = _column(bundle.machines, f, bool)[descriptor]
+    # 1970-01-01, day 0 of datetime64, was a Thursday.
+    days = when.astype("datetime64[D]").astype(np.int64)
+    columns["day_of_week"] = np.array(schema.DAY_NAMES)[(days + 3) % 7]
+
+    # A failure at hour f labels the rows at f - k for each k ahead.
+    failures = _keys([r for r in bundle.failures if _machine_failed(r)])
+    ahead = (range(1, horizon.horizon_hours + 1) if horizon.window
+             else (horizon.horizon_hours,))
+    columns["label"] = _rows_with(keys, np.concatenate(
+        [_pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h"))
+         for k in ahead]))
+    return np.rec.fromarrays([columns[c] for c in schema.STREAM_COLUMNS],
+                             names=schema.STREAM_COLUMNS)
 
 
 def raw_feature_matrix(rows, features=None):
-    """Unstandardized feature columns for ``rows`` in canonical order.
+    """Unstandardized feature columns of the stream table in canonical order.
 
-    Returns (matrix, labels, keys, feature_names).  ``features`` selects a
+    Returns (matrix, labels, feature_names).  ``features`` selects a
     subset of the canonical names; order always follows the canonical one.
     """
     if features is None:
@@ -129,21 +152,10 @@ def raw_feature_matrix(rows, features=None):
     if not names:
         raise EncodingError("empty feature set")
 
-    n = len(rows)
-    matrix = np.empty((n, len(names)))
-    dow_index = {name: i for i, name in enumerate(schema.DOW_FEATURES)}
-    day_col = None
-    for j, name in enumerate(names):
-        if name in dow_index:
-            if day_col is None:
-                day_col = np.array(
-                    [schema.DAY_NAMES.index(r.day_of_week) for r in rows])
-            matrix[:, j] = (day_col == dow_index[name]).astype(float)
-        else:
-            matrix[:, j] = np.array([getattr(r, name) for r in rows], dtype=float)
-    labels = np.array([r.label for r in rows], dtype=bool)
-    keys = [(r.machine_id, r.datetime) for r in rows]
-    return matrix, labels, keys, names
+    day = dict(zip(schema.DOW_FEATURES, schema.DAY_NAMES))
+    matrix = np.stack([rows["day_of_week"] == day[name] if name in day else rows[name]
+                       for name in names], axis=1, dtype=float)
+    return matrix, rows["label"], names
 
 
 def fit_encoding(matrix, feature_names, fit_mask) -> schema.FeatureEncoding:
@@ -183,7 +195,7 @@ def apply_encoding(matrix, encoding: schema.FeatureEncoding) -> np.ndarray:
 
 
 def encode(rows, weight_positive=100.0, fit_mask=None, features=None) -> DesignMatrix:
-    """Encode machine-state rows into a standardized design matrix.
+    """Encode the stream table into a standardized design matrix.
 
     Continuous features are z-scored with statistics from ``fit_mask``
     rows only (all rows when omitted); flags become 0/1 and day of week
@@ -192,54 +204,19 @@ def encode(rows, weight_positive=100.0, fit_mask=None, features=None) -> DesignM
     """
     if weight_positive <= 0:
         raise ValueError("weight_positive must be positive")
-    matrix, labels, keys, names = raw_feature_matrix(rows, features)
+    matrix, labels, names = raw_feature_matrix(rows, features)
     if fit_mask is None:
         fit_mask = np.ones(len(rows), dtype=bool)
     encoding = fit_encoding(matrix, names, fit_mask)
     encoded = apply_encoding(matrix, encoding)
     weights = np.where(labels, float(weight_positive), 1.0)
     return DesignMatrix(rows=encoded, labels=labels, sample_weights=weights,
-                        keys=keys, encoding=encoding)
+                        encoding=encoding)
 
 
 def write_stream(path, rows):
-    """Write assembled rows as CSV in MachineStateRow field order."""
+    """Write the stream table as CSV in ``schema.STREAM_COLUMNS`` order."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(schema.CSV_COLUMNS[MachineStateRow])
-        for row in rows:
-            writer.writerow(schema.to_csv_row(row))
-
-
-def read_stream(path):
-    """Parse a stream CSV written by write_stream."""
-    columns = schema.CSV_COLUMNS[MachineStateRow]
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != columns:
-            raise AssembleError(f"{path}: expected stream header {','.join(columns)}")
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(columns):
-                raise AssembleError(f"{path}:{line_no}: expected {len(columns)} fields")
-            values = {}
-            for name, cell in zip(columns, cells):
-                if name in ("machine_id", "age"):
-                    values[name] = int(cell)
-                elif name == "datetime":
-                    values[name] = dt.datetime.strptime(cell, schema.DATETIME_FORMAT)
-                elif name in schema.TELEMETRY_FIELDS:
-                    values[name] = float(cell)
-                elif name == "day_of_week":
-                    if cell not in schema.DAY_NAMES:
-                        raise AssembleError(f"{path}:{line_no}: bad day_of_week {cell!r}")
-                    values[name] = cell
-                else:
-                    if cell not in ("0", "1"):
-                        raise AssembleError(f"{path}:{line_no}: bad flag value {cell!r}")
-                    values[name] = cell == "1"
-            rows.append(MachineStateRow(**values))
-    return rows
+        writer.writerow(schema.STREAM_COLUMNS)
+        writer.writerows([schema.format_value(v) for v in row] for row in rows.tolist())

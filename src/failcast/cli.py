@@ -186,9 +186,32 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
         unknown = sorted(set(file_cfg) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys for {subcommand}: {unknown}")
+        # argparse has no public accessor for a parser's actions.
+        sub = next(a.choices[subcommand] for a in build_parser()._actions if a.choices)
+        actions = {a.dest: a for a in sub._actions}
+        for key, value in file_cfg.items():
+            if not (value is None and defaults[key] is None):
+                _check_config_value(key, value, actions[key])
         cfg.update(file_cfg)
     cfg.update(explicit)
     return cfg
+
+
+def _check_config_value(key, value, action):
+    """Reject a config-file value that the key's own flag could not yield."""
+    if action.nargs == 0:  # store_true
+        expected = bool
+        valid = isinstance(value, bool)
+    else:
+        expected = action.type or str
+        kinds = (int, float) if expected is float else expected
+        valid = isinstance(value, kinds) and not isinstance(value, bool)
+    if valid and action.choices is not None:
+        valid = value in action.choices
+    if not valid:
+        allowed = f" in {list(action.choices)}" if action.choices else ""
+        raise ValueError(f"config key {key!r}: {action.option_strings[0]} takes "
+                         f"{expected.__name__} values{allowed}, got {value!r}")
 
 
 def _require(cfg: dict, key: str):
@@ -270,7 +293,7 @@ def cmd_assemble(args) -> int:
     assemble.write_stream(cfg["out"], rows)
     _write_json(_sibling_config_path(cfg["out"]),
                 _config_payload("assemble", cfg))
-    positives = sum(1 for r in rows if r.label)
+    positives = int(rows.label.sum())
     print(f"wrote {len(rows)} rows ({positives} labeled failures) to {cfg['out']}")
     return EXIT_VIOLATIONS if violations else EXIT_OK
 

@@ -28,9 +28,11 @@ class PruneError(Exception):
 
 @dataclass(frozen=True)
 class FoldSplit:
+    """One fold: ascending stream row indices for each side."""
+
     fold_index: int
-    train_rows: tuple[int, ...]
-    test_rows: tuple[int, ...]
+    train_rows: np.ndarray
+    test_rows: np.ndarray
     train_machines: frozenset
     test_machines: frozenset
     time_cutoff: object
@@ -122,10 +124,6 @@ class CvResult:
     fold_results: list[FoldResult] = field(default_factory=list)
 
     @property
-    def fold_matrices(self) -> list[ConfusionMatrix]:
-        return [f.matrix for f in self.fold_results]
-
-    @property
     def average_failure_recall(self) -> float:
         return float(self.average_matrix[1, 1])
 
@@ -142,13 +140,15 @@ def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
     """
     if k < 2:
         raise FoldError("need at least 2 folds")
-    machines = sorted({r.machine_id for r in rows})
+    machine_ids, times, labels = rows["machine_id"], rows["datetime"], rows["label"]
+    machines = np.unique(machine_ids).tolist()
     if len(machines) < k:
         raise FoldError(f"need at least {k} machines for {k} folds, have {len(machines)}")
-    times = sorted({r.datetime for r in rows})
-    if len(times) < 2:
+    distinct_times = np.unique(times)
+    if len(distinct_times) < 2:
         raise FoldError("timeline must span at least 2 distinct hours")
-    cutoff = times[len(times) // 2]
+    cutoff = distinct_times[len(distinct_times) // 2]
+    before_cutoff = times < cutoff
 
     shuffled = list(machines)
     rng.Stream(rng.derive(seed, _FOLD_CHANNEL)).shuffle(shuffled)
@@ -163,16 +163,15 @@ def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
     for fold_index, group in enumerate(groups):
         test_machines = frozenset(group)
         train_machines = frozenset(machines) - test_machines
-        train_idx = tuple(i for i, r in enumerate(rows)
-                          if r.machine_id in train_machines and r.datetime < cutoff)
-        test_idx = tuple(i for i, r in enumerate(rows)
-                         if r.machine_id in test_machines and r.datetime >= cutoff)
+        in_test = np.isin(machine_ids, group)
+        train_idx = np.flatnonzero(~in_test & before_cutoff)
+        test_idx = np.flatnonzero(in_test & ~before_cutoff)
         for name, idx in (("train", train_idx), ("test", test_idx)):
-            labels = {rows[i].label for i in idx}
-            if labels != {True, False}:
+            side = labels[idx]
+            if not side.any() or side.all():
                 raise FoldError(
                     f"fold {fold_index}: {name} side lacks "
-                    f"{'positives' if True not in labels else 'negatives'}")
+                    f"{'negatives' if side.any() else 'positives'}")
         folds.append(FoldSplit(fold_index=fold_index,
                                train_rows=train_idx, test_rows=test_idx,
                                train_machines=train_machines,
@@ -190,39 +189,33 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     Encoding statistics and the fit see only that fold's training rows.
     Fit failures propagate with the fold index attached.
     """
-    matrix, labels, _, names = assemble.raw_feature_matrix(rows, features)
     weights_by_fold = []
     fold_results = []
     for fold in folds:
-        train_idx = np.array(fold.train_rows, dtype=int)
-        test_idx = np.array(fold.test_rows, dtype=int)
         try:
-            encoding = assemble.fit_encoding(
-                matrix[train_idx], names, np.ones(len(train_idx), dtype=bool))
-            x_train = assemble.apply_encoding(matrix[train_idx], encoding)
-            train = assemble.DesignMatrix(
-                rows=x_train, labels=labels[train_idx],
-                sample_weights=np.where(labels[train_idx], float(weight_positive), 1.0),
-                keys=[], encoding=encoding)
+            train = assemble.encode(rows[fold.train_rows], weight_positive=weight_positive,
+                                    features=features)
             model = logreg.fit(train, fit_config)
         except logreg.FitError as exc:
             raise logreg.FitError(exc.iteration,
                                   f"fold {fold.fold_index}: {exc.message}") from exc
         except (assemble.EncodingError, logreg.UnfittableDataError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
-        x_test = assemble.apply_encoding(matrix[test_idx], encoding)
+        test = rows[fold.test_rows]
+        x_test = assemble.apply_encoding(
+            assemble.raw_feature_matrix(test, features)[0], train.encoding)
         predicted = logreg.predict(model, x_test, threshold=threshold)
-        cm = ConfusionMatrix.from_predictions(labels[test_idx], predicted)
+        cm = ConfusionMatrix.from_predictions(test["label"], predicted)
         fold_results.append(FoldResult(fold_index=fold.fold_index, matrix=cm,
-                                       model=model, n_train=len(train_idx),
-                                       n_test=len(test_idx)))
+                                       model=model, n_train=len(fold.train_rows),
+                                       n_test=len(fold.test_rows)))
         weights_by_fold.append((model.alpha, model.beta))
 
     average = np.mean([f.matrix.normalized() for f in fold_results], axis=0)
     entries = []
     alphas = np.array([a for a, _ in weights_by_fold])
     entries.append(WeightEntry("constant", float(alphas.mean()), float(alphas.std())))
-    for j, name in enumerate(names):
+    for j, name in enumerate(train.encoding.feature_names):
         values = np.array([beta[j] for _, beta in weights_by_fold])
         entries.append(WeightEntry(name, float(values.mean()), float(values.std())))
     report = WeightReport(entries=tuple(entries))

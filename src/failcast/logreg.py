@@ -103,10 +103,7 @@ def predict(model: LogisticModel, x, threshold=0.5):
     """Hard class call: probability at or above the threshold is positive."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    p = predict_proba(model, x)
-    if isinstance(p, float):
-        return p >= threshold
-    return p >= threshold
+    return predict_proba(model, x) >= threshold
 
 
 def _nll_terms(z, y):

@@ -1,16 +1,18 @@
 """Domain types for the five event datasets and the joined machine state.
 
-Records are immutable dataclasses mirroring the CSV schemas one column per
-field.  Timestamps are timezone-naive ``datetime`` values at hour resolution
-(minutes and seconds zero after ingestion rounding); booleans are encoded
-0/1 in CSV.
+Dataset records are immutable dataclasses mirroring the CSV schemas one
+column per field.  Timestamps are timezone-naive ``datetime`` values at
+hour resolution (minutes and seconds zero after ingestion rounding);
+booleans are encoded 0/1 in CSV.  The joined machine-state stream is a
+columnar table (see ``assemble``); ``STREAM_COLUMNS`` names its columns
+in CSV order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 DATETIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -88,38 +90,6 @@ class MachineDescriptor:
 
 
 @dataclass(frozen=True)
-class MachineStateRow:
-    """One machine-hour of joined state plus the horizon label."""
-
-    machine_id: int
-    datetime: dt.datetime
-    error_1: bool
-    error_2: bool
-    error_3: bool
-    error_4: bool
-    error_5: bool
-    comp_1: bool
-    comp_2: bool
-    comp_3: bool
-    comp_4: bool
-    comp_1_fail: bool
-    comp_2_fail: bool
-    comp_3_fail: bool
-    comp_4_fail: bool
-    volt: float
-    rotate: float
-    pressure: float
-    vibration: float
-    age: int
-    model_1: bool
-    model_2: bool
-    model_3: bool
-    model_4: bool
-    day_of_week: str
-    label: bool
-
-
-@dataclass(frozen=True)
 class FeatureEncoding:
     """Encoded column order plus the standardization statistics.
 
@@ -131,12 +101,6 @@ class FeatureEncoding:
     continuous: tuple[str, ...]
     means: tuple[float, ...]
     std_devs: tuple[float, ...]
-
-    def mean_of(self, feature: str) -> float:
-        return self.means[self.continuous.index(feature)]
-
-    def std_of(self, feature: str) -> float:
-        return self.std_devs[self.continuous.index(feature)]
 
 
 @dataclass(frozen=True)
@@ -160,8 +124,14 @@ CSV_COLUMNS = {
     MaintenanceRecord: ("machine_id", "datetime") + COMP_FLAGS + COMP_FAIL_FLAGS,
     FailureRecord: ("machine_id", "datetime") + COMP_FLAGS,
     MachineDescriptor: ("machine_id", "age") + MODEL_FLAGS,
-    MachineStateRow: tuple(f.name for f in fields(MachineStateRow)),
 }
+
+# Columns of the machine-state stream: one machine-hour of joined state
+# plus the horizon label, in CSV order.
+STREAM_COLUMNS = (
+    ("machine_id", "datetime") + ERROR_FLAGS + COMP_FLAGS + COMP_FAIL_FLAGS
+    + TELEMETRY_FIELDS + ("age",) + MODEL_FLAGS + ("day_of_week", "label")
+)
 
 
 def format_value(value) -> str:
@@ -269,7 +239,3 @@ def validate_dataset(records, dataset: str | None = None) -> list[Violation]:
         raise TypeError(f"no validator for record type {rec_type.__name__}")
     default_name, validator = _VALIDATORS[rec_type]
     return validator(records, dataset if dataset is not None else default_name)
-
-
-def day_of_week(t: dt.datetime) -> str:
-    return DAY_NAMES[t.weekday()]

@@ -86,7 +86,8 @@ def micro_bundle(n_machines=2, n_hours=48, failures_at=(), errors_at=(),
 
 
 def brute_force_stream(bundle, horizon_hours=24, window=False):
-    """Nested-loop join-and-label oracle over all (machine, hour) pairs."""
+    """Nested-loop join-and-label oracle over all (machine, hour) pairs;
+    one dict of column values per stream row."""
     span = dt.timedelta(hours=horizon_hours)
     out = []
     for m in sorted({t.machine_id for t in bundle.telemetry}):
@@ -115,7 +116,7 @@ def brute_force_stream(bundle, horizon_hours=24, window=False):
                 label = any(f.machine_id == m
                             and f.datetime == t.datetime + span
                             for f in bundle.failures)
-            out.append(schema.MachineStateRow(
+            out.append(dict(
                 machine_id=m, datetime=t.datetime, **flags,
                 volt=t.volt, rotate=t.rotate, pressure=t.pressure,
                 vibration=t.vibration, age=d0.age,
@@ -123,6 +124,12 @@ def brute_force_stream(bundle, horizon_hours=24, window=False):
                 model_3=d0.model_3, model_4=d0.model_4,
                 day_of_week=DOW[t.datetime.weekday()], label=label))
     return out
+
+
+def table_rows(rows):
+    """The stream table's rows as dicts of plain Python values, the form
+    brute_force_stream returns."""
+    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
 
 
 def random_instance(seed, n_rows, n_features, weighted=True):
@@ -141,7 +148,6 @@ def random_instance(seed, n_rows, n_features, weighted=True):
         y[0] = True
     weights = 0.5 + 3.0 * s.uniforms(n_rows) if weighted else np.ones(n_rows)
     return assemble.DesignMatrix(rows=x, labels=y, sample_weights=weights,
-                                 keys=[(1, hour(i)) for i in range(n_rows)],
                                  encoding=None)
 
 

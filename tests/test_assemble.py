@@ -1,9 +1,10 @@
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
 
-from failcast import assemble, schema
+from failcast import assemble, cli, ingest, schema
 
 import helpers
 from helpers import hour
@@ -14,16 +15,15 @@ def test_hour_with_no_events_has_all_flags_false():
     rows = assemble.build_event_stream(bundle)
     flags = schema.ERROR_FLAGS + schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS
     assert len(flags) == 13
-    for row in rows:
-        assert all(getattr(row, f) is False for f in flags)
-        assert row.label is False
+    for f in flags + ("label",):
+        assert not rows[f].any()
 
 
 def test_label_placed_24_hours_before_failure():
     bundle = helpers.micro_bundle(n_machines=3, n_hours=80,
                                   failures_at=((3, 34),))
     rows = assemble.build_event_stream(bundle)
-    positives = [(r.machine_id, r.datetime) for r in rows if r.label]
+    positives = rows[rows.label][["machine_id", "datetime"]].tolist()
     assert positives == [(3, hour(10))]
 
 
@@ -33,7 +33,7 @@ def test_matches_brute_force_join_oracle():
         failures_at=((1, 30), (2, 50), (3, 71)),
         errors_at=((1, 6, 2), (1, 6, 4), (2, 0, 1), (3, 47, 5)),
         maintenance_at=((2, 10, 3),))
-    assert assemble.build_event_stream(bundle) == \
+    assert helpers.table_rows(assemble.build_event_stream(bundle)) == \
         helpers.brute_force_stream(bundle)
 
 
@@ -42,7 +42,7 @@ def test_window_variant_matches_oracle():
         n_machines=2, n_hours=60, failures_at=((1, 40), (2, 12)),
         errors_at=((2, 3, 1),))
     horizon = assemble.HorizonConfig(horizon_hours=24, window=True)
-    assert assemble.build_event_stream(bundle, horizon) == \
+    assert helpers.table_rows(assemble.build_event_stream(bundle, horizon)) == \
         helpers.brute_force_stream(bundle, window=True)
 
 
@@ -51,7 +51,7 @@ def test_window_labels_cover_the_whole_horizon():
                                   failures_at=((1, 40),))
     rows = assemble.build_event_stream(
         bundle, assemble.HorizonConfig(horizon_hours=24, window=True))
-    positive_hours = sorted(r.datetime for r in rows if r.label)
+    positive_hours = rows.datetime[rows.label].tolist()
     assert positive_hours == [hour(i) for i in range(16, 40)]
 
 
@@ -65,11 +65,11 @@ def test_row_count_arithmetic():
 
 def test_short_grid_yields_no_rows():
     bundle = helpers.micro_bundle(n_machines=1, n_hours=10)
-    assert assemble.build_event_stream(bundle) == []
+    assert len(assemble.build_event_stream(bundle)) == 0
 
 
 def test_rows_in_canonical_order(small_rows):
-    keys = [(r.machine_id, r.datetime) for r in small_rows]
+    keys = small_rows[["machine_id", "datetime"]].tolist()
     assert keys == sorted(keys)
 
 
@@ -83,8 +83,12 @@ def test_missing_descriptor_aborts_with_machine_id():
 
 
 def test_day_of_week_derived_from_datetime(small_rows):
-    for row in small_rows[::501]:
-        assert row.day_of_week == helpers.DOW[row.datetime.weekday()]
+    rows = small_rows[::501]
+    days = [t.weekday() for t in rows.datetime.tolist()]
+    assert rows.day_of_week.tolist() == [helpers.DOW[d] for d in days]
+    # 2015-01-01, the first hour of every micro bundle, was a Thursday.
+    first = assemble.build_event_stream(helpers.micro_bundle(n_machines=1, n_hours=25))
+    assert first.day_of_week.tolist() == ["Thu"]
 
 
 def test_encode_zscores_at_fit_mean():
@@ -139,11 +143,11 @@ def test_encoding_is_leakage_free():
     fit_mask[::2] = True  # alternating rows, so the fit set spans machines
     base = assemble.encode(rows, fit_mask=fit_mask)
 
-    perturbed = list(rows)
+    perturbed = rows.copy()
     victim = len(rows) - 1
     assert not fit_mask[victim]
-    perturbed[victim] = schema.MachineStateRow(
-        **{**rows[victim].__dict__, "volt": 1e6, "vibration": -1e6})
+    perturbed.volt[victim] = 1e6
+    perturbed.vibration[victim] = -1e6
     changed = assemble.encode(perturbed, fit_mask=fit_mask)
     assert base.encoding == changed.encoding
     assert np.array_equal(base.rows[fit_mask], changed.rows[fit_mask])
@@ -151,8 +155,8 @@ def test_encoding_is_leakage_free():
 
 def test_degenerate_column_error_names_column():
     bundle = helpers.micro_bundle(n_machines=1, n_hours=26)
-    rows = [schema.MachineStateRow(**{**r.__dict__, "pressure": 5.0})
-            for r in assemble.build_event_stream(bundle)]
+    rows = assemble.build_event_stream(bundle)
+    rows.pressure = 5.0
     with pytest.raises(assemble.EncodingError, match="pressure"):
         assemble.encode(rows)
 
@@ -174,15 +178,30 @@ def test_horizon_config_validation():
     assert assemble.HorizonConfig(window=True).label_semantics == "within-horizon"
 
 
-def test_stream_csv_round_trip(tmp_path, small_rows):
-    path = tmp_path / "stream.csv"
-    subset = small_rows[:300]
-    assemble.write_stream(path, subset)
-    assert assemble.read_stream(path) == subset
+# sha256 of the stream CSV that `failcast assemble` writes for the bundle
+# below; any change to the stream's columns, row order or cell formatting
+# changes these digests.
+STREAM_CSV_SHA256 = {
+    "point": "cbc1660a46b3013df3ca2f4713dc4299a50db0ef5eac1c82bdcb037108a5092d",
+    "window": "d280e4ed40335c04317bc700fe72db771c232ef59be8d60d673c8beadb688196",
+}
 
 
-def test_read_stream_rejects_wrong_header(tmp_path):
-    path = tmp_path / "stream.csv"
-    path.write_text("machine_id,datetime\n")
-    with pytest.raises(assemble.AssembleError, match="header"):
-        assemble.read_stream(path)
+@pytest.mark.parametrize("labels", ["point", "window"])
+def test_assemble_command_writes_pinned_stream_bytes(tmp_path, labels):
+    bundle = helpers.micro_bundle(
+        n_machines=3, n_hours=60,
+        failures_at=((1, 40), (2, 30), (3, 59)),
+        errors_at=((1, 6, 2), (1, 6, 4), (2, 0, 1), (2, 33, 3), (3, 47, 5)),
+        maintenance_at=((1, 40, 2), (2, 10, 3)))
+    # A value whose shortest round-trip form needs 17 significant digits.
+    bundle.telemetry[7] = helpers.telemetry(1, 7, volt=0.1 + 0.2)
+    ingest.write_bundle(bundle, tmp_path / "data")
+    out = tmp_path / "stream.csv"
+    argv = ["assemble", "--in-dir", str(tmp_path / "data"), "--out", str(out)]
+    if labels == "window":
+        argv.append("--label-window")
+    assert cli.main(argv) == cli.EXIT_OK
+    data = out.read_bytes()
+    assert b",0.30000000000000004," in data
+    assert hashlib.sha256(data).hexdigest() == STREAM_CSV_SHA256[labels]

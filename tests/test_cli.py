@@ -154,6 +154,26 @@ def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("generate", "machines", "x"),
+    ("evaluate", "folds", 2.5),
+    ("assemble", "horizon", "24"),
+    ("assemble", "label_window", "no"),
+])
+def test_mistyped_config_value_exits_1(dataset, tmp_path, capsys, command, key,
+                                       value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    outputs = {"generate": ["--out-dir", str(tmp_path / "data")],
+               "evaluate": ["--in-dir", str(dataset), "--out-dir", str(tmp_path / "rep")],
+               "assemble": ["--in-dir", str(dataset), "--out", str(tmp_path / "s.csv")]}
+    rc = cli.main([command, "--config", str(config)] + outputs[command])
+    assert rc == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(value) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_impossible_folds_exit_3(tmp_path, capsys):
     data = tmp_path / "data"
     rc = cli.main(["generate", "--out-dir", str(data), "--machines", "3",

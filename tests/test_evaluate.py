@@ -96,11 +96,8 @@ def test_too_few_machines_for_folds():
 
 def test_single_hour_timeline_rejected():
     rows = _cv_rows(3)
-    one_per_machine = [next(r for r in rows if r.machine_id == m)
-                       for m in (1, 2)]
-    squashed = [schema.MachineStateRow(**{**r.__dict__,
-                                          "datetime": helpers.hour(0)})
-                for r in one_per_machine]
+    squashed = rows[[np.flatnonzero(rows.machine_id == m)[0] for m in (1, 2)]]
+    squashed.datetime = helpers.hour(0)
     with pytest.raises(evaluate.FoldError, match="2 distinct hours"):
         evaluate.make_folds(squashed, k=2)
 
@@ -203,9 +200,9 @@ def test_fold_models_never_see_test_rows():
     base = evaluate.evaluate_cv(rows, folds)
 
     victim = folds[0].test_rows[0]
-    perturbed = list(rows)
-    perturbed[victim] = schema.MachineStateRow(
-        **{**rows[victim].__dict__, "volt": 9e5, "pressure": -9e5})
+    perturbed = rows.copy()
+    perturbed.volt[victim] = 9e5
+    perturbed.pressure[victim] = -9e5
     changed = evaluate.evaluate_cv(perturbed, folds)
     for a, b in zip(base.fold_results, changed.fold_results):
         assert a.model.alpha == b.model.alpha
@@ -216,9 +213,8 @@ def test_rescaling_a_telemetry_channel_changes_nothing_material():
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)
     base = evaluate.evaluate_cv(rows, folds)
-    scaled_rows = [schema.MachineStateRow(**{**r.__dict__,
-                                             "volt": r.volt * 1000.0})
-                   for r in rows]
+    scaled_rows = rows.copy()
+    scaled_rows.volt *= 1000.0
     scaled = evaluate.evaluate_cv(scaled_rows, folds)
     assert np.allclose(base.average_matrix, scaled.average_matrix, atol=1e-9)
     for a, b in zip(base.weight_report.entries, scaled.weight_report.entries):

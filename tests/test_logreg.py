@@ -19,7 +19,6 @@ def _design(rows, labels, weights=None):
         weights = np.ones(len(labels))
     return assemble.DesignMatrix(
         rows=rows, labels=labels, sample_weights=np.asarray(weights, float),
-        keys=[(1, helpers.hour(i)) for i in range(len(labels))],
         encoding=None)
 
 

@@ -20,14 +20,6 @@ def test_feature_name_layout():
         "volt", "rotate", "pressure", "vibration", "age"}
 
 
-def test_day_of_week_matches_calendar():
-    # 2015-01-01 was a Thursday
-    assert schema.day_of_week(dt.datetime(2015, 1, 1)) == "Thu"
-    for i in range(14):
-        t = hour(i * 24)
-        assert schema.day_of_week(t) == helpers.DOW[t.weekday()]
-
-
 def test_fail_without_replacement_is_violation():
     record = helpers.maintenance(1, 0, comps=(2,))
     record = schema.MaintenanceRecord(

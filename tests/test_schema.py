@@ -20,6 +20,16 @@ def test_feature_name_layout():
         "volt", "rotate", "pressure", "vibration", "age"}
 
 
+def test_day_of_week_matches_calendar():
+    # 2015-01-01 was a Thursday; DAY_NAMES is indexed by datetime.weekday()
+    assert schema.DAY_NAMES[dt.datetime(2015, 1, 1).weekday()] == "Thu"
+    for i in range(14):
+        t = hour(i * 24)
+        assert schema.DAY_NAMES[t.weekday()] == helpers.DOW[t.weekday()]
+        assert schema.DAY_NAMES[t.weekday()] == t.strftime("%a")
+    assert schema.DOW_FEATURES == tuple(f"dow_{d.lower()}" for d in helpers.DOW)
+
+
 def test_fail_without_replacement_is_violation():
     record = helpers.maintenance(1, 0, comps=(2,))
     record = schema.MaintenanceRecord(

@@ -192,3 +192,103 @@ def test_bool_cells_must_be_zero_or_one(tmp_path):
     with pytest.raises(ingest.IngestError) as exc:
         ingest.load_bundle(**paths)
     assert exc.value.column == "error_1"
+
+
+def test_violation_report_lists_every_kind_in_order(tmp_path):
+    files = {
+        "telemetry": "machine_id,datetime,volt,rotate,pressure,vibration\n"
+                     "1,2015-01-01 00:00:00,170,450,100,40\n"
+                     "1,2015-01-01 01:00:00,nan,450,inf,40\n"
+                     "1,2015-01-01 01:20:00,171,451,101,41\n"
+                     "1,2015-01-01 04:00:00,170,450,100,40\n"
+                     "9,2015-01-01 00:00:00,170,450,100,40\n"
+                     "2,2015-01-01 00:00:00,170,450,100,40\n"
+                     "2,2015-01-01 01:00:00,170,450,100,40\n",
+        "errors": "machine_id,datetime,error_1,error_2,error_3,error_4,error_5\n"
+                  "1,2015-01-01 00:00:00,0,0,0,0,0\n"
+                  "1,2015-01-01 01:00:00,1,0,0,0,0\n"
+                  "9,2015-01-01 02:00:00,0,1,0,0,0\n"
+                  "0,2015-01-01 02:00:00,0,1,0,0,0\n",
+        "maintenance": "machine_id,datetime,comp_1,comp_2,comp_3,comp_4,"
+                       "comp_1_fail,comp_2_fail,comp_3_fail,comp_4_fail\n"
+                       "1,2015-01-01 00:00:00,0,1,0,0,1,0,0,0\n"
+                       "2,2015-01-01 00:00:00,0,0,0,0,0,0,0,0\n"
+                       "2,2015-01-01 01:00:00,0,0,0,0,0,0,1,0\n"
+                       "9,2015-01-01 01:00:00,1,0,0,0,0,0,0,0\n",
+        "failures": "machine_id,datetime,comp_1,comp_2,comp_3,comp_4\n"
+                    "2,2015-01-01 01:00:00,0,0,0,0\n"
+                    "9,2015-01-01 01:00:00,1,0,0,0\n",
+        "machines": "machine_id,age,model_1,model_2,model_3,model_4\n"
+                    "1,5,1,0,0,0\n"
+                    "2,7,0,1,0,0\n"
+                    "5,-2,1,1,0,0\n"
+                    "6,3,0,0,0,0\n"
+                    "7,4,0,0,0,1\n"
+                    "7,4,0,0,0,1\n",
+    }
+    paths = {key: _write(tmp_path / ingest.BUNDLE_FILENAMES[key], text)
+             for key, text in files.items()}
+    _, violations = ingest.load_bundle(**paths)
+    fail_implies = "set without {}; fail implies replaced"
+    no_flag = "no flag set; events must mark at least one"
+    unknown = "machine_id {} not in machines dataset"
+    assert [(v.dataset, v.row_index, v.message) for v in violations] == [
+        ("telemetry", 1, "volt is not finite"),
+        ("telemetry", 1, "pressure is not finite"),
+        ("telemetry", 2, "duplicate (machine_id, datetime) "
+                         "(1, datetime.datetime(2015, 1, 1, 1, 0)), first at row 1"),
+        ("errors", 0, no_flag),
+        ("errors", 3, "machine_id 0 not positive"),
+        ("maintenance", 0, "comp_1_fail " + fail_implies.format("comp_1")),
+        ("maintenance", 1, no_flag),
+        ("maintenance", 2, no_flag),
+        ("maintenance", 2, "comp_3_fail " + fail_implies.format("comp_3")),
+        ("failures", 0, no_flag),
+        ("machines", 2, "age -2 negative"),
+        ("machines", 2, "exactly one model flag required, got 2"),
+        ("machines", 3, "exactly one model flag required, got 0"),
+        ("machines", 5, "duplicate machine_id 7, first at row 4"),
+        ("telemetry", 4, unknown.format(9)),
+        ("errors", 2, unknown.format(9)),
+        ("errors", 3, unknown.format(0)),
+        ("maintenance", 3, unknown.format(9)),
+        ("failures", 1, unknown.format(9)),
+        ("telemetry", None, "machine 1: 2 missing hour(s) after 2015-01-01 01:00:00"),
+    ]
+
+
+@pytest.mark.parametrize("body, line, column", [
+    # a bad cell, then a short row further down
+    ("1,2015-01-01 01:00:00,abc,450,100,40\n1,2015-01-01 02:00:00,1,1,1\n",
+     3, "volt"),
+    # a short row, then a bad cell further down
+    ("1,2015-01-01 01:00:00,1,1,1\n1,2015-01-01 02:00:00,abc,450,100,40\n",
+     3, "-"),
+    # within one line the field count is checked before any cell
+    ("1,2015-01-01 01:00:00,abc,450,100\n", 3, "-"),
+    # and cells are checked left to right
+    ("1,2015-01-01 1:00,abc,450,100,x\n", 3, "datetime"),
+])
+def test_first_structural_fault_in_file_order_is_reported(tmp_path, body, line,
+                                                          column):
+    paths = _write_minimal(tmp_path, "1,2015-01-01 00:00:00,170,450,100,40\n" + body)
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.load_bundle(**paths)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_unpadded_datetime_and_padded_cells_load(tmp_path):
+    paths = _write_minimal(
+        tmp_path,
+        "1,2015-01-1 0:00:00,170,450,100,40\n"
+        " 1 , 2015-01-01 01:00:00 , 171.5 ,450,100,40\n")
+    _write(tmp_path / "errors.csv",
+           "machine_id,datetime,error_1,error_2,error_3,error_4,error_5\n"
+           "1,2015-1-1 1:29:59, 1 ,0,0,0,0\n")
+    bundle, violations = ingest.load_bundle(**paths)
+    assert violations == []
+    assert [(t.machine_id, t.datetime, t.volt) for t in bundle.telemetry] == [
+        (1, dt.datetime(2015, 1, 1, 0), 170.0),
+        (1, dt.datetime(2015, 1, 1, 1), 171.5)]
+    assert [(e.machine_id, e.datetime, e.error_1, e.error_2)
+            for e in bundle.errors] == [(1, dt.datetime(2015, 1, 1, 1), True, False)]

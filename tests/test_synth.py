@@ -1,10 +1,11 @@
 import filecmp
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from failcast import assemble, evaluate, ingest, logreg, schema, synth
+from failcast import assemble, cli, evaluate, ingest, logreg, schema, synth
 
 
 def test_same_seed_gives_byte_identical_csvs(tmp_path):
@@ -14,6 +15,27 @@ def test_same_seed_gives_byte_identical_csvs(tmp_path):
     for name in ingest.BUNDLE_FILENAMES.values():
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                            shallow=False), name
+
+
+# sha256 of each CSV that `failcast generate --machines 3 --days 5 --seed 4
+# --drift` writes; any change to the generator's draws, the row order or the
+# cell formatting changes these digests.
+GENERATED_CSV_SHA256 = {
+    "telemetry.csv": "bce536aa6f9769f98f1adfaf241d70a27004ccf58c0b53d73bb7f8071238f55f",
+    "errors.csv": "195c54c43665176759a8e82f682cf149d5ab6b2656f168967ca5ea9fc7b3520d",
+    "maintenance.csv": "42c315bf42d94db45ae2db365eddf10dab2a16db7b5c17b63989839415221e8d",
+    "failures.csv": "8c9b1cdbb4506398ab8aa0ab870875741a2858ccb18999aceaaaff0a45613bb5",
+    "machines.csv": "7de0ae556af341daa89ab9c4fefb9823db1923695d7ea5169497f0a99d7434c6",
+}
+
+
+def test_generate_writes_pinned_csv_bytes(tmp_path):
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--out-dir", str(out), "--machines", "3",
+                     "--days", "5", "--seed", "4", "--drift"]) == cli.EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ingest.BUNDLE_FILENAMES.values()}
+    assert digests == GENERATED_CSV_SHA256
 
 
 def test_different_seeds_differ():

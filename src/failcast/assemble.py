@@ -12,7 +12,6 @@ grid hour of their machine are dropped: their label is undefined.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +55,9 @@ class DesignMatrix:
     encoding: schema.FeatureEncoding
 
 
-def _column(records, name, dtype) -> np.ndarray:
-    return np.array([getattr(r, name) for r in records], dtype=dtype)
-
-
 def _pairs(machine_ids, datetimes) -> np.ndarray:
     """(machine_id, datetime) join keys; they sort machine first."""
     return np.rec.fromarrays([machine_ids, datetimes], names="machine_id,datetime")
-
-
-def _keys(records) -> np.ndarray:
-    return _pairs(_column(records, "machine_id", np.int64),
-                  _column(records, "datetime", "datetime64[s]"))
 
 
 def _rows_with(keys, queries) -> np.ndarray:
@@ -78,10 +68,6 @@ def _rows_with(keys, queries) -> np.ndarray:
     return np.cumsum(marks[:-1]) > 0
 
 
-def _machine_failed(rec) -> bool:
-    return any(getattr(rec, f) for f in schema.COMP_FLAGS)
-
-
 def build_event_stream(bundle: DatasetBundle, horizon: HorizonConfig = HorizonConfig()):
     """Join the bundle into the stream table, one row per labelable
     telemetry hour, in canonical (machine_id, datetime) order.
@@ -89,11 +75,9 @@ def build_event_stream(bundle: DatasetBundle, horizon: HorizonConfig = HorizonCo
     A telemetry machine missing from the machines dataset aborts with
     AssembleError.
     """
-    telemetry = bundle.telemetry
-    machine_id = _column(telemetry, "machine_id", np.int64)
-    when = _column(telemetry, "datetime", "datetime64[s]")
-    known_ids = _column(bundle.machines, "machine_id", np.int64)
-    missing = machine_id[~np.isin(machine_id, known_ids)]
+    telemetry, machines = bundle.telemetry, bundle.machines
+    machine_id, when = telemetry.machine_id, telemetry.datetime
+    missing = machine_id[~np.isin(machine_id, machines.machine_id)]
     if len(missing):
         raise AssembleError(f"telemetry references machine_id {missing.min()} "
                             "absent from the machines dataset")
@@ -107,25 +91,24 @@ def build_event_stream(bundle: DatasetBundle, horizon: HorizonConfig = HorizonCo
 
     columns = {"machine_id": machine_id, "datetime": when}
     keys = _pairs(machine_id, when)
-    for records, flags in ((bundle.errors, schema.ERROR_FLAGS),
-                           (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
-        event_keys = _keys(records)
+    for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
+                          (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
+        event_keys = _pairs(events.machine_id, events.datetime)
         for f in flags:
-            columns[f] = _rows_with(keys, event_keys[_column(records, f, bool)])
+            columns[f] = _rows_with(keys, event_keys[events[f]])
     for f in schema.TELEMETRY_FIELDS:
-        columns[f] = _column(telemetry, f, float)[rows]
-    # Where machine ids repeat, the last descriptor wins.
-    by_id = np.argsort(known_ids, kind="stable")
-    descriptor = by_id[np.searchsorted(known_ids[by_id], machine_id, side="right") - 1]
-    columns["age"] = _column(bundle.machines, "age", np.int64)[descriptor]
-    for f in schema.MODEL_FLAGS:
-        columns[f] = _column(bundle.machines, f, bool)[descriptor]
+        columns[f] = telemetry[f][rows]
+    by_id = np.argsort(machines.machine_id)
+    descriptor = by_id[np.searchsorted(machines.machine_id, machine_id, sorter=by_id)]
+    for f in ("age",) + schema.MODEL_FLAGS:
+        columns[f] = machines[f][descriptor]
     # 1970-01-01, day 0 of datetime64, was a Thursday.
     days = when.astype("datetime64[D]").astype(np.int64)
     columns["day_of_week"] = np.array(schema.DAY_NAMES)[(days + 3) % 7]
 
     # A failure at hour f labels the rows at f - k for each k ahead.
-    failures = _keys([r for r in bundle.failures if _machine_failed(r)])
+    failures = bundle.failures
+    failures = failures[np.logical_or.reduce([failures[f] for f in schema.COMP_FLAGS])]
     ahead = (range(1, horizon.horizon_hours + 1) if horizon.window
              else (horizon.horizon_hours,))
     columns["label"] = _rows_with(keys, np.concatenate(
@@ -212,11 +195,3 @@ def encode(rows, weight_positive=100.0, fit_mask=None, features=None) -> DesignM
     weights = np.where(labels, float(weight_positive), 1.0)
     return DesignMatrix(rows=encoded, labels=labels, sample_weights=weights,
                         encoding=encoding)
-
-
-def write_stream(path, rows):
-    """Write the stream table as CSV in ``schema.STREAM_COLUMNS`` order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(schema.STREAM_COLUMNS)
-        writer.writerows([schema.format_value(v) for v in row] for row in rows.tolist())

@@ -290,7 +290,7 @@ def cmd_assemble(args) -> int:
     bundle, violations = ingest.load_bundle(**_input_paths(cfg))
     _report_violations(violations)
     rows = assemble.build_event_stream(bundle, _horizon(cfg))
-    assemble.write_stream(cfg["out"], rows)
+    ingest.write_csv(cfg["out"], rows)
     _write_json(_sibling_config_path(cfg["out"]),
                 _config_payload("assemble", cfg))
     positives = int(rows.label.sum())

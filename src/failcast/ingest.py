@@ -1,9 +1,16 @@
 """CSV parsing and validation for the five event datasets.
 
-Timestamps are rounded to the nearest hour during parsing (exact half
-rounds up).  Event records that collide on (machine_id, hour) after
-rounding are merged by logical OR of their flags; telemetry collisions
-are surfaced as validation violations instead.
+Each file is read once and parsed straight into columns, giving one table
+per dataset (see ``schema``).  A column is parsed by numpy in one pass when
+every cell is in canonical form; otherwise its cells go through the
+per-cell parser, which strips whitespace and raises ``IngestError`` at the
+first malformed cell.  Timestamps are rounded to the nearest hour (exact
+half rounds up).
+
+After validation every row that a violation names is dropped: duplicate
+keys keep their first row, and rows referencing a machine missing from
+(or dropped from) the machines dataset go.  Event rows that then collide
+on (machine_id, hour) are merged by logical OR of their flags.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ import datetime as dt
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import schema
 from .schema import CSV_COLUMNS
-
-HOUR = dt.timedelta(hours=1)
 
 BUNDLE_FILENAMES = {
     "telemetry": "telemetry.csv",
@@ -25,6 +32,9 @@ BUNDLE_FILENAMES = {
     "failures": "failures.csv",
     "machines": "machines.csv",
 }
+
+_INT64 = np.iinfo(np.int64)
+_FIRST_DATETIME = np.datetime64(dt.datetime.min, "s")
 
 
 class IngestError(Exception):
@@ -37,29 +47,32 @@ class IngestError(Exception):
         super().__init__(f"{self.path}:{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetBundle:
-    telemetry: list
-    errors: list
-    maintenance: list
-    failures: list
-    machines: list
+    """The five dataset tables, each a numpy record array."""
+
+    telemetry: np.recarray
+    errors: np.recarray
+    maintenance: np.recarray
+    failures: np.recarray
+    machines: np.recarray
 
 
-def round_to_hour(raw: dt.datetime) -> dt.datetime:
-    """Round to the nearest whole hour; the exact half hour rounds up."""
-    base = raw.replace(minute=0, second=0, microsecond=0)
-    offset = (raw - base).total_seconds()
-    if offset >= 1800.0:
-        return base + HOUR
-    return base
+def round_to_hour(times):
+    """Round datetime64 values to the nearest whole hour; the exact half
+    hour rounds up.  The result has second resolution."""
+    seconds = np.asarray(times, "datetime64[s]").astype(np.int64)
+    return ((seconds + 1800) // 3600 * 3600).astype("datetime64[s]")
 
 
 def _parse_int(text, path, line, column):
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise IngestError(path, line, column, f"expected integer, got {text!r}") from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise IngestError(path, line, column, f"integer out of range, got {text!r}")
+    return value
 
 
 def _parse_float(text, path, line, column):
@@ -87,20 +100,40 @@ def _parse_datetime(text, path, line, column):
         ) from None
 
 
-def _parse_field(name, text, path, line):
-    if name == "machine_id" or name == "age":
-        return _parse_int(text, path, line, name)
-    if name == "datetime":
-        return round_to_hour(_parse_datetime(text, path, line, name))
-    if name in schema.TELEMETRY_FIELDS:
-        return _parse_float(text, path, line, name)
-    return _parse_bool(text, path, line, name)
+_CELL_PARSERS = {"i": _parse_int, "f": _parse_float, "b": _parse_bool, "M": _parse_datetime}
 
 
-def parse_csv(path, record_type) -> list:
-    """Parse one dataset file into records, aborting on structural faults."""
-    columns = CSV_COLUMNS[record_type]
-    records = []
+def _fast_column(cells, dtype):
+    """The cells as an array of ``dtype`` when every cell is in the form the
+    per-cell parser would read back the same way; otherwise None."""
+    if not cells:
+        return np.zeros(0, dtype)
+    if dtype.kind in "if":
+        try:
+            return np.fromiter(map(int if dtype.kind == "i" else float, cells),
+                               dtype, len(cells))
+        except (ValueError, OverflowError):
+            return None
+    text = np.array(cells, dtype=str)
+    if dtype.kind == "b":
+        ones = text == "1"
+        return ones if (ones | (text == "0")).all() else None
+    try:
+        values = np.array(text, dtype=dtype)
+    except ValueError:
+        return None
+    # numpy also reads "", "NaT", dates without a time and ISO "T" separators.
+    canonical = np.char.replace(np.datetime_as_string(values), "T", " ")
+    return values if ((canonical == text) & (values >= _FIRST_DATETIME)).all() else None
+
+
+def parse_csv(path, dataset: str) -> np.recarray:
+    """Parse one dataset file into its table, aborting on structural faults.
+
+    The fault reported is the first in file order: within a line a wrong
+    field count comes before any cell, and cells are checked left to right.
+    """
+    columns = CSV_COLUMNS[dataset]
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -111,91 +144,107 @@ def parse_csv(path, record_type) -> list:
             missing = [c for c in columns if c not in header]
             detail = f"missing column(s) {missing}" if missing else f"got {header}"
             raise IngestError(path, 1, "-", f"header must be {','.join(columns)}; {detail}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
+        rows = list(reader)
+    lines = np.arange(2, len(rows) + 2)
+    if not all(rows):
+        lines = lines[[bool(row) for row in rows]]
+        rows = [row for row in rows if row]
+    wrong = np.flatnonzero(np.fromiter(map(len, rows), np.int64, len(rows)) != len(columns))
+    short = wrong[0] if len(wrong) else None
+    good = rows[:short]
+    cells = list(zip(*good)) if good else [()] * len(columns)
+
+    parsed, faults = {}, []
+    for position, (name, column) in enumerate(zip(columns, cells)):
+        dtype = schema.column_type(name)
+        values = _fast_column(column, dtype)
+        if values is None:
+            parse = _CELL_PARSERS[dtype.kind]
+            try:
+                values = [parse(cell.strip(), path, line, name)
+                          for cell, line in zip(column, lines.tolist())]
+            except IngestError as exc:
+                faults.append((exc.line, position, exc))
                 continue
-            if len(row) != len(columns):
-                raise IngestError(
-                    path, line_no, "-",
-                    f"expected {len(columns)} fields, got {len(row)}")
-            values = [_parse_field(col, cell.strip(), path, line_no)
-                      for col, cell in zip(columns, row)]
-            records.append(record_type(*values))
-    return records
+        parsed[name] = values
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    if short is not None:
+        raise IngestError(path, int(lines[short]), "-",
+                          f"expected {len(columns)} fields, got {len(rows[short])}")
+    parsed = schema.table(dataset, parsed)
+    if "datetime" in columns:
+        parsed.datetime = round_to_hour(parsed.datetime)
+    return parsed
 
 
-def _or_merge(records, record_type, flag_names):
-    """Merge events sharing (machine_id, hour) by OR of their flags."""
-    merged = {}
-    order = []
-    for rec in records:
-        key = (rec.machine_id, rec.datetime)
-        if key not in merged:
-            merged[key] = rec
-            order.append(key)
-        else:
-            prev = merged[key]
-            flags = {f: bool(getattr(prev, f)) or bool(getattr(rec, f)) for f in flag_names}
-            merged[key] = record_type(machine_id=rec.machine_id, datetime=rec.datetime, **flags)
-    return [merged[k] for k in order]
+def _or_merge(table, flag_names):
+    """Merge events sharing (machine_id, hour) by OR of their flags, in the
+    order each key first appears."""
+    first = schema.first_rows(table.machine_id, table.datetime)
+    leads = first == np.arange(len(table))
+    merged = table[leads]
+    group = (np.cumsum(leads) - 1)[first]
+    for f in flag_names:
+        merged[f] = np.bincount(group, weights=table[f], minlength=len(merged)) > 0
+    return merged
 
 
 def _grid_violations(telemetry) -> list:
     """Report non-contiguous hourly telemetry grids; gaps are tolerated."""
-    by_machine = {}
-    for i, rec in enumerate(telemetry):
-        by_machine.setdefault(rec.machine_id, []).append((rec.datetime, i))
-    out = []
-    for machine_id in sorted(by_machine):
-        hours = sorted(set(t for t, _ in by_machine[machine_id]))
-        for prev, cur in zip(hours, hours[1:]):
-            step = int((cur - prev).total_seconds() // 3600)
-            if step > 1:
-                out.append(schema.Violation(
-                    None,
-                    f"machine {machine_id}: {step - 1} missing hour(s) after {prev}",
-                    "telemetry"))
-    return out
+    order = np.lexsort((telemetry.datetime, telemetry.machine_id))
+    ids, times = telemetry.machine_id[order], telemetry.datetime[order]
+    steps = (times[1:] - times[:-1]) // np.timedelta64(1, "h")
+    gaps = np.flatnonzero((ids[1:] == ids[:-1]) & (steps > 1))
+    return [schema.Violation(
+        None, f"machine {ids[i].item()}: {steps[i].item() - 1} missing hour(s) "
+              f"after {times[i].item()}", "telemetry") for i in gaps]
 
 
-def _reference_violations(bundle) -> list:
-    known = {m.machine_id for m in bundle.machines}
+def _reference_violations(raw, known_ids) -> list:
     out = []
     for name in ("telemetry", "errors", "maintenance", "failures"):
-        for i, rec in enumerate(getattr(bundle, name)):
-            if rec.machine_id not in known:
-                out.append(schema.Violation(
-                    i, f"machine_id {rec.machine_id} not in machines dataset", name))
+        ids = raw[name].machine_id
+        out.extend(schema.Violation(
+            int(i), f"machine_id {ids[i].item()} not in machines dataset", name)
+            for i in np.flatnonzero(~np.isin(ids, known_ids)))
     return out
+
+
+def _kept(table, violations, name):
+    """Rows of ``table`` that no violation of dataset ``name`` names."""
+    keep = np.ones(len(table), dtype=bool)
+    keep[[v.row_index for v in violations
+          if v.dataset == name and v.row_index is not None]] = False
+    return table[keep]
 
 
 def load_bundle(telemetry, errors, maintenance, failures, machines):
-    """Load, round, merge and validate the five datasets.
+    """Load, round, validate, drop violating rows and merge the five datasets.
 
     Returns ``(DatasetBundle, violations)``.  Violations are data; only
     structural faults (missing column, malformed cell) raise IngestError.
     """
-    raw = {
-        "telemetry": parse_csv(telemetry, schema.TelemetryRecord),
-        "errors": parse_csv(errors, schema.ErrorRecord),
-        "maintenance": parse_csv(maintenance, schema.MaintenanceRecord),
-        "failures": parse_csv(failures, schema.FailureRecord),
-        "machines": parse_csv(machines, schema.MachineDescriptor),
-    }
+    paths = {"telemetry": telemetry, "errors": errors, "maintenance": maintenance,
+             "failures": failures, "machines": machines}
+    raw = {name: parse_csv(path, name) for name, path in paths.items()}
     violations = []
-    for name, records in raw.items():
-        if records:
-            violations.extend(schema.validate_dataset(records, name))
+    for name, table in raw.items():
+        if len(table):
+            violations.extend(schema.validate_dataset(table, name))
+    machines = _kept(raw["machines"], violations, "machines")
+    violations.extend(_reference_violations(raw, machines.machine_id))
+    violations.extend(_grid_violations(raw["telemetry"]))
+    kept = {name: _kept(raw[name], violations, name)
+            for name in ("telemetry", "errors", "maintenance", "failures")}
     bundle = DatasetBundle(
-        telemetry=raw["telemetry"],
-        errors=_or_merge(raw["errors"], schema.ErrorRecord, schema.ERROR_FLAGS),
-        maintenance=_or_merge(raw["maintenance"], schema.MaintenanceRecord,
+        telemetry=kept["telemetry"],
+        errors=_or_merge(kept["errors"], schema.ERROR_FLAGS),
+        maintenance=_or_merge(kept["maintenance"],
                               schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS),
-        failures=_or_merge(raw["failures"], schema.FailureRecord, schema.COMP_FLAGS),
-        machines=raw["machines"],
+        failures=_or_merge(kept["failures"], schema.COMP_FLAGS),
+        machines=machines,
     )
-    violations.extend(_reference_violations(bundle))
-    violations.extend(_grid_violations(bundle.telemetry))
     return bundle, violations
 
 
@@ -205,25 +254,17 @@ def load_bundle_dir(directory):
     return load_bundle(**paths)
 
 
-def write_csv(path, records, record_type=None):
-    rec_type = record_type or type(records[0])
-    columns = CSV_COLUMNS[rec_type]
+def write_csv(path, table):
+    """Write a table (a dataset or the stream) as CSV, header first, each
+    cell formatted by ``schema.format_value``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow(schema.to_csv_row(rec))
+        writer.writerow(table.dtype.names)
+        writer.writerows([schema.format_value(v) for v in row] for row in table.tolist())
 
 
 def write_bundle(bundle, directory):
     """Write the five dataset CSVs under their conventional names."""
     os.makedirs(directory, exist_ok=True)
-    members = {
-        "telemetry": (bundle.telemetry, schema.TelemetryRecord),
-        "errors": (bundle.errors, schema.ErrorRecord),
-        "maintenance": (bundle.maintenance, schema.MaintenanceRecord),
-        "failures": (bundle.failures, schema.FailureRecord),
-        "machines": (bundle.machines, schema.MachineDescriptor),
-    }
-    for key, (records, rec_type) in members.items():
-        write_csv(os.path.join(directory, BUNDLE_FILENAMES[key]), records, rec_type)
+    for key, filename in BUNDLE_FILENAMES.items():
+        write_csv(os.path.join(directory, filename), getattr(bundle, key))

@@ -1,18 +1,21 @@
 """Domain types for the five event datasets and the joined machine state.
 
-Dataset records are immutable dataclasses mirroring the CSV schemas one
-column per field.  Timestamps are timezone-naive ``datetime`` values at
-hour resolution (minutes and seconds zero after ingestion rounding);
-booleans are encoded 0/1 in CSV.  The joined machine-state stream is a
-columnar table (see ``assemble``); ``STREAM_COLUMNS`` names its columns
+Each dataset is one columnar table, a numpy record array whose columns are
+the dataset's CSV columns (``CSV_COLUMNS``) in CSV order.  Machine ids and
+ages are int64, telemetry readings float64, flags bool, and timestamps
+timezone-naive ``datetime64[s]`` values at hour resolution after ingestion
+rounding; booleans are encoded 0/1 in CSV.  ``validate_dataset`` checks a
+table's invariants column-wise.  The joined machine-state stream is a
+columnar table too (see ``assemble``); ``STREAM_COLUMNS`` names its columns
 in CSV order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 DATETIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -32,61 +35,6 @@ FEATURE_NAMES = (
     + MODEL_FLAGS + DOW_FEATURES
 )
 CONTINUOUS_FEATURES = TELEMETRY_FIELDS + ("age",)
-
-
-@dataclass(frozen=True)
-class TelemetryRecord:
-    machine_id: int
-    datetime: dt.datetime
-    volt: float
-    rotate: float
-    pressure: float
-    vibration: float
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    machine_id: int
-    datetime: dt.datetime
-    error_1: bool
-    error_2: bool
-    error_3: bool
-    error_4: bool
-    error_5: bool
-
-
-@dataclass(frozen=True)
-class MaintenanceRecord:
-    machine_id: int
-    datetime: dt.datetime
-    comp_1: bool
-    comp_2: bool
-    comp_3: bool
-    comp_4: bool
-    comp_1_fail: bool
-    comp_2_fail: bool
-    comp_3_fail: bool
-    comp_4_fail: bool
-
-
-@dataclass(frozen=True)
-class FailureRecord:
-    machine_id: int
-    datetime: dt.datetime
-    comp_1: bool
-    comp_2: bool
-    comp_3: bool
-    comp_4: bool
-
-
-@dataclass(frozen=True)
-class MachineDescriptor:
-    machine_id: int
-    age: int
-    model_1: bool
-    model_2: bool
-    model_3: bool
-    model_4: bool
 
 
 @dataclass(frozen=True)
@@ -117,13 +65,14 @@ class Violation:
         return f"{where}[row {row}]: {self.message}"
 
 
-# CSV header order per dataset, exactly as written to and read from disk.
+# CSV header order per dataset, exactly as written to and read from disk;
+# it is also the column order of the dataset's table.
 CSV_COLUMNS = {
-    TelemetryRecord: ("machine_id", "datetime") + TELEMETRY_FIELDS,
-    ErrorRecord: ("machine_id", "datetime") + ERROR_FLAGS,
-    MaintenanceRecord: ("machine_id", "datetime") + COMP_FLAGS + COMP_FAIL_FLAGS,
-    FailureRecord: ("machine_id", "datetime") + COMP_FLAGS,
-    MachineDescriptor: ("machine_id", "age") + MODEL_FLAGS,
+    "telemetry": ("machine_id", "datetime") + TELEMETRY_FIELDS,
+    "errors": ("machine_id", "datetime") + ERROR_FLAGS,
+    "maintenance": ("machine_id", "datetime") + COMP_FLAGS + COMP_FAIL_FLAGS,
+    "failures": ("machine_id", "datetime") + COMP_FLAGS,
+    "machines": ("machine_id", "age") + MODEL_FLAGS,
 }
 
 # Columns of the machine-state stream: one machine-hour of joined state
@@ -132,6 +81,21 @@ STREAM_COLUMNS = (
     ("machine_id", "datetime") + ERROR_FLAGS + COMP_FLAGS + COMP_FAIL_FLAGS
     + TELEMETRY_FIELDS + ("age",) + MODEL_FLAGS + ("day_of_week", "label")
 )
+
+# numpy type of every dataset column; the flag columns not listed are bool.
+_COLUMN_TYPES = {"machine_id": np.int64, "age": np.int64, "datetime": "datetime64[s]",
+                 **dict.fromkeys(TELEMETRY_FIELDS, np.float64)}
+
+
+def column_type(name: str) -> np.dtype:
+    return np.dtype(_COLUMN_TYPES.get(name, bool))
+
+
+def table(dataset: str, columns) -> np.recarray:
+    """The dataset's table from a mapping of each of its column names to values."""
+    names = CSV_COLUMNS[dataset]
+    return np.rec.fromarrays([np.asarray(columns[c], column_type(c)) for c in names],
+                             names=names)
 
 
 def format_value(value) -> str:
@@ -142,100 +106,92 @@ def format_value(value) -> str:
     return str(value)
 
 
-def to_csv_row(record) -> list[str]:
-    """Serialize a record in its CSV column order (round-trip exact)."""
-    return [format_value(getattr(record, col)) for col in CSV_COLUMNS[type(record)]]
+def first_rows(*columns) -> np.ndarray:
+    """For each row, the index of the first row equal to it in every column."""
+    order = np.lexsort(columns[::-1])
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.logical_or.reduce([c[order][1:] != c[order][:-1] for c in columns])
+    start_of_group = np.maximum.accumulate(np.where(starts, np.arange(len(order)), 0))
+    first = np.empty_like(order)
+    first[order] = order[start_of_group]
+    return first
 
 
-def _check_hour(record, index, out, dataset):
-    t = record.datetime
-    if t.minute != 0 or t.second != 0 or t.microsecond != 0:
-        out.append(Violation(index, f"datetime {t} not on the hour", dataset))
+# Each validator returns its checks in report order as (mask of violating
+# rows, message of a violating row index) pairs.
+
+def _machine_id_check(ids):
+    return ids < 1, lambda i: f"machine_id {ids[i].item()} not positive"
 
 
-def _check_machine_id(record, index, out, dataset):
-    if record.machine_id < 1:
-        out.append(Violation(index, f"machine_id {record.machine_id} not positive", dataset))
+def _keyed_checks(table):
+    times = table.datetime
+    return [_machine_id_check(table.machine_id),
+            (times.astype("datetime64[h]") != times,
+             lambda i: f"datetime {times[i].item()} not on the hour")]
 
 
-def _validate_telemetry(records, dataset):
-    out = []
-    seen = {}
-    for i, rec in enumerate(records):
-        _check_machine_id(rec, i, out, dataset)
-        _check_hour(rec, i, out, dataset)
-        for field in TELEMETRY_FIELDS:
-            value = getattr(rec, field)
-            if not math.isfinite(value):
-                out.append(Violation(i, f"{field} is not finite", dataset))
-        key = (rec.machine_id, rec.datetime)
-        if key in seen:
-            out.append(Violation(
-                i, f"duplicate (machine_id, datetime) {key}, first at row {seen[key]}", dataset))
-        else:
-            seen[key] = i
-    return out
+def _telemetry_checks(table):
+    checks = _keyed_checks(table)
+    for field in TELEMETRY_FIELDS:
+        checks.append((~np.isfinite(table[field]),
+                       lambda i, field=field: f"{field} is not finite"))
+    ids, times = table.machine_id, table.datetime
+    first = first_rows(ids, times)
+    checks.append((first != np.arange(len(table)), lambda i: (
+        f"duplicate (machine_id, datetime) {(ids[i].item(), times[i].item())}, "
+        f"first at row {first[i]}")))
+    return checks
 
 
-def _validate_flag_event(records, dataset, flag_names):
-    out = []
-    for i, rec in enumerate(records):
-        _check_machine_id(rec, i, out, dataset)
-        _check_hour(rec, i, out, dataset)
-        if not any(getattr(rec, f) for f in flag_names):
-            out.append(Violation(i, "no flag set; events must mark at least one", dataset))
-    return out
+def _flag_event_checks(table, flag_names):
+    none_set = ~np.logical_or.reduce([table[f] for f in flag_names])
+    return _keyed_checks(table) + [
+        (none_set, lambda i: "no flag set; events must mark at least one")]
 
 
-def _validate_maintenance(records, dataset):
-    out = _validate_flag_event(records, dataset, COMP_FLAGS)
-    for i, rec in enumerate(records):
-        for comp, comp_fail in zip(COMP_FLAGS, COMP_FAIL_FLAGS):
-            if getattr(rec, comp_fail) and not getattr(rec, comp):
-                out.append(Violation(
-                    i, f"{comp_fail} set without {comp}; fail implies replaced", dataset))
-    out.sort(key=lambda v: v.row_index)
-    return out
+def _maintenance_checks(table):
+    checks = _flag_event_checks(table, COMP_FLAGS)
+    for comp, comp_fail in zip(COMP_FLAGS, COMP_FAIL_FLAGS):
+        checks.append((table[comp_fail] & ~table[comp],
+                       lambda i, comp=comp, comp_fail=comp_fail:
+                       f"{comp_fail} set without {comp}; fail implies replaced"))
+    return checks
 
 
-def _validate_machines(records, dataset):
-    out = []
-    seen = {}
-    for i, rec in enumerate(records):
-        _check_machine_id(rec, i, out, dataset)
-        if rec.age < 0:
-            out.append(Violation(i, f"age {rec.age} negative", dataset))
-        n_models = sum(bool(getattr(rec, f)) for f in MODEL_FLAGS)
-        if n_models != 1:
-            out.append(Violation(i, f"exactly one model flag required, got {n_models}", dataset))
-        if rec.machine_id in seen:
-            out.append(Violation(
-                i, f"duplicate machine_id {rec.machine_id}, first at row {seen[rec.machine_id]}",
-                dataset))
-        else:
-            seen[rec.machine_id] = i
-    return out
+def _machine_checks(table):
+    ids, ages = table.machine_id, table.age
+    n_models = np.sum([table[f] for f in MODEL_FLAGS], axis=0)
+    first = first_rows(ids)
+    return [
+        _machine_id_check(ids),
+        (ages < 0, lambda i: f"age {ages[i].item()} negative"),
+        (n_models != 1,
+         lambda i: f"exactly one model flag required, got {n_models[i].item()}"),
+        (first != np.arange(len(table)),
+         lambda i: f"duplicate machine_id {ids[i].item()}, first at row {first[i]}"),
+    ]
 
 
-_VALIDATORS = {
-    TelemetryRecord: ("telemetry", _validate_telemetry),
-    ErrorRecord: ("errors", lambda r, d: _validate_flag_event(r, d, ERROR_FLAGS)),
-    MaintenanceRecord: ("maintenance", _validate_maintenance),
-    FailureRecord: ("failures", lambda r, d: _validate_flag_event(r, d, COMP_FLAGS)),
-    MachineDescriptor: ("machines", _validate_machines),
+_CHECKS = {
+    "telemetry": _telemetry_checks,
+    "errors": lambda t: _flag_event_checks(t, ERROR_FLAGS),
+    "maintenance": _maintenance_checks,
+    "failures": lambda t: _flag_event_checks(t, COMP_FLAGS),
+    "machines": _machine_checks,
 }
 
 
-def validate_dataset(records, dataset: str | None = None) -> list[Violation]:
-    """Check every dataset invariant; empty report iff the records are valid.
+def validate_dataset(table, dataset: str) -> list[Violation]:
+    """Check every invariant of the named dataset; empty report iff the
+    table is valid.
 
-    Violations come back in ascending row order with the offending index
-    and a reason.  The record type selects which invariants apply.
+    Violations come back in ascending row order, and within a row in the
+    order the checks are listed, each with the offending index and a reason.
     """
-    if not records:
-        return []
-    rec_type = type(records[0])
-    if rec_type not in _VALIDATORS:
-        raise TypeError(f"no validator for record type {rec_type.__name__}")
-    default_name, validator = _VALIDATORS[rec_type]
-    return validator(records, dataset if dataset is not None else default_name)
+    if dataset not in _CHECKS:
+        raise ValueError(f"no validator for dataset {dataset!r}")
+    checks = _CHECKS[dataset](table)
+    found = sorted((int(i), rank) for rank, (mask, _) in enumerate(checks)
+                   for i in np.flatnonzero(mask))
+    return [Violation(i, checks[rank][1](i), dataset) for i, rank in found]

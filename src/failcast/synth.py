@@ -2,7 +2,9 @@
 
 Every stream is drawn from splitmix64 counter streams derived from
 (seed, machine_id, channel), so output is identical for a given config
-regardless of generation order.
+regardless of generation order.  Each machine's rows are drawn as numpy
+arrays, and ``generate`` returns one table per dataset (see ``schema``),
+machines in id order and each machine's rows in time order.
 
 Hazard model (closed form).  Let r be the target positive rate, s the
 signal strength and p_event = 1 - (1 - p_flag)**5 the per-hour chance of
@@ -21,7 +23,6 @@ explain an ever larger share of failures.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import rng, schema
 from .ingest import DatasetBundle
 
-START = dt.datetime(2015, 1, 1)
+START = np.datetime64("2015-01-01T00:00:00")
 LEAD_HOURS = 24          # planted errors raise the hazard this many hours later
 MAX_AGE_YEARS = 20
 
@@ -109,23 +110,21 @@ def _machine_stream(config, machine_id, channel):
     return rng.Stream(rng.derive(config.seed, machine_id, channel))
 
 
-def _hour(index) -> dt.datetime:
-    return START + dt.timedelta(hours=int(index))
-
-
-def _flags(prefix_fields, mask):
-    return {name: bool(flag) for name, flag in zip(prefix_fields, mask)}
+def _events(machine_id, hours, **flags):
+    """Columns of the event rows at ``hours`` (indices into the timeline)."""
+    return {"machine_id": np.full(len(hours), machine_id),
+            "datetime": START + hours * np.timedelta64(1, "h"), **flags}
 
 
 def _generate_machine(config: SynthConfig, machine_id: int):
     n = config.n_hours
+    components = np.arange(len(schema.COMP_FLAGS))
 
     desc_stream = _machine_stream(config, machine_id, _CH_DESCRIPTOR)
     age = int(desc_stream.below(1, MAX_AGE_YEARS + 1)[0])
     model_index = int(desc_stream.below(1, 4)[0])
-    descriptor = schema.MachineDescriptor(
-        machine_id=machine_id, age=age,
-        **{name: (i == model_index) for i, name in enumerate(schema.MODEL_FLAGS)})
+    descriptor = {"machine_id": [machine_id], "age": [age],
+                  **{name: [i == model_index] for i, name in enumerate(schema.MODEL_FLAGS)}}
 
     error_draws = _machine_stream(config, machine_id, _CH_ERRORS).uniforms(n * 5)
     error_flags = (error_draws < config.per_flag_error_rate).reshape(n, 5)
@@ -157,51 +156,29 @@ def _generate_machine(config: SynthConfig, machine_id: int):
         telemetry_values[:, 2] += _DRIFT_AMPLITUDE * _TELEMETRY_SDS[2] * ramp
         telemetry_values[:, 3] += _DRIFT_AMPLITUDE * _TELEMETRY_SDS[3] * ramp
 
-    telemetry = [
-        schema.TelemetryRecord(
-            machine_id=machine_id, datetime=_hour(i),
-            volt=float(telemetry_values[i, 0]), rotate=float(telemetry_values[i, 1]),
-            pressure=float(telemetry_values[i, 2]), vibration=float(telemetry_values[i, 3]))
-        for i in range(n)
-    ]
-
-    errors = [
-        schema.ErrorRecord(machine_id=machine_id, datetime=_hour(i),
-                           **_flags(schema.ERROR_FLAGS, error_flags[i]))
-        for i in np.flatnonzero(error_any)
-    ]
-
-    failures = []
-    maintenance = {}
-    for i in np.flatnonzero(failure):
-        comp_mask = [k == fail_comp[i] for k in range(4)]
-        failures.append(schema.FailureRecord(
-            machine_id=machine_id, datetime=_hour(i),
-            **_flags(schema.COMP_FLAGS, comp_mask)))
-        maintenance[int(i)] = {"comp": list(comp_mask), "fail": list(comp_mask)}
-    for i in np.flatnonzero(scheduled):
-        entry = maintenance.setdefault(int(i), {"comp": [False] * 4, "fail": [False] * 4})
-        entry["comp"][sched_comp[i]] = True
-
-    maintenance_records = [
-        schema.MaintenanceRecord(
-            machine_id=machine_id, datetime=_hour(i),
-            **_flags(schema.COMP_FLAGS, maintenance[i]["comp"]),
-            **_flags(schema.COMP_FAIL_FLAGS, maintenance[i]["fail"]))
-        for i in sorted(maintenance)
-    ]
-    return descriptor, telemetry, errors, maintenance_records, failures
+    telemetry = _events(machine_id, np.arange(n),
+                        **dict(zip(schema.TELEMETRY_FIELDS, telemetry_values.T)))
+    hours = np.flatnonzero(error_any)
+    errors = _events(machine_id, hours, **dict(zip(schema.ERROR_FLAGS, error_flags[hours].T)))
+    hours = np.flatnonzero(failure)
+    failures = _events(machine_id, hours, **dict(zip(
+        schema.COMP_FLAGS, (fail_comp[hours, None] == components).T)))
+    # Maintenance replaces the failed component at each failure, and one
+    # drawn component at each scheduled visit.
+    hours = np.flatnonzero(failure | scheduled)
+    fails = failure[hours, None] & (fail_comp[hours, None] == components)
+    replaced = fails | (scheduled[hours, None] & (sched_comp[hours, None] == components))
+    maintenance = _events(machine_id, hours, **dict(zip(schema.COMP_FLAGS, replaced.T)),
+                          **dict(zip(schema.COMP_FAIL_FLAGS, fails.T)))
+    return {"telemetry": telemetry, "errors": errors, "maintenance": maintenance,
+            "failures": failures, "machines": descriptor}
 
 
 def generate(config: SynthConfig) -> DatasetBundle:
     """Generate a schema-valid bundle with a complete hourly telemetry grid."""
-    machines, telemetry, errors, maintenance, failures = [], [], [], [], []
-    for machine_id in range(1, config.n_machines + 1):
-        desc, tel, err, mnt, fail = _generate_machine(config, machine_id)
-        machines.append(desc)
-        telemetry.extend(tel)
-        errors.extend(err)
-        maintenance.extend(mnt)
-        failures.extend(fail)
-    return DatasetBundle(telemetry=telemetry, errors=errors, maintenance=maintenance,
-                         failures=failures, machines=machines)
+    parts = [_generate_machine(config, machine_id)
+             for machine_id in range(1, config.n_machines + 1)]
+    return DatasetBundle(**{
+        name: schema.table(name, {column: np.concatenate([p[name][column] for p in parts])
+                                  for column in columns})
+        for name, columns in schema.CSV_COLUMNS.items()})

@@ -24,7 +24,7 @@ def hour(i):
 
 def telemetry(machine, i, volt=None, rotate=None, pressure=None, vibration=None):
     """Telemetry with deterministic per-cell variation unless pinned."""
-    return schema.TelemetryRecord(
+    return dict(
         machine_id=machine, datetime=hour(i),
         volt=170.0 + ((machine * 31 + i * 7) % 11) - 5 if volt is None else volt,
         rotate=450.0 + ((machine * 17 + i * 11) % 13) - 6 if rotate is None else rotate,
@@ -34,25 +34,30 @@ def telemetry(machine, i, volt=None, rotate=None, pressure=None, vibration=None)
 
 def error(machine, i, *flag_indices):
     vals = {f"error_{k}": k in flag_indices for k in range(1, 6)}
-    return schema.ErrorRecord(machine_id=machine, datetime=hour(i), **vals)
+    return dict(machine_id=machine, datetime=hour(i), **vals)
 
 
 def maintenance(machine, i, comps=(), fails=()):
     vals = {f"comp_{k}": (k in comps) or (k in fails) for k in range(1, 5)}
     vals.update({f"comp_{k}_fail": k in fails for k in range(1, 5)})
-    return schema.MaintenanceRecord(machine_id=machine, datetime=hour(i), **vals)
+    return dict(machine_id=machine, datetime=hour(i), **vals)
 
 
 def failure(machine, i, comp=1):
     vals = {f"comp_{k}": k == comp for k in range(1, 5)}
-    return schema.FailureRecord(machine_id=machine, datetime=hour(i), **vals)
+    return dict(machine_id=machine, datetime=hour(i), **vals)
 
 
 def descriptor(machine, age=None, model=None):
     model = (machine - 1) % 4 + 1 if model is None else model
     vals = {f"model_{k}": k == model for k in range(1, 5)}
-    return schema.MachineDescriptor(
-        machine_id=machine, age=machine + 2 if age is None else age, **vals)
+    return dict(machine_id=machine, age=machine + 2 if age is None else age, **vals)
+
+
+def table(dataset, records):
+    """The dataset table holding ``records``, dicts of column values."""
+    return schema.table(dataset, {c: [r[c] for r in records]
+                                  for c in schema.CSV_COLUMNS[dataset]})
 
 
 def micro_bundle(n_machines=2, n_hours=48, failures_at=(), errors_at=(),
@@ -81,55 +86,64 @@ def micro_bundle(n_machines=2, n_hours=48, failures_at=(), errors_at=(),
         err_flags.setdefault((m, i), set()).add(f)
     errs = [error(m, i, *flags) for (m, i), flags in sorted(err_flags.items())]
     return ingest.DatasetBundle(
-        telemetry=tel, errors=errs, maintenance=mnt, failures=fails,
-        machines=[descriptor(m) for m in range(1, n_machines + 1)])
+        telemetry=table("telemetry", tel), errors=table("errors", errs),
+        maintenance=table("maintenance", mnt), failures=table("failures", fails),
+        machines=table("machines", [descriptor(m) for m in range(1, n_machines + 1)]))
 
 
 def brute_force_stream(bundle, horizon_hours=24, window=False):
     """Nested-loop join-and-label oracle over all (machine, hour) pairs;
     one dict of column values per stream row."""
     span = dt.timedelta(hours=horizon_hours)
+    telemetry, errors, maintenance, failures, machines = (
+        table_rows(getattr(bundle, name))
+        for name in ("telemetry", "errors", "maintenance", "failures", "machines"))
     out = []
-    for m in sorted({t.machine_id for t in bundle.telemetry}):
-        d0 = next(d for d in bundle.machines if d.machine_id == m)
-        m_tel = sorted((t for t in bundle.telemetry if t.machine_id == m),
-                       key=lambda t: t.datetime)
-        last = m_tel[-1].datetime
+    for m in sorted({t["machine_id"] for t in telemetry}):
+        d0 = next(d for d in machines if d["machine_id"] == m)
+        m_tel = sorted((t for t in telemetry if t["machine_id"] == m),
+                       key=lambda t: t["datetime"])
+        last = m_tel[-1]["datetime"]
         for t in m_tel:
-            if t.datetime + span > last:
+            when = t["datetime"]
+            if when + span > last:
                 continue
             flags = {}
             for name in ("error_1", "error_2", "error_3", "error_4", "error_5"):
-                flags[name] = any(e.machine_id == m and e.datetime == t.datetime
-                                  and getattr(e, name) for e in bundle.errors)
+                flags[name] = any(e["machine_id"] == m and e["datetime"] == when
+                                  and e[name] for e in errors)
             for name in ("comp_1", "comp_2", "comp_3", "comp_4",
                          "comp_1_fail", "comp_2_fail", "comp_3_fail",
                          "comp_4_fail"):
-                flags[name] = any(r.machine_id == m and r.datetime == t.datetime
-                                  and getattr(r, name)
-                                  for r in bundle.maintenance)
+                flags[name] = any(r["machine_id"] == m and r["datetime"] == when
+                                  and r[name] for r in maintenance)
             if window:
-                label = any(f.machine_id == m
-                            and t.datetime < f.datetime <= t.datetime + span
-                            for f in bundle.failures)
+                label = any(f["machine_id"] == m
+                            and when < f["datetime"] <= when + span
+                            for f in failures)
             else:
-                label = any(f.machine_id == m
-                            and f.datetime == t.datetime + span
-                            for f in bundle.failures)
+                label = any(f["machine_id"] == m
+                            and f["datetime"] == when + span
+                            for f in failures)
             out.append(dict(
-                machine_id=m, datetime=t.datetime, **flags,
-                volt=t.volt, rotate=t.rotate, pressure=t.pressure,
-                vibration=t.vibration, age=d0.age,
-                model_1=d0.model_1, model_2=d0.model_2,
-                model_3=d0.model_3, model_4=d0.model_4,
-                day_of_week=DOW[t.datetime.weekday()], label=label))
+                machine_id=m, datetime=when, **flags,
+                volt=t["volt"], rotate=t["rotate"], pressure=t["pressure"],
+                vibration=t["vibration"], age=d0["age"],
+                model_1=d0["model_1"], model_2=d0["model_2"],
+                model_3=d0["model_3"], model_4=d0["model_4"],
+                day_of_week=DOW[when.weekday()], label=label))
     return out
 
 
 def table_rows(rows):
-    """The stream table's rows as dicts of plain Python values, the form
-    brute_force_stream returns."""
+    """A table's rows (a dataset's or the stream's) as dicts of plain Python
+    values, the form brute_force_stream returns."""
     return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+
+
+def bundle_rows(bundle):
+    """Every table of a bundle as table_rows, keyed by dataset name."""
+    return {name: table_rows(getattr(bundle, name)) for name in ingest.BUNDLE_FILENAMES}
 
 
 def random_instance(seed, n_rows, n_features, weighted=True):

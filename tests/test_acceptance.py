@@ -115,7 +115,7 @@ def test_default_generator_hits_target_prevalence():
         bundle = synth.generate(synth.SynthConfig(n_machines=20, n_days=120,
                                                   seed=seed))
         rows = assemble.build_event_stream(bundle)
-        rates.append(sum(1 for r in rows if r.label) / len(rows))
+        rates.append(int(rows["label"].sum()) / len(rows))
     mean_rate = float(np.mean(rates))
     elapsed = time.perf_counter() - start
     assert 0.013 <= mean_rate <= 0.021, \

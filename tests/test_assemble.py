@@ -76,7 +76,8 @@ def test_rows_in_canonical_order(small_rows):
 def test_missing_descriptor_aborts_with_machine_id():
     bundle = helpers.micro_bundle(n_machines=2, n_hours=30)
     broken = assemble.DatasetBundle(
-        telemetry=bundle.telemetry, errors=[], maintenance=[], failures=[],
+        telemetry=bundle.telemetry, errors=bundle.errors,
+        maintenance=bundle.maintenance, failures=bundle.failures,
         machines=bundle.machines[:1])
     with pytest.raises(assemble.AssembleError, match="machine_id 2"):
         assemble.build_event_stream(broken)
@@ -195,7 +196,7 @@ def test_assemble_command_writes_pinned_stream_bytes(tmp_path, labels):
         errors_at=((1, 6, 2), (1, 6, 4), (2, 0, 1), (2, 33, 3), (3, 47, 5)),
         maintenance_at=((1, 40, 2), (2, 10, 3)))
     # A value whose shortest round-trip form needs 17 significant digits.
-    bundle.telemetry[7] = helpers.telemetry(1, 7, volt=0.1 + 0.2)
+    bundle.telemetry.volt[7] = 0.1 + 0.2  # row 7: machine 1, hour 7
     ingest.write_bundle(bundle, tmp_path / "data")
     out = tmp_path / "stream.csv"
     argv = ["assemble", "--in-dir", str(tmp_path / "data"), "--out", str(out)]

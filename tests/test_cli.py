@@ -138,6 +138,59 @@ def test_unparseable_cell_exits_1(dataset, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dataset_file", ["machines.csv", "telemetry.csv"])
+def test_out_of_range_integer_exits_1(dataset, tmp_path, capsys, dataset_file):
+    broken = tmp_path / "data"
+    shutil.copytree(dataset, broken)
+    path = broken / dataset_file
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[0] = "99999999999999999999"  # machine_id, past the int64 range
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["evaluate", "--in-dir", str(broken),
+                   "--out-dir", str(tmp_path / "rep")])
+    assert rc == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert f"{dataset_file}:3:machine_id: integer out of range" in err
+
+
+def _stream_of(data_dir, out):
+    """Exit code and stream CSV bytes of `failcast assemble` on a directory."""
+    rc = cli.main(["assemble", "--in-dir", str(data_dir), "--out", str(out)])
+    return rc, out.read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["duplicate_key", "unknown_machine", "nan_cell"])
+def test_row_with_tolerated_violation_is_dropped(tmp_path, capsys, fault):
+    """The stream equals the stream of the bundle without the faulty line,
+    and the run exits 2."""
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out-dir", str(data), "--machines", "3",
+                     "--days", "3", "--seed", "5"]) == cli.EXIT_OK
+    lines = (data / "telemetry.csv").read_text().splitlines()
+    row = lines[30].split(",")  # machine 1, hour 28
+    if fault == "duplicate_key":  # rounds onto the hour of the line above
+        faulty = ",".join([row[0], row[1].replace(":00:00", ":10:00")] + row[2:])
+        lines.insert(31, faulty)
+        line_no = 31
+    elif fault == "unknown_machine":
+        lines.insert(31, ",".join(["99"] + row[1:]))
+        line_no = 31
+    else:
+        lines[30] = ",".join(row[:2] + ["nan"] + row[3:])
+        line_no = 30
+    (data / "telemetry.csv").write_text("\n".join(lines) + "\n")
+    rc, stream = _stream_of(data, tmp_path / "stream.csv")
+    assert rc == cli.EXIT_VIOLATIONS
+    assert "1 validation violation(s); continuing" in capsys.readouterr().err
+
+    del lines[line_no]
+    (data / "telemetry.csv").write_text("\n".join(lines) + "\n")
+    _, expected = _stream_of(data, tmp_path / "expected.csv")
+    assert stream == expected
+
+
 def test_missing_required_option_exits_1(dataset, capsys):
     assert cli.main(["assemble", "--in-dir", str(dataset)]) == cli.EXIT_FAILURE
     assert "missing required option --out" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ BUNDLE_FILENAMES = {
     "machines": "machines.csv",
 }
 
+_BLOCK_ROWS = 1 << 15
 _INT64 = np.iinfo(np.int64)
 _FIRST_DATETIME = np.datetime64(dt.datetime.min, "s")
 
@@ -127,25 +129,10 @@ def _fast_column(cells, dtype):
     return values if ((canonical == text) & (values >= _FIRST_DATETIME)).all() else None
 
 
-def parse_csv(path, dataset: str) -> np.recarray:
-    """Parse one dataset file into its table, aborting on structural faults.
-
-    The fault reported is the first in file order: within a line a wrong
-    field count comes before any cell, and cells are checked left to right.
-    """
-    columns = CSV_COLUMNS[dataset]
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(path, 1, "-", "empty file, header row required") from None
-        if tuple(header) != columns:
-            missing = [c for c in columns if c not in header]
-            detail = f"missing column(s) {missing}" if missing else f"got {header}"
-            raise IngestError(path, 1, "-", f"header must be {','.join(columns)}; {detail}")
-        rows = list(reader)
-    lines = np.arange(2, len(rows) + 2)
+def _parse_rows(rows, first_line, columns, path) -> dict:
+    """Columns of a block of rows read from line ``first_line`` on; raises
+    the first structural fault of the block in file order."""
+    lines = np.arange(first_line, first_line + len(rows))
     if not all(rows):
         lines = lines[[bool(row) for row in rows]]
         rows = [row for row in rows if row]
@@ -161,8 +148,8 @@ def parse_csv(path, dataset: str) -> np.recarray:
         if values is None:
             parse = _CELL_PARSERS[dtype.kind]
             try:
-                values = [parse(cell.strip(), path, line, name)
-                          for cell, line in zip(column, lines.tolist())]
+                values = np.array([parse(cell.strip(), path, line, name)
+                                   for cell, line in zip(column, lines.tolist())], dtype)
             except IngestError as exc:
                 faults.append((exc.line, position, exc))
                 continue
@@ -172,7 +159,37 @@ def parse_csv(path, dataset: str) -> np.recarray:
     if short is not None:
         raise IngestError(path, int(lines[short]), "-",
                           f"expected {len(columns)} fields, got {len(rows[short])}")
-    parsed = schema.table(dataset, parsed)
+    return parsed
+
+
+def parse_csv(path, dataset: str) -> np.recarray:
+    """Parse one dataset file into its table, aborting on structural faults.
+
+    The fault reported is the first in file order: within a line a wrong
+    field count comes before any cell, and cells are checked left to right.
+    Rows are parsed in blocks, so the text of only one block is held at once.
+    """
+    columns = CSV_COLUMNS[dataset]
+    blocks = []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(path, 1, "-", "empty file, header row required") from None
+        if tuple(header) != columns:
+            missing = [c for c in columns if c not in header]
+            detail = f"missing column(s) {missing}" if missing else f"got {header}"
+            raise IngestError(path, 1, "-", f"header must be {','.join(columns)}; {detail}")
+        first_line = 2
+        while True:
+            rows = list(itertools.islice(reader, _BLOCK_ROWS))
+            blocks.append(_parse_rows(rows, first_line, columns, path))
+            if len(rows) < _BLOCK_ROWS:
+                break
+            first_line += len(rows)
+    parsed = schema.table(dataset, {c: np.concatenate([b[c] for b in blocks])
+                                    for c in columns})
     if "datetime" in columns:
         parsed.datetime = round_to_hour(parsed.datetime)
     return parsed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failcast import ingest, schema
+from failcast import ingest
 
 import helpers
 from helpers import hour
@@ -275,12 +275,32 @@ def test_violation_report_lists_every_kind_in_order(tmp_path):
     # and cells are checked left to right
     ("1,2015-01-01 1:00,abc,450,100,x\n", 3, "datetime"),
 ])
-def test_first_structural_fault_in_file_order_is_reported(tmp_path, body, line,
-                                                          column):
+@pytest.mark.parametrize("block_rows", [1, 2, None])
+def test_first_structural_fault_in_file_order_is_reported(tmp_path, monkeypatch, body,
+                                                          line, column, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
     paths = _write_minimal(tmp_path, "1,2015-01-01 00:00:00,170,450,100,40\n" + body)
     with pytest.raises(ingest.IngestError) as exc:
         ingest.load_bundle(**paths)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_rows_parsed_in_blocks_load_the_same_table(tmp_path, monkeypatch):
+    paths = _write_minimal(tmp_path, "".join(
+        f"1,2015-01-01 {h:02d}:00:00,{170 + h},450,100,40\n" + ("\n" if h == 2 else "")
+        for h in range(7)))
+    whole, _ = ingest.load_bundle(**paths)
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 2)
+    blocked, violations = ingest.load_bundle(**paths)
+    assert violations == []
+    assert helpers.bundle_rows(blocked) == helpers.bundle_rows(whole)
+    assert len(blocked.telemetry) == 7
+    # An empty line still counts, so the last row is on line 10.
+    _write(paths["telemetry"], paths["telemetry"].read_text() + "1,bad,1,1,1,1\n")
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.load_bundle(**paths)
+    assert (exc.value.line, exc.value.column) == (10, "datetime")
 
 
 def test_unpadded_datetime_and_padded_cells_load(tmp_path):

@@ -5,6 +5,7 @@ import json
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from failcast import cli, evaluate, logreg, report, schema
 
@@ -263,6 +264,75 @@ def test_run_config_records_every_resolved_key(dataset, tmp_path):
     assert set(resolved) == set(cli.DEFAULTS["evaluate"])
     assert resolved["threshold"] == 0.4
     assert resolved["folds"] == 3
+
+
+# --- the config-file contract, for every key of every subcommand -------------
+
+def _flag_dests(subcommand):
+    # argparse has no public accessor for a parser's actions.
+    subparsers = next(a for a in cli.build_parser()._actions if a.choices)
+    return {a.dest for a in subparsers.choices[subcommand]._actions} - {"help", "config"}
+
+
+def _resolve_with_file(subcommand, path, file_cfg):
+    path.write_text(json.dumps(file_cfg))
+    args = cli.build_parser().parse_args([subcommand, "--config", str(path)])
+    return cli._resolve(subcommand, args)
+
+
+_JSON_KINDS = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=5), "list": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+}
+
+
+def _accepted_kinds(default):
+    """The JSON kinds a key with this default takes, as README states it."""
+    if default is None:
+        return {"null", "str"}
+    if isinstance(default, bool):
+        return {"bool"}
+    if isinstance(default, int):
+        return {"int"}
+    if isinstance(default, float):
+        return {"int", "float"}
+    return {"str"}
+
+
+def _wrong_values(default):
+    return st.one_of([strategy for kind, strategy in _JSON_KINDS.items()
+                      if kind not in _accepted_kinds(default)])
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.DEFAULTS))
+def test_config_keys_are_the_parser_flag_dests(subcommand):
+    assert _flag_dests(subcommand) == set(cli.DEFAULTS[subcommand])
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.DEFAULTS))
+def test_config_file_of_defaults_resolves_to_the_defaults(subcommand, tmp_path):
+    defaults = cli.DEFAULTS[subcommand]
+    path = tmp_path / "config.json"
+    for key, value in defaults.items():
+        assert _resolve_with_file(subcommand, path, {key: value}) == defaults
+    assert _resolve_with_file(subcommand, path, defaults) == defaults
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.DEFAULTS))
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_wrong_typed_config_value_exits_1(subcommand, tmp_path, capsys, data):
+    defaults = cli.DEFAULTS[subcommand]
+    config = tmp_path / "config.json"
+    for key in sorted(defaults):
+        value = data.draw(_wrong_values(defaults[key]), label=key)
+        config.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert cli.main([subcommand, "--config", str(config)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r}")
 
 
 # --- parser niceties ---------------------------------------------------------

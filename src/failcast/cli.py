@@ -5,8 +5,9 @@ flag can also come from a JSON ``--config`` file; explicit flags override
 config values, which override built-in defaults.  Each run writes its
 fully resolved configuration next to its outputs.
 
-Exit codes: 0 success, 1 structural or runtime failure, 2 data-validation
-violations (outputs are still written), 3 fold-construction or fit failure.
+Exit codes: 0 success, 1 structural or runtime failure (bad flags
+included), 2 data-validation violations (outputs are still written),
+3 fold-construction or fit failure.
 """
 
 from __future__ import annotations
@@ -26,197 +27,151 @@ EXIT_FIT = 3
 
 RUN_CONFIG = "run_config.json"
 
-_INPUT_DEFAULTS = {
-    "in_dir": None,
-    "telemetry": None,
-    "errors": None,
-    "maintenance": None,
-    "failures": None,
-    "machines": None,
+# Each subcommand's options: key -> (flag type, default, help).  A bool type
+# is a switch, a tuple lists the choices, and the flag is the key with dashes.
+_INPUT = {
+    "in_dir": (str, None, "directory holding the five conventional CSVs"),
+    **{key: (str, None, f"path to the {key} CSV (overrides --in-dir)")
+       for key in BUNDLE_FILENAMES},
 }
 
-_FIT_DEFAULTS = {
-    "weight": 100.0,
-    "l2": 1.0,
-    "tolerance": 1e-8,
-    "max_iterations": 100,
-    "solver": "newton",
+_HORIZON = {
+    "horizon": (int, 24, "label lead time in hours"),
+    "label_window": (bool, False, "label failures anywhere within the horizon, "
+                                  "not only at exactly t + horizon"),
 }
 
-_EVAL_DEFAULTS = {
-    **_INPUT_DEFAULTS,
-    "out_dir": None,
-    "horizon": 24,
-    "label_window": False,
-    **_FIT_DEFAULTS,
-    "threshold": 0.5,
-    "folds": 3,
-    "seed": 0,
+_FIT = {
+    "weight": (float, 100.0, "sample weight for failure rows (non-failures get 1)"),
+    "l2": (float, 1.0, "L2 penalty strength on slopes"),
+    "tolerance": (float, 1e-8, "gradient max-norm stopping tolerance"),
+    "max_iterations": (int, 100, None),
+    "solver": (logreg.SOLVERS, "newton", None),
 }
 
-DEFAULTS = {
-    "generate": {
-        "out_dir": None,
-        "machines": 100,
-        "days": 365,
-        "seed": 0,
-        "failure_rate": 0.017,
-        "signal": 50.0,
-        "error_rate": 0.005,
-        "maintenance_rate": 0.002,
-        "drift": False,
-    },
-    "assemble": {**_INPUT_DEFAULTS, "out": None, "horizon": 24,
-                 "label_window": False},
-    "train": {**_INPUT_DEFAULTS, "out": None, "horizon": 24,
-              "label_window": False, **_FIT_DEFAULTS},
-    "evaluate": dict(_EVAL_DEFAULTS),
-    "prune": {**_EVAL_DEFAULTS, "rule": "relative", "prune_threshold": 0.10,
-              "preset": None},
-    "report": {"bundle": None},
+_EVAL = {
+    **_INPUT,
+    "out_dir": (str, None, "report bundle directory"),
+    **_HORIZON,
+    **_FIT,
+    "threshold": (float, 0.5, "decision threshold"),
+    "folds": (int, 3, "number of cross-validation folds"),
+    "seed": (int, 0, "machine-shuffle seed for folds"),
 }
 
+_COMMANDS = {
+    "generate": ("write a seeded synthetic five-CSV dataset", {
+        "out_dir": (str, None, "output directory"),
+        "machines": (int, 100, "number of machines"),
+        "days": (int, 365, "number of simulated days"),
+        "seed": (int, 0, "generator seed"),
+        "failure_rate": (float, 0.017, "target per-hour failure probability"),
+        "signal": (float, 50.0, "odds ratio of error-driven to background failures"),
+        "error_rate": (float, 0.005, "per-flag per-hour error probability"),
+        "maintenance_rate": (float, 0.002, "per-hour scheduled maintenance probability"),
+        "drift": (bool, False, "add a telemetry ramp in the day before failures"),
+    }),
+    "assemble": ("join the five CSVs into a labeled hourly stream", {
+        **_INPUT, "out": (str, None, "output stream CSV path"), **_HORIZON}),
+    "train": ("fit one weighted model on the full stream", {
+        **_INPUT, "out": (str, None, "output model file path"), **_HORIZON, **_FIT}),
+    "evaluate": ("machine-disjoint temporal cross-validation report", _EVAL),
+    "prune": ("evaluate, prune weak features, re-evaluate reduced set", {
+        **_EVAL,
+        "rule": (evaluate.PRUNE_RULES, "relative", "pruning rule for the reduced run"),
+        "prune_threshold": (float, 0.10,
+                            "relative-magnitude cutoff for rule 'relative'"),
+    }),
+    "report": ("re-render summary/CSV/SVG artifacts from report.json", {
+        "bundle": (str, None, "report bundle directory")}),
+}
 
-def _add_input_flags(sub):
-    sub.add_argument("--in-dir", dest="in_dir",
-                     help="directory holding the five conventional CSVs")
-    for key in BUNDLE_FILENAMES:
-        sub.add_argument(f"--{key}", dest=key,
-                         help=f"path to the {key} CSV (overrides --in-dir)")
+DEFAULTS = {name: {key: default for key, (_, default, _) in options.items()}
+            for name, (_, options) in _COMMANDS.items()}
 
 
-def _add_horizon_flags(sub):
-    sub.add_argument("--horizon", type=int, help="label lead time in hours")
-    sub.add_argument("--label-window", dest="label_window", action="store_true",
-                     help="label failures anywhere within the horizon, "
-                          "not only at exactly t + horizon")
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _add_fit_flags(sub):
-    sub.add_argument("--weight", type=float,
-                     help="sample weight for failure rows (non-failures get 1)")
-    sub.add_argument("--l2", type=float, help="L2 penalty strength on slopes")
-    sub.add_argument("--tolerance", type=float,
-                     help="gradient max-norm stopping tolerance")
-    sub.add_argument("--max-iterations", dest="max_iterations", type=int)
-    sub.add_argument("--solver", choices=logreg.SOLVERS)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other bad input does (argparse uses 2)."""
 
-
-def _add_eval_flags(sub):
-    _add_input_flags(sub)
-    sub.add_argument("--out-dir", dest="out_dir", help="report bundle directory")
-    _add_horizon_flags(sub)
-    _add_fit_flags(sub)
-    sub.add_argument("--threshold", type=float, help="decision threshold")
-    sub.add_argument("--folds", type=int, help="number of cross-validation folds")
-    sub.add_argument("--seed", type=int, help="machine-shuffle seed for folds")
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="failcast",
         description="Hourly machine-state assembly and 24h-ahead failure "
                     "prediction with weighted logistic regression.")
     parser.add_argument("--version", action="version",
                         version=f"failcast {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, help_text):
-        sub = subs.add_parser(name, help=help_text,
+    for name, (summary, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary,
                               argument_default=argparse.SUPPRESS)
         sub.add_argument("--config",
                          help="JSON file of flag values (explicit flags win)")
-        return sub
-
-    gen = add("generate", "write a seeded synthetic five-CSV dataset")
-    gen.add_argument("--out-dir", dest="out_dir", help="output directory")
-    gen.add_argument("--machines", type=int, help="number of machines")
-    gen.add_argument("--days", type=int, help="number of simulated days")
-    gen.add_argument("--seed", type=int, help="generator seed")
-    gen.add_argument("--failure-rate", dest="failure_rate", type=float,
-                     help="target per-hour failure probability")
-    gen.add_argument("--signal", type=float,
-                     help="odds ratio of error-driven to background failures")
-    gen.add_argument("--error-rate", dest="error_rate", type=float,
-                     help="per-flag per-hour error probability")
-    gen.add_argument("--maintenance-rate", dest="maintenance_rate", type=float,
-                     help="per-hour scheduled maintenance probability")
-    gen.add_argument("--drift", action="store_true",
-                     help="add a telemetry ramp in the day before failures")
-
-    asm = add("assemble", "join the five CSVs into a labeled hourly stream")
-    _add_input_flags(asm)
-    asm.add_argument("--out", help="output stream CSV path")
-    _add_horizon_flags(asm)
-
-    trn = add("train", "fit one weighted model on the full stream")
-    _add_input_flags(trn)
-    trn.add_argument("--out", help="output model file path")
-    _add_horizon_flags(trn)
-    _add_fit_flags(trn)
-
-    ev = add("evaluate", "machine-disjoint temporal cross-validation report")
-    _add_eval_flags(ev)
-
-    pr = add("prune", "evaluate, prune weak features, re-evaluate reduced set")
-    _add_eval_flags(pr)
-    pr.add_argument("--rule", choices=evaluate.PRUNE_RULES,
-                    help="pruning rule for the reduced run")
-    pr.add_argument("--prune-threshold", dest="prune_threshold", type=float,
-                    help="relative-magnitude cutoff for rule 'relative'")
-    pr.add_argument("--preset", choices=["paper-reduced"],
-                    help="fixed feature preset (overrides --rule)")
-
-    rep = add("report", "re-render summary/CSV/SVG artifacts from report.json")
-    rep.add_argument("--bundle", help="report bundle directory")
+        for key, (kind, _, help_text) in options.items():
+            if kind is bool:
+                sub.add_argument(_flag(key), action="store_true", help=help_text)
+            elif isinstance(kind, tuple):
+                sub.add_argument(_flag(key), choices=kind, help=help_text)
+            else:
+                sub.add_argument(_flag(key), type=kind, help=help_text)
     return parser
 
 
 def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    defaults = DEFAULTS[subcommand]
+    options = _COMMANDS[subcommand][1]
     explicit = {k: v for k, v in vars(args).items() if k != "subcommand"}
     config_path = explicit.pop("config", None)
-    cfg = dict(defaults)
+    cfg = dict(DEFAULTS[subcommand])
     if config_path is not None:
         with open(config_path) as handle:
-            file_cfg = json.load(handle)
+            try:
+                file_cfg = json.load(handle)
+            except ValueError as exc:
+                raise ValueError(f"config file {config_path}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(options))
         if unknown:
             raise ValueError(f"unknown config keys for {subcommand}: {unknown}")
-        # argparse has no public accessor for a parser's actions.
-        sub = next(a.choices[subcommand] for a in build_parser()._actions if a.choices)
-        actions = {a.dest: a for a in sub._actions}
         for key, value in file_cfg.items():
-            if not (value is None and defaults[key] is None):
-                _check_config_value(key, value, actions[key])
+            _check_config_value(key, value, *options[key][:2])
         cfg.update(file_cfg)
     cfg.update(explicit)
     return cfg
 
 
-def _check_config_value(key, value, action):
-    """Reject a config-file value that the key's own flag could not yield."""
-    if action.nargs == 0:  # store_true
-        expected = bool
+def _check_config_value(key, value, kind, default):
+    """Reject a config-file value that the key's own flag could not yield;
+    ``null`` is accepted only where the default is None."""
+    if value is None and default is None:
+        return
+    choices = kind if isinstance(kind, tuple) else None
+    expected = str if choices else kind
+    if expected is bool:
         valid = isinstance(value, bool)
     else:
-        expected = action.type or str
         kinds = (int, float) if expected is float else expected
         valid = isinstance(value, kinds) and not isinstance(value, bool)
-    if valid and action.choices is not None:
-        valid = value in action.choices
+    if valid and choices:
+        valid = value in choices
     if not valid:
-        allowed = f" in {list(action.choices)}" if action.choices else ""
-        raise ValueError(f"config key {key!r}: {action.option_strings[0]} takes "
+        allowed = f" in {list(choices)}" if choices else ""
+        raise ValueError(f"config key {key!r}: {_flag(key)} takes "
                          f"{expected.__name__} values{allowed}, got {value!r}")
 
 
 def _require(cfg: dict, key: str):
     if cfg.get(key) is None:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
+        raise ValueError(f"missing required option {_flag(key)}")
 
 
 def _input_paths(cfg: dict) -> dict:
@@ -229,15 +184,6 @@ def _input_paths(cfg: dict) -> dict:
         else:
             raise ValueError(f"missing input: pass --in-dir or --{key}")
     return paths
-
-
-def _report_violations(violations):
-    for v in violations:
-        print(f"violation [{v.dataset} row {v.row_index}]: {v.message}",
-              file=sys.stderr)
-    if violations:
-        print(f"{len(violations)} validation violation(s); continuing",
-              file=sys.stderr)
 
 
 def _config_payload(command: str, cfg: dict) -> dict:
@@ -260,14 +206,26 @@ def _horizon(cfg: dict) -> assemble.HorizonConfig:
                                   window=cfg["label_window"])
 
 
+def _load_stream(cfg: dict):
+    """Load the input datasets, report their violations on stderr and join
+    them into the labeled stream; returns ``(rows, violations)``."""
+    bundle, violations = ingest.load_bundle(**_input_paths(cfg))
+    for v in violations:
+        print(f"violation [{v.dataset} row {v.row_index}]: {v.message}",
+              file=sys.stderr)
+    if violations:
+        print(f"{len(violations)} validation violation(s); continuing",
+              file=sys.stderr)
+    return assemble.build_event_stream(bundle, _horizon(cfg)), violations
+
+
 def _fit_config(cfg: dict) -> logreg.FitConfig:
     return logreg.FitConfig(l2_strength=cfg["l2"], tolerance=cfg["tolerance"],
                             max_iterations=cfg["max_iterations"],
                             solver=cfg["solver"])
 
 
-def cmd_generate(args) -> int:
-    cfg = _resolve("generate", args)
+def cmd_generate(cfg: dict) -> int:
     _require(cfg, "out_dir")
     config = synth.SynthConfig(
         n_machines=cfg["machines"], n_days=cfg["days"], seed=cfg["seed"],
@@ -284,12 +242,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_assemble(args) -> int:
-    cfg = _resolve("assemble", args)
+def cmd_assemble(cfg: dict) -> int:
     _require(cfg, "out")
-    bundle, violations = ingest.load_bundle(**_input_paths(cfg))
-    _report_violations(violations)
-    rows = assemble.build_event_stream(bundle, _horizon(cfg))
+    rows, violations = _load_stream(cfg)
     ingest.write_csv(cfg["out"], rows)
     _write_json(_sibling_config_path(cfg["out"]),
                 _config_payload("assemble", cfg))
@@ -298,12 +253,9 @@ def cmd_assemble(args) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve("train", args)
+def cmd_train(cfg: dict) -> int:
     _require(cfg, "out")
-    bundle, violations = ingest.load_bundle(**_input_paths(cfg))
-    _report_violations(violations)
-    rows = assemble.build_event_stream(bundle, _horizon(cfg))
+    rows, violations = _load_stream(cfg)
     data = assemble.encode(rows, weight_positive=cfg["weight"])
     model = logreg.fit(data, _fit_config(cfg))
     logreg.save_model(model, cfg["out"])
@@ -316,11 +268,7 @@ def cmd_train(args) -> int:
 
 def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
     _require(cfg, "out_dir")
-    paths = _input_paths(cfg)
-    bundle, violations = ingest.load_bundle(**paths)
-    _report_violations(violations)
-    horizon = _horizon(cfg)
-    rows = assemble.build_event_stream(bundle, horizon)
+    rows, violations = _load_stream(cfg)
     folds = evaluate.make_folds(rows, k=cfg["folds"], seed=cfg["seed"])
     fit_config = _fit_config(cfg)
     full = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
@@ -331,11 +279,9 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
                                    cfg["threshold"], features=reduced_names)
     full_names = full.fold_results[0].model.encoding.feature_names
     payload = {
-        "version": __version__,
-        "command": command,
-        "config": dict(sorted(cfg.items())),
-        "dataset_digest": report.dataset_digest(paths),
-        "label_semantics": horizon.label_semantics,
+        **_config_payload(command, cfg),
+        "dataset_digest": report.dataset_digest(_input_paths(cfg)),
+        "label_semantics": _horizon(cfg).label_semantics,
         "pruning_rule": rule,
         "runs": {
             "full": report.cv_payload(full, full_names),
@@ -352,22 +298,23 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve("evaluate", args)
+def cmd_evaluate(cfg: dict) -> int:
     return _run_cv("evaluate", cfg, "paper-reduced", 0.10)
 
 
-def cmd_prune(args) -> int:
-    cfg = _resolve("prune", args)
-    rule = cfg["preset"] if cfg.get("preset") else cfg["rule"]
-    return _run_cv("prune", cfg, rule, cfg["prune_threshold"])
+def cmd_prune(cfg: dict) -> int:
+    return _run_cv("prune", cfg, cfg["rule"], cfg["prune_threshold"])
 
 
-def cmd_report(args) -> int:
-    cfg = _resolve("report", args)
+def cmd_report(cfg: dict) -> int:
     _require(cfg, "bundle")
     payload = report.load_bundle_payload(cfg["bundle"])
-    report.render(cfg["bundle"], payload)
+    try:
+        report.render(cfg["bundle"], payload)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # Here the payload is outside input, not one evaluate just built.
+        raise ValueError(f"{os.path.join(cfg['bundle'], report.REPORT_JSON)}: "
+                         f"not a report payload ({type(exc).__name__}: {exc})") from None
     print(f"re-rendered artifacts in {cfg['bundle']}")
     return EXIT_OK
 
@@ -383,10 +330,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        return _HANDLERS[args.subcommand](_resolve(args.subcommand, args))
     except (evaluate.FoldError, logreg.FitError,
             logreg.UnfittableDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

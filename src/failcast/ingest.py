@@ -162,6 +162,15 @@ def _parse_rows(rows, first_line, columns, path) -> dict:
     return parsed
 
 
+def _records(reader, path, faults):
+    """The reader's rows up to its first ``csv.Error`` (such as an oversized
+    field), which is appended to ``faults`` at the line the reader reached."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        faults.append(IngestError(path, reader.line_num, "-", str(exc)))
+
+
 def parse_csv(path, dataset: str) -> np.recarray:
     """Parse one dataset file into its table, aborting on structural faults.
 
@@ -170,21 +179,25 @@ def parse_csv(path, dataset: str) -> np.recarray:
     Rows are parsed in blocks, so the text of only one block is held at once.
     """
     columns = CSV_COLUMNS[dataset]
-    blocks = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(path, 1, "-", "empty file, header row required") from None
+    blocks, faults = [], []
+    # Undecodable bytes become lone surrogates, which no cell parser accepts,
+    # so they are reported at their file:line:column like any malformed cell.
+    with open(path, newline="", errors="surrogateescape") as handle:
+        records = _records(csv.reader(handle), path, faults)
+        header = next(records, None)
+        if header is None:
+            raise faults[0] if faults else IngestError(
+                path, 1, "-", "empty file, header row required")
         if tuple(header) != columns:
             missing = [c for c in columns if c not in header]
             detail = f"missing column(s) {missing}" if missing else f"got {header}"
             raise IngestError(path, 1, "-", f"header must be {','.join(columns)}; {detail}")
         first_line = 2
         while True:
-            rows = list(itertools.islice(reader, _BLOCK_ROWS))
+            rows = list(itertools.islice(records, _BLOCK_ROWS))
             blocks.append(_parse_rows(rows, first_line, columns, path))
+            if faults:
+                raise faults[0]
             if len(rows) < _BLOCK_ROWS:
                 break
             first_line += len(rows)

@@ -68,21 +68,27 @@ def write_bundle(out_dir, payload: dict):
 
 
 def render(out_dir, payload: dict):
-    """Render summary, weight CSVs and SVGs from a report payload."""
-    _write_text(os.path.join(out_dir, SUMMARY_TXT), _summary_text(payload))
+    """Render summary, weight CSVs and SVGs from a report payload.  Every
+    artifact is rendered before any is written, so a payload that fails to
+    render leaves ``out_dir`` as it was."""
+    artifacts = {SUMMARY_TXT: _summary_text(payload)}
     for run_name, run in sorted(payload.get("runs", {}).items()):
-        _write_text(os.path.join(out_dir, f"weights_{run_name}.csv"),
-                    _weights_csv(run))
-        _write_text(os.path.join(out_dir, f"weights_{run_name}.svg"),
-                    _weights_svg(run, f"coefficients ({run_name} feature set)"))
-        _write_text(os.path.join(out_dir, f"confusion_{run_name}.svg"),
-                    _confusion_svg(run, f"average normalized confusion ({run_name})"))
+        artifacts[f"weights_{run_name}.csv"] = _weights_csv(run)
+        artifacts[f"weights_{run_name}.svg"] = _weights_svg(
+            run, f"coefficients ({run_name} feature set)")
+        artifacts[f"confusion_{run_name}.svg"] = _confusion_svg(
+            run, f"average normalized confusion ({run_name})")
+    for name, text in artifacts.items():
+        _write_text(os.path.join(out_dir, name), text)
 
 
 def load_bundle_payload(bundle_dir) -> dict:
     path = os.path.join(bundle_dir, REPORT_JSON)
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_text(path, text):

@@ -71,7 +71,7 @@ def test_assemble_train_evaluate_prune_report(dataset, tmp_path, capsys):
 
     pruned = tmp_path / "pruned"
     rc = cli.main(["prune", "--in-dir", str(dataset), "--out-dir", str(pruned),
-                   "--preset", "paper-reduced"])
+                   "--rule", "paper-reduced"])
     assert rc == cli.EXIT_OK
     pruned_payload = report.load_bundle_payload(pruned)
     assert pruned_payload["pruning_rule"] == "paper-reduced"
@@ -228,6 +228,16 @@ def test_mistyped_config_value_exits_1(dataset, tmp_path, capsys, command, key,
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("payload", [[], {"runs": {"full": {}}}],
+                         ids=["list", "empty_run"])
+def test_malformed_report_json_exits_1(tmp_path, capsys, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["report", "--bundle", str(tmp_path)]) == cli.EXIT_FAILURE
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_impossible_folds_exit_3(tmp_path, capsys):
     data = tmp_path / "data"
     rc = cli.main(["generate", "--out-dir", str(data), "--machines", "3",
@@ -346,8 +356,15 @@ def test_help_and_version_exit_cleanly(capsys):
         capsys.readouterr()
 
 
-def test_bad_choice_is_a_usage_error(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["prune", "--rule", "bogus"], "invalid choice: 'bogus'"),
+    (["evaluate", "--bogus"], "unrecognized arguments: --bogus"),
+    (["generate", "--machines", "x"], "--machines: invalid int value: 'x'"),
+    ([], "the following arguments are required"),
+], ids=["bad_choice", "unknown_flag", "bad_int", "no_subcommand"])
+def test_usage_error_exits_1(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["prune", "--rule", "bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: failcast") and message in err

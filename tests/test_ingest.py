@@ -286,6 +286,34 @@ def test_first_structural_fault_in_file_order_is_reported(tmp_path, monkeypatch,
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("block_rows", [1, None])
+def test_oversized_field_is_structural_at_its_line(tmp_path, monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    oversized = "1,2015-01-01 01:00:00," + "9" * 200_000 + ",450,100,40\n"  # past csv's limit
+    paths = _write_minimal(tmp_path, "1,2015-01-01 00:00:00,170,450,100,40\n" + oversized)
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.load_bundle(**paths)
+    assert (exc.value.line, exc.value.column) == (3, "-")
+    assert "field larger than field limit" in str(exc.value)
+    # A fault on an earlier line is still the one reported.
+    paths = _write_minimal(tmp_path, "1,2015-01-01 00:00:00,abc,450,100,40\n" + oversized)
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.load_bundle(**paths)
+    assert (exc.value.line, exc.value.column) == (2, "volt")
+
+
+def test_undecodable_bytes_name_their_cell(tmp_path):
+    paths = _write_minimal(tmp_path, "1,2015-01-01 00:00:00,170,450,100,40\n")
+    paths["errors"].write_bytes(
+        b"machine_id,datetime,error_1,error_2,error_3,error_4,error_5\n"
+        b"1,2015-01-01 00:00:00,\xff\xfe,0,0,0,0\n")
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.load_bundle(**paths)
+    assert (exc.value.line, exc.value.column) == (2, "error_1")
+    assert str(exc.value).endswith("expected 0 or 1, got '\\udcff\\udcfe'")
+
+
 def test_rows_parsed_in_blocks_load_the_same_table(tmp_path, monkeypatch):
     paths = _write_minimal(tmp_path, "".join(
         f"1,2015-01-01 {h:02d}:00:00,{170 + h},450,100,40\n" + ("\n" if h == 2 else "")

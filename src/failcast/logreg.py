@@ -9,9 +9,9 @@ weighted penalized negative log-likelihood
 
 with the penalty on the slopes only.  The primary solver is damped Newton;
 a gradient-descent solver with Barzilai-Borwein step sizes is kept as an
-independent cross-check.  Both share one step-halving loop, which accepts
-a lower objective or, where objectives tie to within rounding, a lower
-gradient norm.  Both start from zero parameters and are fully deterministic.
+independent cross-check.  Both share one step-halving loop, which takes a
+step when the objective change it computes row by row is negative.  Both
+start from zero parameters and are fully deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .schema import FeatureEncoding
 _P_LO = np.finfo(float).tiny
 _P_HI = float(np.nextafter(1.0, 0.0))
 _MAX_HALVINGS = 60
-_TIE_ULPS = 16
 
 SOLVERS = ("newton", "gradient_descent")
 
@@ -35,7 +34,7 @@ class UnfittableDataError(Exception):
 
 
 class FitError(Exception):
-    """Raised when iteration produces a non-finite objective."""
+    """Raised when the objective at the starting point is non-finite."""
 
     def __init__(self, iteration, message):
         self.iteration = iteration
@@ -132,12 +131,9 @@ def gradient(params, data, config: FitConfig) -> np.ndarray:
     return np.concatenate(([g_alpha], g_beta))
 
 
-def _hessian(params, data, config):
-    alpha, beta = params
-    z = alpha + data.rows @ beta
-    p = sigmoid(z)
+def _hessian(p, data, config):
     s = data.sample_weights * p * (1.0 - p)
-    d = beta.shape[0]
+    d = data.rows.shape[1]
     hess = np.empty((d + 1, d + 1))
     hess[0, 0] = s.sum()
     sx = data.rows.T @ s
@@ -148,51 +144,52 @@ def _hessian(params, data, config):
     return hess
 
 
-def _check_finite(value, iteration):
-    if not np.isfinite(value):
-        raise FitError(iteration, f"objective became non-finite ({value})")
-
-
 def _descend(data, config, step_fn):
-    """Shared damped-descent loop; step_fn proposes a direction.
+    """Shared damped-descent loop; step_fn proposes a direction (da, db).
 
-    Within _TIE_ULPS ulps of the current objective rounding cannot rank
-    candidates, so there a step must lower the gradient's Euclidean norm,
-    which falls along both solvers' directions for small enough steps."""
-    d = data.rows.shape[1]
-    alpha, beta = 0.0, np.zeros(d)
+    A step of length t moves each margin z = alpha + x.beta to z - t*u, with
+    u = da + x.db, and changes the objective by exactly
+    sum_i w_i * (log1p(p_i * expm1(-t*u_i)) + y_i*t*u_i)
+    + l2*t*(t/2*|db|^2 - beta.db), where p = sigmoid(z).  Summed row by row
+    this change is resolved far below one ulp of the objective itself, so a
+    step is taken when it is negative and halved otherwise."""
+    y = data.labels.astype(float)
+    alpha, beta = 0.0, np.zeros(data.rows.shape[1])
     obj = objective((alpha, beta), data, config)
-    _check_finite(obj, 0)
+    if not np.isfinite(obj):
+        raise FitError(0, f"objective became non-finite ({obj})")
     grad = gradient((alpha, beta), data, config)
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         if np.max(np.abs(grad)) <= config.tolerance:
             break
-        direction = step_fn((alpha, beta), grad)
-        band = _TIE_ULPS * np.spacing(abs(obj))
-        scale = 1.0
+        p = sigmoid(alpha + data.rows @ beta)
+        direction = step_fn((alpha, beta), grad, p)
+        d_alpha, d_beta = direction[0], direction[1:]
+        u = d_alpha + data.rows @ d_beta
+        t = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand_alpha = alpha - scale * direction[0]
-            cand_beta = beta - scale * direction[1:]
-            cand_obj = objective((cand_alpha, cand_beta), data, config)
-            _check_finite(cand_obj, iteration)
-            if cand_obj <= obj + band:
-                cand_grad = gradient((cand_alpha, cand_beta), data, config)
-                if cand_obj < obj - band or cand_grad @ cand_grad < grad @ grad:
-                    break
-            scale *= 0.5
+            with np.errstate(over="ignore"):
+                per_row = np.log1p(p * np.expm1(-t * u)) + y * t * u
+            change = np.dot(data.sample_weights, per_row) + config.l2_strength * t * (
+                t / 2 * (d_beta @ d_beta) - beta @ d_beta)
+            if change < 0:
+                break
+            t *= 0.5
         else:
             break
-        alpha, beta, obj, grad = cand_alpha, cand_beta, cand_obj, cand_grad
+        alpha, beta = alpha - t * d_alpha, beta - t * d_beta
+        grad = gradient((alpha, beta), data, config)
         iterations = iteration
     converged = bool(np.max(np.abs(grad)) <= config.tolerance)
-    return alpha, beta, FitMeta(iterations=iterations, final_objective=obj,
+    return alpha, beta, FitMeta(iterations=iterations,
+                                final_objective=objective((alpha, beta), data, config),
                                 converged=converged)
 
 
 def _newton_direction(data, config):
-    def step(params, grad):
-        hess = _hessian(params, data, config)
+    def step(params, grad, p):
+        hess = _hessian(p, data, config)
         try:
             return np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -231,7 +228,7 @@ def _gd_step_factory(data, config):
     base = 1.0 / max(lipschitz, 1e-12)
     state = {}
 
-    def step(params, grad):
+    def step(params, grad, p):
         vec = np.concatenate(([params[0]], params[1]))
         size = base
         if "params" in state:

@@ -223,6 +223,25 @@ def test_newton_reaches_tolerance_when_objective_ties_at_float_resolution(
     assert np.max(np.abs(grad)) <= config.tolerance
 
 
+def test_newton_converges_on_weighted_one_hot_stream_fold():
+    # The paper-reduced features of a synthetic stream: error flags, age and
+    # a one-hot model block that with the intercept spans a constant, failure
+    # rows weighted 100.  The objective's rounding noise here is hundreds of
+    # ulps, so acceptance must not rest on comparing two objective values.
+    from failcast import evaluate, synth
+
+    bundle = synth.generate(synth.SynthConfig(n_machines=10, n_days=365, seed=0))
+    rows = assemble.build_event_stream(bundle)
+    fold = evaluate.make_folds(rows, 3, 0)[2]
+    data = assemble.encode(rows[fold.train_rows],
+                           features=evaluate.PAPER_REDUCED_FEATURES)
+    config = logreg.FitConfig()
+    model = logreg.fit(data, config)
+    assert model.fit_meta.converged
+    grad = logreg.gradient((model.alpha, model.beta), data, config)
+    assert np.max(np.abs(grad)) <= config.tolerance
+
+
 def test_more_iterations_never_raise_the_objective():
     data = helpers.random_instance(seed=4, n_rows=40, n_features=3)
     values = []

@@ -15,6 +15,7 @@ on (machine_id, hour) are merged by logical OR of their flags.
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime as dt
 import itertools
@@ -129,12 +130,11 @@ def _fast_column(cells, dtype):
     return values if ((canonical == text) & (values >= _FIRST_DATETIME)).all() else None
 
 
-def _parse_rows(rows, first_line, columns, path) -> dict:
-    """Columns of a block of rows read from line ``first_line`` on; raises
-    the first structural fault of the block in file order."""
-    lines = np.arange(first_line, first_line + len(rows))
+def _parse_rows(rows, lines, columns, path) -> dict:
+    """Columns of a block of rows starting on the given physical lines;
+    raises the first structural fault of the block in file order."""
     if not all(rows):
-        lines = lines[[bool(row) for row in rows]]
+        lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
     wrong = np.flatnonzero(np.fromiter(map(len, rows), np.int64, len(rows)) != len(columns))
     short = wrong[0] if len(wrong) else None
@@ -149,7 +149,7 @@ def _parse_rows(rows, first_line, columns, path) -> dict:
             parse = _CELL_PARSERS[dtype.kind]
             try:
                 values = np.array([parse(cell.strip(), path, line, name)
-                                   for cell, line in zip(column, lines.tolist())], dtype)
+                                   for cell, line in zip(column, lines)], dtype)
             except IngestError as exc:
                 faults.append((exc.line, position, exc))
                 continue
@@ -157,16 +157,21 @@ def _parse_rows(rows, first_line, columns, path) -> dict:
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
     if short is not None:
-        raise IngestError(path, int(lines[short]), "-",
+        raise IngestError(path, lines[short], "-",
                           f"expected {len(columns)} fields, got {len(rows[short])}")
     return parsed
 
 
-def _records(reader, path, faults):
+def _records(reader, path, faults, starts):
     """The reader's rows up to its first ``csv.Error`` (such as an oversized
-    field), which is appended to ``faults`` at the line the reader reached."""
+    field), which is appended to ``faults`` at the line the reader reached.
+    Before each row is read, the physical line it starts on is appended to
+    ``starts``; a row may span lines when a quoted cell holds a newline."""
     try:
-        yield from reader
+        starts.append(reader.line_num + 1)
+        for row in reader:
+            yield row
+            starts.append(reader.line_num + 1)
     except csv.Error as exc:
         faults.append(IngestError(path, reader.line_num, "-", str(exc)))
 
@@ -183,7 +188,8 @@ def parse_csv(path, dataset: str) -> np.recarray:
     # Undecodable bytes become lone surrogates, which no cell parser accepts,
     # so they are reported at their file:line:column like any malformed cell.
     with open(path, newline="", errors="surrogateescape") as handle:
-        records = _records(csv.reader(handle), path, faults)
+        starts = array.array("q")
+        records = _records(csv.reader(handle), path, faults, starts)
         header = next(records, None)
         if header is None:
             raise faults[0] if faults else IngestError(
@@ -192,15 +198,15 @@ def parse_csv(path, dataset: str) -> np.recarray:
             missing = [c for c in columns if c not in header]
             detail = f"missing column(s) {missing}" if missing else f"got {header}"
             raise IngestError(path, 1, "-", f"header must be {','.join(columns)}; {detail}")
-        first_line = 2
         while True:
             rows = list(itertools.islice(records, _BLOCK_ROWS))
-            blocks.append(_parse_rows(rows, first_line, columns, path))
+            lines = starts[1:len(rows) + 1]  # starts[0] is the row before the block
+            del starts[:len(rows)]
+            blocks.append(_parse_rows(rows, lines, columns, path))
             if faults:
                 raise faults[0]
             if len(rows) < _BLOCK_ROWS:
                 break
-            first_line += len(rows)
     parsed = schema.table(dataset, {c: np.concatenate([b[c] for b in blocks])
                                     for c in columns})
     if "datetime" in columns:

@@ -331,6 +331,20 @@ def test_rows_parsed_in_blocks_load_the_same_table(tmp_path, monkeypatch):
     assert (exc.value.line, exc.value.column) == (10, "datetime")
 
 
+@pytest.mark.parametrize("block_rows", [1, None])
+def test_fault_after_quoted_newline_names_its_physical_line(tmp_path, monkeypatch,
+                                                            block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "t.csv"
+    _write(path, "machine_id,datetime,volt,rotate,pressure,vibration\n"
+                 '1,2015-01-01 00:00:00,"1\n",450,100,40\n'
+                 "1,2015-01-01 01:00:00,abc,450,100,40\n")
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.parse_csv(path, "telemetry")
+    assert str(exc.value).startswith(f"{path}:4:volt: ")
+
+
 def test_unpadded_datetime_and_padded_cells_load(tmp_path):
     paths = _write_minimal(
         tmp_path,

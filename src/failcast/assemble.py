@@ -141,22 +141,18 @@ def raw_feature_matrix(rows, features=None):
     return matrix, rows["label"], names
 
 
-def fit_encoding(matrix, feature_names, fit_mask) -> schema.FeatureEncoding:
-    """Standardization statistics from the fit rows only.
+def fit_encoding(matrix, feature_names) -> schema.FeatureEncoding:
+    """Standardization statistics from the rows of ``matrix``.
 
-    Raises EncodingError when no fit rows are given or a continuous
-    column is constant on them.
+    Raises EncodingError when there are no rows or a continuous column is
+    constant on them.
     """
-    fit_mask = np.asarray(fit_mask, dtype=bool)
-    if fit_mask.shape[0] != matrix.shape[0]:
-        raise EncodingError("fit mask length does not match row count")
-    if not fit_mask.any():
+    if not len(matrix):
         raise EncodingError("fit rows must be non-empty")
     continuous = tuple(f for f in feature_names if f in schema.CONTINUOUS_FEATURES)
     means, stds = [], []
-    sub = matrix[fit_mask]
     for name in continuous:
-        col = sub[:, feature_names.index(name)]
+        col = matrix[:, feature_names.index(name)]
         mean = float(col.mean())
         std = float(col.std())
         if std == 0.0:
@@ -177,20 +173,18 @@ def apply_encoding(matrix, encoding: schema.FeatureEncoding) -> np.ndarray:
     return out
 
 
-def encode(rows, weight_positive=100.0, fit_mask=None, features=None) -> DesignMatrix:
+def encode(rows, weight_positive=100.0, features=None) -> DesignMatrix:
     """Encode the stream table into a standardized design matrix.
 
-    Continuous features are z-scored with statistics from ``fit_mask``
-    rows only (all rows when omitted); flags become 0/1 and day of week
-    expands to 7 indicators.  Positive rows get ``weight_positive``,
-    negative rows weight 1.
+    Continuous features are z-scored with statistics from these rows only
+    (cross-validation passes each fold's training rows); flags become 0/1
+    and day of week expands to 7 indicators.  Positive rows get
+    ``weight_positive``, negative rows weight 1.
     """
     if weight_positive <= 0:
         raise ValueError("weight_positive must be positive")
     matrix, labels, names = raw_feature_matrix(rows, features)
-    if fit_mask is None:
-        fit_mask = np.ones(len(rows), dtype=bool)
-    encoding = fit_encoding(matrix, names, fit_mask)
+    encoding = fit_encoding(matrix, names)
     encoded = apply_encoding(matrix, encoding)
     weights = np.where(labels, float(weight_positive), 1.0)
     return DesignMatrix(rows=encoded, labels=labels, sample_weights=weights,

@@ -50,21 +50,14 @@ class ConfusionMatrix:
         y_pred = np.asarray(y_pred, dtype=bool)
         if y_true.shape != y_pred.shape:
             raise ValueError("prediction length mismatch")
-        counts = [[0, 0], [0, 0]]
-        for t in (0, 1):
-            for p in (0, 1):
-                counts[t][p] = int(np.sum((y_true == bool(t)) & (y_pred == bool(p))))
-        return cls(counts=(tuple(counts[0]), tuple(counts[1])))
+        cells = np.bincount(2 * y_true.astype(int) + y_pred, minlength=4).tolist()
+        return cls(counts=(tuple(cells[:2]), tuple(cells[2:])))
 
     def normalized(self) -> np.ndarray:
         """Row-normalized rates; an empty true class yields a zero row."""
-        out = np.zeros((2, 2))
-        for t in (0, 1):
-            total = self.counts[t][0] + self.counts[t][1]
-            if total > 0:
-                out[t, 0] = self.counts[t][0] / total
-                out[t, 1] = self.counts[t][1] / total
-        return out
+        counts = np.array(self.counts, dtype=float)
+        totals = counts.sum(axis=1, keepdims=True)
+        return np.divide(counts, totals, out=np.zeros((2, 2)), where=totals > 0)
 
     @property
     def total(self) -> int:
@@ -189,7 +182,6 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     Encoding statistics and the fit see only that fold's training rows.
     Fit failures propagate with the fold index attached.
     """
-    weights_by_fold = []
     fold_results = []
     for fold in folds:
         try:
@@ -203,20 +195,19 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
         test = rows[fold.test_rows]
         x_test = assemble.apply_encoding(
-            assemble.raw_feature_matrix(test, features)[0], train.encoding)
+            assemble.raw_feature_matrix(test, features)[0], model.encoding)
         predicted = logreg.predict(model, x_test, threshold=threshold)
         cm = ConfusionMatrix.from_predictions(test["label"], predicted)
         fold_results.append(FoldResult(fold_index=fold.fold_index, matrix=cm,
                                        model=model, n_train=len(fold.train_rows),
                                        n_test=len(fold.test_rows)))
-        weights_by_fold.append((model.alpha, model.beta))
+        del train, test, x_test  # free this fold's matrices before the next encode
 
     average = np.mean([f.matrix.normalized() for f in fold_results], axis=0)
-    entries = []
-    alphas = np.array([a for a, _ in weights_by_fold])
-    entries.append(WeightEntry("constant", float(alphas.mean()), float(alphas.std())))
-    for j, name in enumerate(train.encoding.feature_names):
-        values = np.array([beta[j] for _, beta in weights_by_fold])
+    alphas = np.array([f.model.alpha for f in fold_results])
+    entries = [WeightEntry("constant", float(alphas.mean()), float(alphas.std()))]
+    for j, name in enumerate(fold_results[-1].model.encoding.feature_names):
+        values = np.array([f.model.beta[j] for f in fold_results])
         entries.append(WeightEntry(name, float(values.mean()), float(values.std())))
     report = WeightReport(entries=tuple(entries))
     return CvResult(average_matrix=average, weight_report=report,

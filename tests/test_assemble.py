@@ -137,23 +137,6 @@ def test_feature_order_is_canonical_and_stable(small_rows):
     assert subset.encoding.feature_names == ("error_1", "error_2", "age")
 
 
-def test_encoding_is_leakage_free():
-    bundle = helpers.micro_bundle(n_machines=2, n_hours=40)
-    rows = assemble.build_event_stream(bundle)
-    fit_mask = np.zeros(len(rows), dtype=bool)
-    fit_mask[::2] = True  # alternating rows, so the fit set spans machines
-    base = assemble.encode(rows, fit_mask=fit_mask)
-
-    perturbed = rows.copy()
-    victim = len(rows) - 1
-    assert not fit_mask[victim]
-    perturbed.volt[victim] = 1e6
-    perturbed.vibration[victim] = -1e6
-    changed = assemble.encode(perturbed, fit_mask=fit_mask)
-    assert base.encoding == changed.encoding
-    assert np.array_equal(base.rows[fit_mask], changed.rows[fit_mask])
-
-
 def test_degenerate_column_error_names_column():
     bundle = helpers.micro_bundle(n_machines=1, n_hours=26)
     rows = assemble.build_event_stream(bundle)
@@ -162,9 +145,9 @@ def test_degenerate_column_error_names_column():
         assemble.encode(rows)
 
 
-def test_empty_fit_mask_rejected(small_rows):
+def test_empty_rows_rejected(small_rows):
     with pytest.raises(assemble.EncodingError, match="non-empty"):
-        assemble.encode(small_rows[:50], fit_mask=np.zeros(50, dtype=bool))
+        assemble.encode(small_rows[:0])
 
 
 def test_unknown_feature_rejected(small_rows):

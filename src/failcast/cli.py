@@ -225,6 +225,12 @@ def _fit_config(cfg: dict) -> logreg.FitConfig:
                             solver=cfg["solver"])
 
 
+def _warn_unconverged(what: str, meta: logreg.FitMeta):
+    if not meta.converged:
+        print(f"warning: {what}: fit did not converge in {meta.iterations} "
+              "iteration(s); gradient max-norm is above --tolerance", file=sys.stderr)
+
+
 def cmd_generate(cfg: dict) -> int:
     _require(cfg, "out_dir")
     config = synth.SynthConfig(
@@ -258,6 +264,7 @@ def cmd_train(cfg: dict) -> int:
     rows, violations = _load_stream(cfg)
     data = assemble.encode(rows, weight_positive=cfg["weight"])
     model = logreg.fit(data, _fit_config(cfg))
+    _warn_unconverged("train", model.fit_meta)
     logreg.save_model(model, cfg["out"])
     _write_json(_sibling_config_path(cfg["out"]), _config_payload("train", cfg))
     meta = model.fit_meta
@@ -277,6 +284,9 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
                                             threshold=rule_threshold)
     reduced = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
                                    cfg["threshold"], features=reduced_names)
+    for run_name, run in (("full", full), ("reduced", reduced)):
+        for fold in run.fold_results:
+            _warn_unconverged(f"{run_name} fold {fold.fold_index}", fold.model.fit_meta)
     full_names = full.fold_results[0].model.encoding.feature_names
     payload = {
         **_config_payload(command, cfg),

@@ -145,11 +145,10 @@ def _hessian(p, data, config):
 
 
 def _descend(data, config, step_fn):
-    """Shared damped-descent loop; step_fn proposes a direction (da, db).
-
-    A step of length t moves each margin z = alpha + x.beta to z - t*u, with
-    u = da + x.db, and changes the objective by exactly
-    sum_i w_i * (log1p(p_i * expm1(-t*u_i)) + y_i*t*u_i)
+    """Shared damped-descent loop; step_fn(params, grad, p) proposes a
+    direction (da, db).  A step of length t moves each margin
+    z = alpha + x.beta to z - t*u, with u = da + x.db, and changes the
+    objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i)) + y_i*t*u_i)
     + l2*t*(t/2*|db|^2 - beta.db), where p = sigmoid(z).  Summed row by row
     this change is resolved far below one ulp of the objective itself, so a
     step is taken when it is negative and halved otherwise."""
@@ -209,11 +208,8 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     if n_pos == 0 or n_pos == len(data.labels):
         raise UnfittableDataError(
             "labels contain a single class; both classes are required")
-    if config.solver == "newton":
-        step_fn = _newton_direction(data, config)
-    else:
-        step_fn = _gd_step_factory(data, config)
-    alpha, beta, meta = _descend(data, config, step_fn)
+    make_step = _newton_direction if config.solver == "newton" else _gd_step_factory
+    alpha, beta, meta = _descend(data, config, make_step(data, config))
     return LogisticModel(alpha=alpha, beta=beta, encoding=data.encoding, fit_meta=meta)
 
 

@@ -42,6 +42,8 @@ def cv_payload(result, features) -> dict:
                 "fold_index": f.fold_index,
                 "n_train": f.n_train,
                 "n_test": f.n_test,
+                "iterations": f.model.fit_meta.iterations,
+                "converged": f.model.fit_meta.converged,
                 "counts": [list(row) for row in f.matrix.counts],
                 "normalized": [[float(v) for v in row] for row in f.matrix.normalized()],
                 "alpha": f.model.alpha,
@@ -126,8 +128,12 @@ def _summary_text(payload) -> str:
         features = run["features"]
         lines.append(f"[{run_name}] {len(features)} features: {', '.join(features)}")
         for fold in run["folds"]:
+            fit = ""  # bundles written before fits were reported lack it
+            if "converged" in fold:
+                fit = (f", {fold['iterations']} iterations, "
+                       f"{'converged' if fold['converged'] else 'NOT converged'}")
             lines.append(f"fold {fold['fold_index']} "
-                         f"(train {fold['n_train']}, test {fold['n_test']}):")
+                         f"(train {fold['n_train']}, test {fold['n_test']}{fit}):")
             lines.extend(_matrix_block(fold["counts"], fold["normalized"]))
         lines.append("average normalized matrix:")
         avg = run["average_normalized"]

@@ -97,6 +97,46 @@ def test_prune_relative_rule_flag(dataset, tmp_path):
     assert 0 < len(reduced) < len(schema.FEATURE_NAMES)
 
 
+def test_unconverged_fits_are_reported(dataset, tmp_path, capsys):
+    out = tmp_path / "rep"
+    rc = cli.main(["evaluate", "--in-dir", str(dataset), "--out-dir", str(out),
+                   "--max-iterations", "1"])
+    assert rc == cli.EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: {run} fold {i}: fit did not converge in 1 iteration(s); "
+                   "gradient max-norm is above --tolerance"
+                   for run in ("full", "reduced") for i in range(3)]
+    payload = report.load_bundle_payload(out)
+    folds = [f for run in payload["runs"].values() for f in run["folds"]]
+    assert [(f["iterations"], f["converged"]) for f in folds] == [(1, False)] * 6
+    summary = (out / "summary.txt").read_text()
+    assert summary.count(", 1 iterations, NOT converged):") == 6
+
+    rc = cli.main(["train", "--in-dir", str(dataset), "--out", str(tmp_path / "m.txt"),
+                   "--max-iterations", "1"])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().err.startswith("warning: train: fit did not converge")
+
+    # A bundle written before fits were reported still re-renders.
+    for f in folds:
+        del f["iterations"], f["converged"]
+    (out / "report.json").write_text(json.dumps(payload))
+    assert cli.main(["report", "--bundle", str(out)]) == cli.EXIT_OK
+    fold_lines = [line for line in (out / "summary.txt").read_text().splitlines()
+                  if line.startswith("fold ")]
+    assert len(fold_lines) == 6 and not any("iterations" in line for line in fold_lines)
+
+
+def test_converged_fits_are_reported(dataset, tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert cli.main(["evaluate", "--in-dir", str(dataset),
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+    payload = report.load_bundle_payload(out)
+    assert all(f["converged"] for run in payload["runs"].values() for f in run["folds"])
+    assert "iterations, converged):" in (out / "summary.txt").read_text()
+
+
 def test_rerun_with_identical_flags_is_byte_identical(dataset, tmp_path):
     out = tmp_path / "rep"
     argv = ["evaluate", "--in-dir", str(dataset), "--out-dir", str(out)]

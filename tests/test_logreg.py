@@ -242,6 +242,24 @@ def test_newton_converges_on_weighted_one_hot_stream_fold():
     assert np.max(np.abs(grad)) <= config.tolerance
 
 
+@pytest.mark.parametrize("solver", logreg.SOLVERS)
+def test_first_step_past_exp_range_is_halved_without_warning(solver):
+    # Separable bulk at x = +-1 and one near-weightless row at x = 1000: the
+    # full first step moves that row's margin by about 2000, past exp's
+    # range.  The step must be rejected quietly (pytest turns a numpy
+    # RuntimeWarning into an error) and the fit must still converge.
+    n = 50
+    rows = np.concatenate([np.ones(n), -np.ones(n), [1000.0, 0.5, -0.5]])[:, None]
+    labels = np.concatenate([np.ones(n, bool), np.zeros(n, bool), [True, False, True]])
+    weights = np.concatenate([np.ones(2 * n), [1e-6, 1.0, 1.0]])
+    data = _design(rows, labels, weights)
+    config = logreg.FitConfig(solver=solver, max_iterations=5000)
+    model = logreg.fit(data, config)
+    assert model.fit_meta.converged
+    grad = logreg.gradient((model.alpha, model.beta), data, config)
+    assert np.max(np.abs(grad)) <= config.tolerance
+
+
 def test_more_iterations_never_raise_the_objective():
     data = helpers.random_instance(seed=4, n_rows=40, n_features=3)
     values = []

@@ -142,35 +142,37 @@ def raw_feature_matrix(rows, features=None):
 
 
 def fit_encoding(matrix, feature_names) -> schema.FeatureEncoding:
-    """Standardization statistics from the rows of ``matrix``.
+    """Standardization statistics from the rows of ``matrix``: each
+    continuous column's mean and standard deviation, and 0.0 and 1.0 for
+    every other column.
 
     Raises EncodingError when there are no rows or a continuous column is
     constant on them.
     """
     if not len(matrix):
         raise EncodingError("fit rows must be non-empty")
-    continuous = tuple(f for f in feature_names if f in schema.CONTINUOUS_FEATURES)
     means, stds = [], []
-    for name in continuous:
-        col = matrix[:, feature_names.index(name)]
-        mean = float(col.mean())
-        std = float(col.std())
-        if std == 0.0:
-            raise EncodingError(f"degenerate encoding: column {name!r} is "
-                                "constant on the fit rows")
+    for j, name in enumerate(feature_names):
+        mean, std = 0.0, 1.0
+        if name in schema.CONTINUOUS_FEATURES:
+            col = matrix[:, j]
+            mean, std = float(col.mean()), float(col.std())
+            if std == 0.0:
+                raise EncodingError(f"degenerate encoding: column {name!r} is "
+                                    "constant on the fit rows")
         means.append(mean)
         stds.append(std)
     return schema.FeatureEncoding(feature_names=tuple(feature_names),
-                                  continuous=continuous,
                                   means=tuple(means), std_devs=tuple(stds))
 
 
 def apply_encoding(matrix, encoding: schema.FeatureEncoding) -> np.ndarray:
-    out = matrix.astype(float, copy=True)
-    for name, mean, std in zip(encoding.continuous, encoding.means, encoding.std_devs):
-        j = encoding.feature_names.index(name)
-        out[:, j] = (out[:, j] - mean) / std
-    return out
+    """Standardize the float ``matrix`` in place, column j to
+    ``(x - means[j]) / std_devs[j]``, and return it.  Indicator columns
+    keep their exact values, since x - 0.0 and x / 1.0 are identities."""
+    matrix -= encoding.means
+    matrix /= encoding.std_devs
+    return matrix
 
 
 def encode(rows, weight_positive=100.0, features=None) -> DesignMatrix:
@@ -185,7 +187,6 @@ def encode(rows, weight_positive=100.0, features=None) -> DesignMatrix:
         raise ValueError("weight_positive must be positive")
     matrix, labels, names = raw_feature_matrix(rows, features)
     encoding = fit_encoding(matrix, names)
-    encoded = apply_encoding(matrix, encoding)
     weights = np.where(labels, float(weight_positive), 1.0)
-    return DesignMatrix(rows=encoded, labels=labels, sample_weights=weights,
-                        encoding=encoding)
+    return DesignMatrix(rows=apply_encoding(matrix, encoding), labels=labels,
+                        sample_weights=weights, encoding=encoding)

@@ -2,8 +2,8 @@
 
 Subcommands: generate, assemble, train, evaluate, prune, report.  Every
 flag can also come from a JSON ``--config`` file; explicit flags override
-config values, which override built-in defaults.  Each run writes its
-fully resolved configuration next to its outputs.
+config values, which override built-in defaults.  Each run but ``report``
+writes its fully resolved configuration next to its outputs.
 
 Exit codes: 0 success, 1 structural or runtime failure (bad flags
 included), 2 data-validation violations (outputs are still written),
@@ -280,7 +280,7 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
     fit_config = _fit_config(cfg)
     full = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
                                 cfg["threshold"])
-    reduced_names = evaluate.prune_features(full.weight_report, rule=rule,
+    reduced_names = evaluate.prune_features(full.weights, rule=rule,
                                             threshold=rule_threshold)
     reduced = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
                                    cfg["threshold"], features=reduced_names)

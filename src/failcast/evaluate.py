@@ -59,46 +59,15 @@ class ConfusionMatrix:
         totals = counts.sum(axis=1, keepdims=True)
         return np.divide(counts, totals, out=np.zeros((2, 2)), where=totals > 0)
 
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    @property
-    def failure_recall(self) -> float:
-        fn, tp = self.counts[1]
-        return tp / (fn + tp) if fn + tp else 0.0
-
-    @property
-    def false_negative_rate(self) -> float:
-        fn, tp = self.counts[1]
-        return fn / (fn + tp) if fn + tp else 0.0
-
 
 @dataclass(frozen=True)
 class WeightEntry:
+    """One coefficient's mean and std across folds; ``constant`` is the
+    intercept."""
+
     feature: str
     mean: float
     std: float
-
-
-@dataclass(frozen=True)
-class WeightReport:
-    """Per-feature coefficient mean/std across folds, plus ``constant``
-    for the intercept, ordered by descending |mean|."""
-
-    entries: tuple[WeightEntry, ...]
-
-    def ordered(self) -> list[WeightEntry]:
-        return sorted(self.entries, key=lambda e: (-abs(e.mean), e.feature))
-
-    def feature_names(self) -> list[str]:
-        return [e.feature for e in self.entries if e.feature != "constant"]
-
-    def entry(self, feature: str) -> WeightEntry:
-        for e in self.entries:
-            if e.feature == feature:
-                return e
-        raise KeyError(feature)
 
 
 @dataclass
@@ -112,17 +81,16 @@ class FoldResult:
 
 @dataclass
 class CvResult:
+    """``weights`` holds the intercept and every feature, ordered by
+    descending |mean| and then by name."""
+
     average_matrix: np.ndarray
-    weight_report: WeightReport
+    weights: tuple[WeightEntry, ...]
     fold_results: list[FoldResult] = field(default_factory=list)
 
     @property
     def average_failure_recall(self) -> float:
         return float(self.average_matrix[1, 1])
-
-    @property
-    def average_false_negative_rate(self) -> float:
-        return float(self.average_matrix[1, 0])
 
 
 def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
@@ -145,16 +113,10 @@ def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
 
     shuffled = list(machines)
     rng.Stream(rng.derive(seed, _FOLD_CHANNEL)).shuffle(shuffled)
-    sizes = [len(machines) // k + (1 if i < len(machines) % k else 0) for i in range(k)]
-    groups = []
-    pos = 0
-    for size in sizes:
-        groups.append(shuffled[pos:pos + size])
-        pos += size
 
     folds = []
-    for fold_index, group in enumerate(groups):
-        test_machines = frozenset(group)
+    for fold_index, group in enumerate(np.array_split(shuffled, k)):
+        test_machines = frozenset(group.tolist())
         train_machines = frozenset(machines) - test_machines
         in_test = np.isin(machine_ids, group)
         train_idx = np.flatnonzero(~in_test & before_cutoff)
@@ -209,8 +171,8 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     for j, name in enumerate(fold_results[-1].model.encoding.feature_names):
         values = np.array([f.model.beta[j] for f in fold_results])
         entries.append(WeightEntry(name, float(values.mean()), float(values.std())))
-    report = WeightReport(entries=tuple(entries))
-    return CvResult(average_matrix=average, weight_report=report,
+    entries.sort(key=lambda e: (-abs(e.mean), e.feature))
+    return CvResult(average_matrix=average, weights=tuple(entries),
                     fold_results=fold_results)
 
 
@@ -222,20 +184,20 @@ PAPER_REDUCED_FEATURES = schema.ERROR_FLAGS + ("age",) + schema.MODEL_FLAGS
 PRUNE_RULES = ("relative", "paper-reduced")
 
 
-def prune_features(report: WeightReport, rule: str = "relative",
+def prune_features(weights, rule: str = "relative",
                    threshold: float = 0.10) -> list[str]:
-    """Reduced feature list in canonical order.
+    """Reduced feature list in canonical order, from a run's ``weights``.
 
     ``relative`` drops features whose |mean| is below ``threshold`` times
     the largest non-constant |mean|; ``paper-reduced`` is the fixed preset.
     The intercept is never part of the output.
     """
     if rule == "paper-reduced":
-        present = set(report.feature_names())
+        present = {e.feature for e in weights}
         return [f for f in PAPER_REDUCED_FEATURES if f in present]
     if rule != "relative":
         raise PruneError(f"unknown pruning rule {rule!r}; expected one of {PRUNE_RULES}")
-    magnitudes = {e.feature: abs(e.mean) for e in report.entries if e.feature != "constant"}
+    magnitudes = {e.feature: abs(e.mean) for e in weights if e.feature != "constant"}
     if not magnitudes:
         raise PruneError("weight report has no features")
     peak = max(magnitudes.values())

@@ -106,6 +106,18 @@ def _parse_datetime(text, path, line, column):
 _CELL_PARSERS = {"i": _parse_int, "f": _parse_float, "b": _parse_bool, "M": _parse_datetime}
 
 
+def _canonical(column):
+    """The cells of a table column as the strings written to CSV: flags as
+    1 and 0, timestamps as ``YYYY-MM-DD HH:MM:SS`` (year zero-padded) and
+    anything else as ``str``.  Flags and timestamps stay a numpy array, so
+    the reader's check on them makes no Python string per cell."""
+    if column.dtype.kind == "b":
+        return np.where(column, "1", "0")
+    if column.dtype.kind == "M":
+        return np.char.replace(np.datetime_as_string(column), "T", " ")
+    return list(map(str, column.tolist()))
+
+
 def _fast_column(cells, dtype):
     """The cells as an array of ``dtype`` when every cell is in the form the
     per-cell parser would read back the same way; otherwise None."""
@@ -119,15 +131,18 @@ def _fast_column(cells, dtype):
             return None
     text = np.array(cells, dtype=str)
     if dtype.kind == "b":
-        ones = text == "1"
-        return ones if (ones | (text == "0")).all() else None
-    try:
-        values = np.array(text, dtype=dtype)
-    except ValueError:
-        return None
-    # numpy also reads "", "NaT", dates without a time and ISO "T" separators.
-    canonical = np.char.replace(np.datetime_as_string(values), "T", " ")
-    return values if ((canonical == text) & (values >= _FIRST_DATETIME)).all() else None
+        values = text == "1"
+    else:
+        try:
+            values = np.array(text, dtype=dtype)
+        except ValueError:
+            return None
+    # Only canonical cells: numpy also reads "", "NaT", dates without a time
+    # and ISO "T" separators, and the per-cell parser strips whitespace.
+    canonical = text == _canonical(values)
+    if dtype.kind == "M":
+        canonical &= values >= _FIRST_DATETIME
+    return values if canonical.all() else None
 
 
 def _parse_rows(rows, lines, columns, path) -> dict:
@@ -284,19 +299,17 @@ def load_bundle(telemetry, errors, maintenance, failures, machines):
     return bundle, violations
 
 
-def load_bundle_dir(directory):
-    """load_bundle over the conventional filenames inside one directory."""
-    paths = {key: os.path.join(directory, name) for key, name in BUNDLE_FILENAMES.items()}
-    return load_bundle(**paths)
-
-
 def write_csv(path, table):
     """Write a table (a dataset or the stream) as CSV, header first, each
-    cell formatted by ``schema.format_value``."""
+    cell formatted by ``_canonical``.  Rows are formatted column by column,
+    one block of rows at a time."""
+    names = table.dtype.names
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(table.dtype.names)
-        writer.writerows([schema.format_value(v) for v in row] for row in table.tolist())
+        writer.writerow(names)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            writer.writerows(zip(*[_canonical(block[name]) for name in names]))
 
 
 def write_bundle(bundle, directory):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import FeatureEncoding
+from .schema import CONTINUOUS_FEATURES, FeatureEncoding
 
 _P_LO = np.finfo(float).tiny
 _P_HI = float(np.nextafter(1.0, 0.0))
@@ -124,11 +124,13 @@ def gradient(params, data, config: FitConfig) -> np.ndarray:
     """Analytic gradient, intercept component first (no penalty on it)."""
     alpha, beta = params
     beta = np.asarray(beta, dtype=float)
-    z = alpha + data.rows @ beta
-    residual = data.sample_weights * (sigmoid(z) - data.labels.astype(float))
-    g_alpha = float(residual.sum())
+    return _gradient_at(sigmoid(alpha + data.rows @ beta), beta, data, config)
+
+
+def _gradient_at(p, beta, data, config):
+    residual = data.sample_weights * (p - data.labels.astype(float))
     g_beta = data.rows.T @ residual + config.l2_strength * beta
-    return np.concatenate(([g_alpha], g_beta))
+    return np.concatenate(([float(residual.sum())], g_beta))
 
 
 def _hessian(p, data, config):
@@ -146,23 +148,26 @@ def _hessian(p, data, config):
 
 def _descend(data, config, step_fn):
     """Shared damped-descent loop; step_fn(params, grad, p) proposes a
-    direction (da, db).  A step of length t moves each margin
-    z = alpha + x.beta to z - t*u, with u = da + x.db, and changes the
-    objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i)) + y_i*t*u_i)
-    + l2*t*(t/2*|db|^2 - beta.db), where p = sigmoid(z).  Summed row by row
-    this change is resolved far below one ulp of the objective itself, so a
-    step is taken when it is negative and halved otherwise."""
+    direction (da, db).  Each iterate is evaluated once: p = sigmoid(z) at
+    its margins z = alpha + x.beta gives the gradient, which decides
+    convergence, and the line search, so n steps take n + 1 evaluations.
+    A step of length t moves each margin to z - t*u, with u = da + x.db,
+    and changes the objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i))
+    + y_i*t*u_i) + l2*t*(t/2*|db|^2 - beta.db).  Summed row by row this
+    change is resolved far below one ulp of the objective itself, so a step
+    is taken when it is negative and halved otherwise."""
     y = data.labels.astype(float)
     alpha, beta = 0.0, np.zeros(data.rows.shape[1])
     obj = objective((alpha, beta), data, config)
     if not np.isfinite(obj):
         raise FitError(0, f"objective became non-finite ({obj})")
-    grad = gradient((alpha, beta), data, config)
     iterations = 0
-    for iteration in range(1, config.max_iterations + 1):
-        if np.max(np.abs(grad)) <= config.tolerance:
-            break
+    while True:
         p = sigmoid(alpha + data.rows @ beta)
+        grad = _gradient_at(p, beta, data, config)
+        converged = bool(np.max(np.abs(grad)) <= config.tolerance)
+        if converged or iterations == config.max_iterations:
+            break
         direction = step_fn((alpha, beta), grad, p)
         d_alpha, d_beta = direction[0], direction[1:]
         u = d_alpha + data.rows @ d_beta
@@ -178,9 +183,7 @@ def _descend(data, config, step_fn):
         else:
             break
         alpha, beta = alpha - t * d_alpha, beta - t * d_beta
-        grad = gradient((alpha, beta), data, config)
-        iterations = iteration
-    converged = bool(np.max(np.abs(grad)) <= config.tolerance)
+        iterations += 1
     return alpha, beta, FitMeta(iterations=iterations,
                                 final_objective=objective((alpha, beta), data, config),
                                 converged=converged)
@@ -245,7 +248,8 @@ def _gd_step_factory(data, config):
 #
 # Plain "key = value" lines; floats printed with %.17g so reloading is
 # exact.  Keys: feature list, alpha, beta.<name>, mean.<name>, std.<name>,
-# fit.iterations, fit.final_objective, fit.converged.
+# fit.iterations, fit.final_objective, fit.converged.  Only continuous
+# features have mean/std lines; every other column is stored as 0 and 1.
 
 _FORMAT_HEADER = "# failcast logistic model v1"
 
@@ -263,9 +267,10 @@ def save_model(model: LogisticModel, path):
     lines.append(f"alpha = {_fmt(model.alpha)}")
     for name, value in zip(encoding.feature_names, model.beta):
         lines.append(f"beta.{name} = {_fmt(value)}")
-    for name, mean, std in zip(encoding.continuous, encoding.means, encoding.std_devs):
-        lines.append(f"mean.{name} = {_fmt(mean)}")
-        lines.append(f"std.{name} = {_fmt(std)}")
+    for name, mean, std in zip(encoding.feature_names, encoding.means, encoding.std_devs):
+        if name in CONTINUOUS_FEATURES:
+            lines.append(f"mean.{name} = {_fmt(mean)}")
+            lines.append(f"std.{name} = {_fmt(std)}")
     if model.fit_meta is not None:
         lines.append(f"fit.iterations = {model.fit_meta.iterations}")
         lines.append(f"fit.final_objective = {_fmt(model.fit_meta.final_objective)}")
@@ -287,12 +292,10 @@ def load_model(path) -> LogisticModel:
         raise ValueError(f"{path}: not a model file (missing features/alpha)")
     names = tuple(entries["features"].split(","))
     beta = np.array([float(entries[f"beta.{n}"]) for n in names])
-    continuous = tuple(n for n in names if f"mean.{n}" in entries)
     encoding = FeatureEncoding(
         feature_names=names,
-        continuous=continuous,
-        means=tuple(float(entries[f"mean.{n}"]) for n in continuous),
-        std_devs=tuple(float(entries[f"std.{n}"]) for n in continuous),
+        means=tuple(float(entries.get(f"mean.{n}", 0.0)) for n in names),
+        std_devs=tuple(float(entries.get(f"std.{n}", 1.0)) for n in names),
     )
     meta = None
     if "fit.iterations" in entries:

@@ -55,7 +55,7 @@ def cv_payload(result, features) -> dict:
         "average_normalized": [[float(v) for v in row] for row in result.average_matrix],
         "weights": [
             {"feature": e.feature, "mean": e.mean, "std": e.std, "abs_rank": rank}
-            for rank, e in enumerate(result.weight_report.ordered(), start=1)
+            for rank, e in enumerate(result.weights, start=1)
         ],
     }
 

@@ -12,7 +12,6 @@ in CSV order.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +38,13 @@ CONTINUOUS_FEATURES = TELEMETRY_FIELDS + ("age",)
 
 @dataclass(frozen=True)
 class FeatureEncoding:
-    """Encoded column order plus the standardization statistics.
+    """Encoded column order plus one mean and standard deviation per column.
 
-    ``means``/``std_devs`` cover the continuous features only and are
-    fitted on training rows; indicator columns pass through as 0/1.
+    Continuous features get the statistics of the training rows; indicator
+    columns get 0.0 and 1.0, which standardize them to themselves exactly.
     """
 
     feature_names: tuple[str, ...]
-    continuous: tuple[str, ...]
     means: tuple[float, ...]
     std_devs: tuple[float, ...]
 
@@ -96,14 +94,6 @@ def table(dataset: str, columns) -> np.recarray:
     names = CSV_COLUMNS[dataset]
     return np.rec.fromarrays([np.asarray(columns[c], column_type(c)) for c in names],
                              names=names)
-
-
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, dt.datetime):
-        return value.strftime(DATETIME_FORMAT)
-    return str(value)
 
 
 def first_rows(*columns) -> np.ndarray:

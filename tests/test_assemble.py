@@ -106,6 +106,19 @@ def test_encode_zscores_at_fit_mean():
     assert abs(col.std() - 1.0) < 1e-12
 
 
+def test_apply_encoding_standardizes_continuous_columns_in_place(small_rows):
+    matrix, _, names = assemble.raw_feature_matrix(small_rows)
+    raw = matrix.copy()
+    encoding = assemble.fit_encoding(matrix, names)
+    assert assemble.apply_encoding(matrix, encoding) is matrix
+    for j, name in enumerate(names):
+        if name in schema.CONTINUOUS_FEATURES:
+            expected = (raw[:, j] - encoding.means[j]) / encoding.std_devs[j]
+            assert np.array_equal(matrix[:, j], expected)
+        else:
+            assert matrix[:, j].tobytes() == raw[:, j].tobytes()
+
+
 def test_positive_rows_get_weight_100():
     bundle = helpers.micro_bundle(n_machines=2, n_hours=40,
                                   failures_at=((1, 30),))

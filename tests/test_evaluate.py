@@ -125,17 +125,14 @@ def test_confusion_matrix_counts_by_hand():
     y_pred = [False, True, True, False, True, False]
     cm = evaluate.ConfusionMatrix.from_predictions(y_true, y_pred)
     assert cm.counts == ((2, 1), (1, 2))
-    assert cm.total == 6
-    assert cm.failure_recall == pytest.approx(2 / 3)
-    assert cm.false_negative_rate == pytest.approx(1 / 3)
+    assert np.allclose(cm.normalized(), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
 
 
 def test_confusion_matrix_all_negative_predictions():
     cm = evaluate.ConfusionMatrix.from_predictions(
         [False, True], [False, False])
     assert cm.counts == ((1, 0), (1, 0))
-    assert cm.failure_recall == 0.0
-    assert cm.false_negative_rate == 1.0
+    assert cm.normalized()[1].tolist() == [1.0, 0.0]
 
 
 def test_normalized_rows_sum_to_one():
@@ -164,33 +161,28 @@ def test_evaluate_cv_shapes_and_bookkeeping():
         assert fr.fold_index == fold.fold_index
         assert fr.n_train == len(fold.train_rows)
         assert fr.n_test == len(fold.test_rows)
-        assert fr.matrix.total == fr.n_test
+        assert sum(map(sum, fr.matrix.counts)) == fr.n_test
     manual = np.mean([f.matrix.normalized() for f in result.fold_results],
                      axis=0)
     assert np.array_equal(result.average_matrix, manual)
     assert result.average_failure_recall == result.average_matrix[1, 1]
-    assert result.average_false_negative_rate == result.average_matrix[1, 0]
 
 
 def test_evaluate_cv_weight_report_covers_all_features():
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)
     result = evaluate.evaluate_cv(rows, folds)
-    report = result.weight_report
-    assert report.feature_names() == list(schema.FEATURE_NAMES)
-    assert report.entry("constant").feature == "constant"
-    ordered = report.ordered()
-    mags = [abs(e.mean) for e in ordered]
-    assert mags == sorted(mags, reverse=True)
-    with pytest.raises(KeyError):
-        report.entry("no_such_feature")
+    assert sorted(e.feature for e in result.weights) == \
+        sorted(("constant",) + schema.FEATURE_NAMES)
+    ranks = [(-abs(e.mean), e.feature) for e in result.weights]
+    assert ranks == sorted(ranks)
 
 
 def test_evaluate_cv_honours_feature_subset():
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)
     result = evaluate.evaluate_cv(rows, folds, features=["error_1", "age"])
-    assert result.weight_report.feature_names() == ["error_1", "age"]
+    assert {e.feature for e in result.weights} == {"constant", "error_1", "age"}
     assert all(f.model.beta.shape == (2,) for f in result.fold_results)
 
 
@@ -217,23 +209,24 @@ def test_rescaling_a_telemetry_channel_changes_nothing_material():
     scaled_rows.volt *= 1000.0
     scaled = evaluate.evaluate_cv(scaled_rows, folds)
     assert np.allclose(base.average_matrix, scaled.average_matrix, atol=1e-9)
-    for a, b in zip(base.weight_report.entries, scaled.weight_report.entries):
-        assert a.feature == b.feature
-        assert abs(a.mean - b.mean) < 1e-6
+    scaled_means = {e.feature: e.mean for e in scaled.weights}
+    assert scaled_means.keys() == {e.feature for e in base.weights}
+    for e in base.weights:
+        assert abs(e.mean - scaled_means[e.feature]) < 1e-6
 
 
 # --- pruning -----------------------------------------------------------------
 
-def _report(**means):
+def _weights(**means):
     entries = [evaluate.WeightEntry("constant", -3.0, 0.1)]
     entries += [evaluate.WeightEntry(f, m, 0.0) for f, m in means.items()]
-    return evaluate.WeightReport(entries=tuple(entries))
+    return tuple(entries)
 
 
 def test_relative_rule_drops_small_magnitudes():
-    report = _report(error_1=2.0, error_2=-1.5, volt=0.19, age=0.5,
-                     dow_mon=-0.02)
-    kept = evaluate.prune_features(report, rule="relative", threshold=0.10)
+    weights = _weights(error_1=2.0, error_2=-1.5, volt=0.19, age=0.5,
+                       dow_mon=-0.02)
+    kept = evaluate.prune_features(weights, rule="relative", threshold=0.10)
     assert kept == ["error_1", "error_2", "age"]
 
 
@@ -242,56 +235,53 @@ def test_relative_rule_is_order_invariant_and_canonically_ordered():
                evaluate.WeightEntry("error_2", -1.5, 0.0),
                evaluate.WeightEntry("constant", -3.0, 0.0),
                evaluate.WeightEntry("error_1", 2.0, 0.0)]
-    forward = evaluate.WeightReport(entries=tuple(entries))
-    backward = evaluate.WeightReport(entries=tuple(reversed(entries)))
-    assert evaluate.prune_features(forward) == \
-        evaluate.prune_features(backward) == ["error_1", "error_2", "age"]
+    assert evaluate.prune_features(entries) == \
+        evaluate.prune_features(entries[::-1]) == ["error_1", "error_2", "age"]
 
 
 def test_intercept_magnitude_never_matters():
-    report = _report(error_1=0.5, volt=0.04)  # constant has |mean| 3.0
-    kept = evaluate.prune_features(report, rule="relative", threshold=0.10)
+    weights = _weights(error_1=0.5, volt=0.04)  # constant has |mean| 3.0
+    kept = evaluate.prune_features(weights, rule="relative", threshold=0.10)
     assert kept == ["error_1"]
     assert "constant" not in kept
 
 
 def test_fixed_preset_keeps_errors_age_and_models():
-    report = _report(**{f: 0.01 for f in schema.FEATURE_NAMES})
-    kept = evaluate.prune_features(report, rule="paper-reduced")
+    weights = _weights(**{f: 0.01 for f in schema.FEATURE_NAMES})
+    kept = evaluate.prune_features(weights, rule="paper-reduced")
     assert kept == list(schema.ERROR_FLAGS) + ["age"] + list(schema.MODEL_FLAGS)
     assert len(kept) == 10
 
 
 def test_fixed_preset_intersects_with_available_features():
-    report = _report(error_1=1.0, volt=0.5, age=0.2)
-    kept = evaluate.prune_features(report, rule="paper-reduced")
+    weights = _weights(error_1=1.0, volt=0.5, age=0.2)
+    kept = evaluate.prune_features(weights, rule="paper-reduced")
     assert kept == ["error_1", "age"]
 
 
 def test_prune_error_paths():
-    report = _report(error_1=1.0)
+    weights = _weights(error_1=1.0)
     with pytest.raises(evaluate.PruneError, match="unknown pruning rule"):
-        evaluate.prune_features(report, rule="absolute")
+        evaluate.prune_features(weights, rule="absolute")
     with pytest.raises(evaluate.PruneError, match="no features"):
-        evaluate.prune_features(evaluate.WeightReport(
-            entries=(evaluate.WeightEntry("constant", -3.0, 0.0),)))
+        evaluate.prune_features([evaluate.WeightEntry("constant", -3.0, 0.0)])
     with pytest.raises(evaluate.PruneError, match="removed every feature"):
-        evaluate.prune_features(report, rule="relative", threshold=1.5)
+        evaluate.prune_features(weights, rule="relative", threshold=1.5)
 
 
 # --- behaviour on the benchmark dataset --------------------------------------
 
 def test_benchmark_error_flags_dominate_telemetry(bench_cv):
-    report = bench_cv.weight_report
-    peak = max(abs(e.mean) for e in report.entries if e.feature != "constant")
-    top = report.ordered()[0]
+    means = {e.feature: e.mean for e in bench_cv.weights}
+    peak = max(abs(m) for f, m in means.items() if f != "constant")
+    top = bench_cv.weights[0]
     assert top.feature != "constant"
     assert top.feature in schema.ERROR_FLAGS
     for name in schema.TELEMETRY_FIELDS:
-        assert abs(report.entry(name).mean) < 0.10 * peak
+        assert abs(means[name]) < 0.10 * peak
 
 
 def test_benchmark_relative_prune_drops_all_telemetry(bench_cv):
-    kept = evaluate.prune_features(bench_cv.weight_report, rule="relative")
+    kept = evaluate.prune_features(bench_cv.weights, rule="relative")
     assert not set(kept) & set(schema.TELEMETRY_FIELDS)
     assert set(kept) & set(schema.ERROR_FLAGS)

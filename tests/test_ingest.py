@@ -184,9 +184,31 @@ def test_load_is_deterministic(tmp_path):
 
 def test_write_then_load_round_trip(tmp_path, small_bundle):
     ingest.write_bundle(small_bundle, tmp_path / "out")
-    loaded, violations = ingest.load_bundle_dir(tmp_path / "out")
+    loaded, violations = ingest.load_bundle(
+        **{key: tmp_path / "out" / name for key, name in ingest.BUNDLE_FILENAMES.items()})
     assert violations == []
     assert helpers.bundle_rows(loaded) == helpers.bundle_rows(small_bundle)
+
+
+def test_pre_1000_datetime_round_trips(tmp_path):
+    # strftime writes year 999 as "999", which strptime's %Y cannot read back.
+    written = helpers.table("failures", [helpers.failure(1, 0, comp=2)])
+    written.datetime = np.datetime64("0999-01-01T05:00:00")
+    path = tmp_path / "failures.csv"
+    ingest.write_csv(path, written)
+    assert path.read_text().splitlines()[1] == "1,0999-01-01 05:00:00,0,1,0,0"
+    assert helpers.table_rows(ingest.parse_csv(path, "failures")) == \
+        helpers.table_rows(written)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+def test_written_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, small_rows,
+                                                   block_rows):
+    rows = small_rows[:101]
+    ingest.write_csv(tmp_path / "whole.csv", rows)
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    ingest.write_csv(tmp_path / "blocked.csv", rows)
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_bool_cells_must_be_zero_or_one(tmp_path):

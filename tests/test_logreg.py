@@ -197,6 +197,20 @@ def test_newton_and_gradient_descent_agree():
     assert np.max(np.abs(p_newton - p_gd)) < 1e-4
 
 
+@pytest.mark.parametrize("solver, max_iterations", [("newton", 100),
+                                                     ("gradient_descent", 5000),
+                                                     ("gradient_descent", 3)])
+def test_each_iterate_is_evaluated_once(monkeypatch, solver, max_iterations):
+    # One sigmoid per iterate serves its gradient, its convergence test and
+    # its line search; the final iterate is evaluated only for the gradient.
+    sigmoid, calls = logreg.sigmoid, []
+    monkeypatch.setattr(logreg, "sigmoid", lambda z: calls.append(z) or sigmoid(z))
+    data = helpers.random_instance(seed=12, n_rows=60, n_features=4)
+    model = logreg.fit(data, logreg.FitConfig(solver=solver,
+                                              max_iterations=max_iterations))
+    assert len(calls) == model.fit_meta.iterations + 1
+
+
 def test_converged_fit_satisfies_its_own_certificate():
     data = helpers.random_instance(seed=5, n_rows=50, n_features=3)
     config = logreg.FitConfig()

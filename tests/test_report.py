@@ -134,7 +134,7 @@ def test_weights_csv_round_trips_floats_exactly(tmp_path, payload, micro_cv):
     report.write_bundle(tmp_path, payload)
     lines = (tmp_path / "weights_full.csv").read_text().splitlines()
     assert lines[0] == "feature,mean,std,abs_rank"
-    by_feature = {e.feature: e for e in micro_cv.weight_report.entries}
+    by_feature = {e.feature: e for e in micro_cv.weights}
     assert len(lines) - 1 == len(by_feature)
     for line in lines[1:]:
         feature, mean, std, rank = line.split(",")

@@ -1,5 +1,6 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -154,6 +155,7 @@ def test_fixed_record_round_trips(tmp_path):
 
 
 def test_bool_formatting():
-    assert schema.format_value(True) == "1"
-    assert schema.format_value(False) == "0"
-    assert schema.format_value(hour(0)) == "2015-01-01 00:00:00"
+    assert list(ingest._canonical(np.array([True]))) == ["1"]
+    assert list(ingest._canonical(np.array([False]))) == ["0"]
+    assert list(ingest._canonical(np.array([hour(0)], "datetime64[s]"))) == \
+        ["2015-01-01 00:00:00"]

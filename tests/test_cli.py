@@ -146,6 +146,16 @@ def test_rerun_with_identical_flags_is_byte_identical(dataset, tmp_path):
     assert _read_all(out) == first
 
 
+@pytest.mark.parametrize("flags, semantics", [([], "point-at-horizon"),
+                                              (["--label-window"], "within-horizon")])
+def test_evaluate_records_label_semantics(dataset, tmp_path, flags, semantics):
+    out = tmp_path / "rep"
+    assert cli.main(["evaluate", "--in-dir", str(dataset),
+                     "--out-dir", str(out)] + flags) == cli.EXIT_OK
+    assert report.load_bundle_payload(out)["label_semantics"] == semantics
+    assert f"label semantics: {semantics}\n" in (out / "summary.txt").read_text()
+
+
 # --- exit codes --------------------------------------------------------------
 
 def test_tolerated_violations_exit_2_but_write_outputs(dataset, tmp_path,
@@ -287,6 +297,64 @@ def test_impossible_folds_exit_3(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "rep"), "--folds", "5"])
     assert rc == cli.EXIT_FIT
     assert "at least 5 machines" in capsys.readouterr().err
+
+
+# --- single-cell corruption: the exit-code contract --------------------------
+
+@pytest.fixture(scope="module")
+def clean_lines(tmp_path_factory):
+    """Each CSV of a small valid dataset as its list of lines, in bytes."""
+    path = tmp_path_factory.mktemp("corrupt") / "data"
+    assert cli.main(["generate", "--out-dir", str(path), "--machines", "4",
+                     "--days", "5", "--seed", "5"]) == cli.EXIT_OK
+    return {p.name: p.read_bytes().splitlines() for p in path.glob("*.csv")}
+
+
+_BAD_CELLS = st.sampled_from([
+    b"", b"abc", b"1,2", b"a,b,c", b"nan", b"NaN", b"inf", b"-inf", b"1e400",
+    b"99999999999999999999", b"-9223372036854775809", b"9223372036854775807",
+    b"-1", b"2", b"0000-01-01 00:00:00", b"9999-12-31 23:59:59",
+    b"2015-01-01T05:00:00", b"2015-01-01", b"\xff\xfe", b"1\x80", b"\xc3",
+])
+
+_WRAPS = st.sampled_from([
+    lambda cell: cell,
+    lambda cell: b" " + cell + b"\t",
+    lambda cell: b'"' + cell + b'"',
+    lambda cell: b'"' + cell + b'\n"',
+    lambda cell: b'"\n' + cell + b'"',
+])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_single_cell_corruption_exits_0_1_or_2(clean_lines, tmp_path, capsys, data):
+    """Any one cell of a valid dataset, replaced by any text, gives exit 0,
+    1 or 2 and never an exception; exit 1 names the file, and names the
+    physical line when the replacement holds no quote."""
+    name = data.draw(st.sampled_from(sorted(clean_lines)), label="file")
+    lines = list(clean_lines[name])
+    index = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    cells = lines[index].split(b",")
+    column = data.draw(st.integers(0, len(cells) - 1), label="column")
+    cells[column] = data.draw(_WRAPS, label="wrap")(
+        data.draw(st.one_of(st.just(cells[column]), _BAD_CELLS), label="cell"))
+    lines[index] = b",".join(cells)
+    directory = tmp_path / "data"
+    directory.mkdir(exist_ok=True)
+    for other, content in clean_lines.items():
+        (directory / other).write_bytes(b"\n".join(lines if other == name else content)
+                                        + b"\n")
+    capsys.readouterr()
+    rc = cli.main(["assemble", "--in-dir", str(directory),
+                   "--out", str(tmp_path / "stream.csv")])
+    err = capsys.readouterr().err
+    assert rc in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_VIOLATIONS)
+    if rc == cli.EXIT_FAILURE:
+        assert f"error: {directory / name}:" in err
+        if b'"' not in cells[column]:
+            assert err.startswith(f"error: {directory / name}:{index + 1}:")
 
 
 # --- configuration -----------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failcast import ingest
+from failcast import ingest, schema
 
 import helpers
 from helpers import hour
@@ -382,3 +382,28 @@ def test_unpadded_datetime_and_padded_cells_load(tmp_path):
         (1, dt.datetime(2015, 1, 1, 1), 171.5)]
     assert [(e.machine_id, e.datetime, e.error_1, e.error_2)
             for e in bundle.errors] == [(1, dt.datetime(2015, 1, 1, 1), True, False)]
+
+
+@pytest.mark.parametrize("dataset, bad_row, column, message", [
+    ("telemetry", "x1,2015-01-01 01:00:00,170,450,100,40", "machine_id",
+     "expected integer, got 'x1'"),
+    ("machines", "99999999999999999999,5,1,0,0,0", "machine_id",
+     "integer out of range, got '99999999999999999999'"),
+    ("telemetry", "1,2015-01-01 01:00:00, abc ,450,100,40", "volt",
+     "expected number, got 'abc'"),
+    ("errors", "1,2015-01-01 01:00:00,true,0,0,0,0", "error_1",
+     "expected 0 or 1, got 'true'"),
+    ("failures", "1,2015-01-01T01:00:00,1,0,0,0", "datetime",
+     "expected datetime Y-m-d H:M:S style, got '2015-01-01T01:00:00'"),
+], ids=["int", "int_range", "float", "bool", "datetime"])
+def test_each_cell_fault_kind_names_file_line_column(tmp_path, dataset, bad_row,
+                                                     column, message):
+    good = {"telemetry": "1,2015-01-01 00:00:00,170,450,100,40",
+            "errors": "1,2015-01-01 00:00:00,1,0,0,0,0",
+            "failures": "1,2015-01-01 00:00:00,0,1,0,0",
+            "machines": "1,5,1,0,0,0"}[dataset]
+    path = _write(tmp_path / f"{dataset}.csv",
+                  ",".join(schema.CSV_COLUMNS[dataset]) + f"\n{good}\n{bad_row}\n")
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.parse_csv(path, dataset)
+    assert str(exc.value) == f"{path}:3:{column}: {message}"

@@ -28,23 +28,6 @@ class EncodingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class HorizonConfig:
-    """Lead time for the label; ``window=True`` labels any failure within
-    the next ``horizon_hours`` instead of the state at exactly t + horizon."""
-
-    horizon_hours: int = 24
-    window: bool = False
-
-    def __post_init__(self):
-        if self.horizon_hours < 1:
-            raise ValueError("horizon_hours must be at least 1")
-
-    @property
-    def label_semantics(self) -> str:
-        return "within-horizon" if self.window else "point-at-horizon"
-
-
 @dataclass
 class DesignMatrix:
     """Encoded features with labels and per-row weights."""
@@ -68,13 +51,18 @@ def _rows_with(keys, queries) -> np.ndarray:
     return np.cumsum(marks[:-1]) > 0
 
 
-def build_event_stream(bundle: DatasetBundle, horizon: HorizonConfig = HorizonConfig()):
+def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
+                       window: bool = False):
     """Join the bundle into the stream table, one row per labelable
     telemetry hour, in canonical (machine_id, datetime) order.
 
-    A telemetry machine missing from the machines dataset aborts with
-    AssembleError.
+    A row is labeled with the failure state at exactly t + horizon_hours,
+    or with ``window=True`` by any failure within the next horizon_hours.
+    A horizon below 1 raises ValueError, and a telemetry machine missing
+    from the machines dataset aborts with AssembleError.
     """
+    if horizon_hours < 1:
+        raise ValueError("horizon_hours must be at least 1")
     telemetry, machines = bundle.telemetry, bundle.machines
     machine_id, when = telemetry.machine_id, telemetry.datetime
     missing = machine_id[~np.isin(machine_id, machines.machine_id)]
@@ -86,7 +74,7 @@ def build_event_stream(bundle: DatasetBundle, horizon: HorizonConfig = HorizonCo
     _, first, count = np.unique(machine_id[order], return_index=True,
                                 return_counts=True)
     last_hour = np.repeat(when[order][first + count - 1], count)
-    rows = order[when[order] + np.timedelta64(horizon.horizon_hours, "h") <= last_hour]
+    rows = order[when[order] + np.timedelta64(horizon_hours, "h") <= last_hour]
     machine_id, when = machine_id[rows], when[rows]
 
     columns = {"machine_id": machine_id, "datetime": when}
@@ -109,8 +97,7 @@ def build_event_stream(bundle: DatasetBundle, horizon: HorizonConfig = HorizonCo
     # A failure at hour f labels the rows at f - k for each k ahead.
     failures = bundle.failures
     failures = failures[np.logical_or.reduce([failures[f] for f in schema.COMP_FLAGS])]
-    ahead = (range(1, horizon.horizon_hours + 1) if horizon.window
-             else (horizon.horizon_hours,))
+    ahead = range(1, horizon_hours + 1) if window else (horizon_hours,)
     columns["label"] = _rows_with(keys, np.concatenate(
         [_pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h"))
          for k in ahead]))
@@ -146,8 +133,8 @@ def fit_encoding(matrix, feature_names) -> schema.FeatureEncoding:
     continuous column's mean and standard deviation, and 0.0 and 1.0 for
     every other column.
 
-    Raises EncodingError when there are no rows or a continuous column is
-    constant on them.
+    Raises EncodingError when there are no rows, or when a continuous
+    column is constant on them or its mean or std overflows float64.
     """
     if not len(matrix):
         raise EncodingError("fit rows must be non-empty")
@@ -155,11 +142,14 @@ def fit_encoding(matrix, feature_names) -> schema.FeatureEncoding:
     for j, name in enumerate(feature_names):
         mean, std = 0.0, 1.0
         if name in schema.CONTINUOUS_FEATURES:
-            col = matrix[:, j]
-            mean, std = float(col.mean()), float(col.std())
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std = float(matrix[:, j].mean()), float(matrix[:, j].std())
             if std == 0.0:
                 raise EncodingError(f"degenerate encoding: column {name!r} is "
                                     "constant on the fit rows")
+            if not np.isfinite([mean, std]).all():
+                raise EncodingError(f"degenerate encoding: column {name!r} has a "
+                                    "non-finite mean or std on the fit rows")
         means.append(mean)
         stds.append(std)
     return schema.FeatureEncoding(feature_names=tuple(feature_names),
@@ -183,7 +173,7 @@ def encode(rows, weight_positive=100.0, features=None) -> DesignMatrix:
     and day of week expands to 7 indicators.  Positive rows get
     ``weight_positive``, negative rows weight 1.
     """
-    if weight_positive <= 0:
+    if not weight_positive > 0:
         raise ValueError("weight_positive must be positive")
     matrix, labels, names = raw_feature_matrix(rows, features)
     encoding = fit_encoding(matrix, names)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -146,6 +147,9 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
             _check_config_value(key, value, *options[key][:2])
         cfg.update(file_cfg)
     cfg.update(explicit)
+    for key, (kind, _, _) in options.items():
+        if kind is float and not math.isfinite(cfg[key]):
+            raise ValueError(f"{_flag(key)} must be a finite number, got {cfg[key]!r}")
     return cfg
 
 
@@ -201,11 +205,6 @@ def _sibling_config_path(out_path: str) -> str:
     return os.path.splitext(out_path)[0] + ".config.json"
 
 
-def _horizon(cfg: dict) -> assemble.HorizonConfig:
-    return assemble.HorizonConfig(horizon_hours=cfg["horizon"],
-                                  window=cfg["label_window"])
-
-
 def _load_stream(cfg: dict):
     """Load the input datasets, report their violations on stderr and join
     them into the labeled stream; returns ``(rows, violations)``."""
@@ -216,7 +215,8 @@ def _load_stream(cfg: dict):
     if violations:
         print(f"{len(violations)} validation violation(s); continuing",
               file=sys.stderr)
-    return assemble.build_event_stream(bundle, _horizon(cfg)), violations
+    return (assemble.build_event_stream(bundle, cfg["horizon"], cfg["label_window"]),
+            violations)
 
 
 def _fit_config(cfg: dict) -> logreg.FitConfig:
@@ -287,15 +287,14 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
     for run_name, run in (("full", full), ("reduced", reduced)):
         for fold in run.fold_results:
             _warn_unconverged(f"{run_name} fold {fold.fold_index}", fold.model.fit_meta)
-    full_names = full.fold_results[0].model.encoding.feature_names
     payload = {
         **_config_payload(command, cfg),
         "dataset_digest": report.dataset_digest(_input_paths(cfg)),
-        "label_semantics": _horizon(cfg).label_semantics,
+        "label_semantics": "within-horizon" if cfg["label_window"] else "point-at-horizon",
         "pruning_rule": rule,
         "runs": {
-            "full": report.cv_payload(full, full_names),
-            "reduced": report.cv_payload(reduced, reduced_names),
+            "full": report.cv_payload(full),
+            "reduced": report.cv_payload(reduced),
         },
     }
     report.write_bundle(cfg["out_dir"], payload)
@@ -343,8 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](_resolve(args.subcommand, args))
-    except (evaluate.FoldError, logreg.FitError,
-            logreg.UnfittableDataError) as exc:
+    except (evaluate.FoldError, logreg.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except (ingest.IngestError, assemble.AssembleError, assemble.EncodingError,

@@ -150,10 +150,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
             train = assemble.encode(rows[fold.train_rows], weight_positive=weight_positive,
                                     features=features)
             model = logreg.fit(train, fit_config)
-        except logreg.FitError as exc:
-            raise logreg.FitError(exc.iteration,
-                                  f"fold {fold.fold_index}: {exc.message}") from exc
-        except (assemble.EncodingError, logreg.UnfittableDataError) as exc:
+        except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
         test = rows[fold.test_rows]
         x_test = assemble.apply_encoding(

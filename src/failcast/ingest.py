@@ -27,13 +27,7 @@ import numpy as np
 from . import schema
 from .schema import CSV_COLUMNS
 
-BUNDLE_FILENAMES = {
-    "telemetry": "telemetry.csv",
-    "errors": "errors.csv",
-    "maintenance": "maintenance.csv",
-    "failures": "failures.csv",
-    "machines": "machines.csv",
-}
+BUNDLE_FILENAMES = {name: f"{name}.csv" for name in CSV_COLUMNS}
 
 _BLOCK_ROWS = 1 << 15
 _INT64 = np.iinfo(np.int64)
@@ -68,42 +62,24 @@ def round_to_hour(times):
     return ((seconds + 1800) // 3600 * 3600).astype("datetime64[s]")
 
 
-def _parse_int(text, path, line, column):
+_CONVERTERS = {"i": int, "f": float, "b": {"0": False, "1": True}.__getitem__,
+               "M": lambda text: dt.datetime.strptime(text, schema.DATETIME_FORMAT)}
+_EXPECTED = {"i": "integer", "f": "number", "b": "0 or 1",
+             "M": f"datetime {schema.DATETIME_FORMAT.replace('%', '')} style"}
+
+
+def _parse_cell(text, kind, path, line, column):
+    """The stripped cell ``text`` as a value of numpy dtype kind ``kind``
+    ('i', 'f', 'b' or 'M').  A cell that does not convert, or an integer
+    outside the int64 range, raises IngestError at file:line:column."""
     try:
-        value = int(text)
-    except ValueError:
-        raise IngestError(path, line, column, f"expected integer, got {text!r}") from None
-    if not _INT64.min <= value <= _INT64.max:
+        value = _CONVERTERS[kind](text)
+    except (KeyError, ValueError):
+        raise IngestError(path, line, column,
+                          f"expected {_EXPECTED[kind]}, got {text!r}") from None
+    if kind == "i" and not _INT64.min <= value <= _INT64.max:
         raise IngestError(path, line, column, f"integer out of range, got {text!r}")
     return value
-
-
-def _parse_float(text, path, line, column):
-    try:
-        return float(text)
-    except ValueError:
-        raise IngestError(path, line, column, f"expected number, got {text!r}") from None
-
-
-def _parse_bool(text, path, line, column):
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise IngestError(path, line, column, f"expected 0 or 1, got {text!r}")
-
-
-def _parse_datetime(text, path, line, column):
-    try:
-        return dt.datetime.strptime(text, schema.DATETIME_FORMAT)
-    except ValueError:
-        raise IngestError(
-            path, line, column,
-            f"expected datetime {schema.DATETIME_FORMAT.replace('%', '')!s} style, got {text!r}",
-        ) from None
-
-
-_CELL_PARSERS = {"i": _parse_int, "f": _parse_float, "b": _parse_bool, "M": _parse_datetime}
 
 
 def _canonical(column):
@@ -161,9 +137,8 @@ def _parse_rows(rows, lines, columns, path) -> dict:
         dtype = schema.column_type(name)
         values = _fast_column(column, dtype)
         if values is None:
-            parse = _CELL_PARSERS[dtype.kind]
             try:
-                values = np.array([parse(cell.strip(), path, line, name)
+                values = np.array([_parse_cell(cell.strip(), dtype.kind, path, line, name)
                                    for cell, line in zip(column, lines)], dtype)
             except IngestError as exc:
                 faults.append((exc.line, position, exc))

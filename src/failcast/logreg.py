@@ -29,17 +29,9 @@ _MAX_HALVINGS = 60
 SOLVERS = ("newton", "gradient_descent")
 
 
-class UnfittableDataError(Exception):
-    """Raised when the labels carry only one class."""
-
-
 class FitError(Exception):
-    """Raised when the objective at the starting point is non-finite."""
-
-    def __init__(self, iteration, message):
-        self.iteration = iteration
-        self.message = message
-        super().__init__(f"iteration {iteration}: {message}")
+    """Raised when a fit cannot start: there are no rows, the labels carry
+    one class only, or the objective at the zero start is non-finite."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +42,9 @@ class FitConfig:
     solver: str = "newton"
 
     def __post_init__(self):
-        if self.l2_strength < 0:
+        if not self.l2_strength >= 0:
             raise ValueError("l2_strength must be non-negative")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
@@ -160,7 +152,7 @@ def _descend(data, config, step_fn):
     alpha, beta = 0.0, np.zeros(data.rows.shape[1])
     obj = objective((alpha, beta), data, config)
     if not np.isfinite(obj):
-        raise FitError(0, f"objective became non-finite ({obj})")
+        raise FitError(f"objective became non-finite ({obj})")
     iterations = 0
     while True:
         p = sigmoid(alpha + data.rows @ beta)
@@ -206,11 +198,10 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     gradient max-norm reached the tolerance within max_iterations.
     """
     if data.rows.shape[0] == 0:
-        raise UnfittableDataError("no rows to fit")
+        raise FitError("no rows to fit")
     n_pos = int(data.labels.sum())
     if n_pos == 0 or n_pos == len(data.labels):
-        raise UnfittableDataError(
-            "labels contain a single class; both classes are required")
+        raise FitError("labels contain a single class; both classes are required")
     make_step = _newton_direction if config.solver == "newton" else _gd_step_factory
     alpha, beta, meta = _descend(data, config, make_step(data, config))
     return LogisticModel(alpha=alpha, beta=beta, encoding=data.encoding, fit_meta=meta)

@@ -33,8 +33,10 @@ def dataset_digest(paths) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def cv_payload(result, features) -> dict:
-    """JSON-ready view of one cross-validation run."""
+def cv_payload(result) -> dict:
+    """JSON-ready view of one cross-validation run; the feature names are
+    those its fold models were fitted on."""
+    features = result.fold_results[0].model.encoding.feature_names
     return {
         "features": list(features),
         "folds": [

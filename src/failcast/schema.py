@@ -55,12 +55,7 @@ class Violation:
 
     row_index: int | None
     message: str
-    dataset: str = ""
-
-    def __str__(self) -> str:
-        where = self.dataset or "dataset"
-        row = "-" if self.row_index is None else str(self.row_index)
-        return f"{where}[row {row}]: {self.message}"
+    dataset: str
 
 
 # CSV header order per dataset, exactly as written to and read from disk;

@@ -73,13 +73,13 @@ class SynthConfig:
             raise ValueError("n_days must be at least 3 so the horizon fits")
         if not 0.0 < self.target_failure_rate < 0.5:
             raise ValueError("target_failure_rate must lie in (0, 0.5)")
-        if self.signal_strength < 0.0:
+        if not self.signal_strength >= 0.0:
             raise ValueError("signal_strength must be non-negative")
         if not 0.0 < self.per_flag_error_rate < 1.0:
             raise ValueError("per_flag_error_rate must lie in (0, 1)")
         if not 0.0 <= self.scheduled_maintenance_rate < 1.0:
             raise ValueError("scheduled_maintenance_rate must lie in [0, 1)")
-        if self.triggered_failure_prob > 1.0:
+        if not self.triggered_failure_prob <= 1.0:
             raise ValueError(
                 "infeasible calibration: target_failure_rate * signal fraction exceeds "
                 "the error-event rate; lower signal_strength or raise per_flag_error_rate")

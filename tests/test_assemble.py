@@ -41,16 +41,14 @@ def test_window_variant_matches_oracle():
     bundle = helpers.micro_bundle(
         n_machines=2, n_hours=60, failures_at=((1, 40), (2, 12)),
         errors_at=((2, 3, 1),))
-    horizon = assemble.HorizonConfig(horizon_hours=24, window=True)
-    assert helpers.table_rows(assemble.build_event_stream(bundle, horizon)) == \
+    assert helpers.table_rows(assemble.build_event_stream(bundle, 24, window=True)) == \
         helpers.brute_force_stream(bundle, window=True)
 
 
 def test_window_labels_cover_the_whole_horizon():
     bundle = helpers.micro_bundle(n_machines=1, n_hours=80,
                                   failures_at=((1, 40),))
-    rows = assemble.build_event_stream(
-        bundle, assemble.HorizonConfig(horizon_hours=24, window=True))
+    rows = assemble.build_event_stream(bundle, 24, window=True)
     positive_hours = rows.datetime[rows.label].tolist()
     assert positive_hours == [hour(i) for i in range(16, 40)]
 
@@ -58,8 +56,7 @@ def test_window_labels_cover_the_whole_horizon():
 def test_row_count_arithmetic():
     for n_hours, horizon in ((30, 24), (48, 12), (25, 24)):
         bundle = helpers.micro_bundle(n_machines=2, n_hours=n_hours)
-        rows = assemble.build_event_stream(
-            bundle, assemble.HorizonConfig(horizon_hours=horizon))
+        rows = assemble.build_event_stream(bundle, horizon_hours=horizon)
         assert len(rows) == 2 * (n_hours - horizon)
 
 
@@ -163,16 +160,23 @@ def test_empty_rows_rejected(small_rows):
         assemble.encode(small_rows[:0])
 
 
+def test_weight_positive_must_be_positive(small_rows):
+    for weight in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="weight_positive"):
+            assemble.encode(small_rows[:50], weight_positive=weight)
+
+
 def test_unknown_feature_rejected(small_rows):
     with pytest.raises(assemble.EncodingError, match="unknown"):
         assemble.encode(small_rows[:50], features=["volt", "bogus"])
 
 
 def test_horizon_config_validation():
-    with pytest.raises(ValueError):
-        assemble.HorizonConfig(horizon_hours=0)
-    assert assemble.HorizonConfig().label_semantics == "point-at-horizon"
-    assert assemble.HorizonConfig(window=True).label_semantics == "within-horizon"
+    bundle = helpers.micro_bundle(n_machines=1, n_hours=30)
+    for window in (False, True):
+        with pytest.raises(ValueError, match="horizon_hours must be at least 1"):
+            assemble.build_event_stream(bundle, horizon_hours=0, window=window)
+    assert len(assemble.build_event_stream(bundle, horizon_hours=1)) == 29
 
 
 # sha256 of the stream CSV that `failcast assemble` writes for the bundle

@@ -206,6 +206,43 @@ def test_out_of_range_integer_exits_1(dataset, tmp_path, capsys, dataset_file):
     assert f"{dataset_file}:3:machine_id: integer out of range" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, out", [("train", "--out"), ("evaluate", "--out-dir")])
+def test_overflowing_reading_exits_1_naming_its_column(dataset, tmp_path, capsys,
+                                                       command, out):
+    broken = tmp_path / "data"
+    shutil.copytree(dataset, broken)
+    telemetry = broken / "telemetry.csv"
+    lines = telemetry.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = "1e308"  # volt: finite, but its square overflows float64
+    lines[3] = ",".join(cells)
+    telemetry.write_text("\n".join(lines) + "\n")
+    rc = cli.main([command, "--in-dir", str(broken), out, str(tmp_path / "result")])
+    assert rc == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "degenerate encoding: column 'volt' has a non-finite mean or std" in err
+
+
+@pytest.mark.parametrize("subcommand", ["generate", "train", "evaluate", "prune"])
+def test_non_finite_float_setting_exits_1_naming_its_flag(subcommand, tmp_path, capsys):
+    float_keys = [k for k, v in cli.DEFAULTS[subcommand].items() if isinstance(v, float)]
+    assert float_keys
+    config = tmp_path / "config.json"
+    for key in float_keys:
+        flag = "--" + key.replace("_", "-")
+        for value in ("nan", "inf", "-inf", "1e400"):
+            assert cli.main([subcommand, f"{flag}={value}"]) == cli.EXIT_FAILURE
+            assert capsys.readouterr().err == \
+                f"error: {flag} must be a finite number, got {float(value)!r}\n"
+        for value in (float("nan"), float("inf")):  # JSON's NaN and Infinity
+            config.write_text(json.dumps({key: value}))
+            assert cli.main([subcommand, "--config", str(config)]) == cli.EXIT_FAILURE
+            assert capsys.readouterr().err == \
+                f"error: {flag} must be a finite number, got {value!r}\n"
+
+
 def _stream_of(data_dir, out):
     """Exit code and stream CSV bytes of `failcast assemble` on a directory."""
     rc = cli.main(["assemble", "--in-dir", str(data_dir), "--out", str(out)])

@@ -30,8 +30,7 @@ def payload(micro_cv):
         "dataset_digest": "sha256:0000",
         "label_semantics": "failure at exactly t+24h",
         "pruning_rule": "relative",
-        "runs": {"full": report.cv_payload(micro_cv,
-                                           list(schema.FEATURE_NAMES))},
+        "runs": {"full": report.cv_payload(micro_cv)},
     }
 
 
@@ -68,7 +67,7 @@ def test_digest_is_order_independent_but_content_sensitive(tmp_path):
 
 def test_cv_payload_mirrors_the_result(micro_cv):
     features = list(schema.FEATURE_NAMES)
-    run = report.cv_payload(micro_cv, features)
+    run = report.cv_payload(micro_cv)
     assert run["features"] == features
     assert len(run["folds"]) == len(micro_cv.fold_results)
     for entry, fr in zip(run["folds"], micro_cv.fold_results):

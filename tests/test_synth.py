@@ -126,8 +126,9 @@ def test_config_validation():
         synth.SynthConfig(n_days=1)
     with pytest.raises(ValueError):
         synth.SynthConfig(target_failure_rate=0.6)
-    with pytest.raises(ValueError):
-        synth.SynthConfig(signal_strength=-1.0)
+    for signal in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            synth.SynthConfig(signal_strength=signal)
 
 
 def _mutual_information(a, b):

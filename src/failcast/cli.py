@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -148,7 +147,8 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
         cfg.update(file_cfg)
     cfg.update(explicit)
     for key, (kind, _, _) in options.items():
-        if kind is float and not math.isfinite(cfg[key]):
+        # NaN fails the comparison; a JSON integer beyond float range exceeds it.
+        if kind is float and not abs(cfg[key]) <= sys.float_info.max:
             raise ValueError(f"{_flag(key)} must be a finite number, got {cfg[key]!r}")
     return cfg
 

@@ -236,7 +236,7 @@ def test_non_finite_float_setting_exits_1_naming_its_flag(subcommand, tmp_path, 
             assert cli.main([subcommand, f"{flag}={value}"]) == cli.EXIT_FAILURE
             assert capsys.readouterr().err == \
                 f"error: {flag} must be a finite number, got {float(value)!r}\n"
-        for value in (float("nan"), float("inf")):  # JSON's NaN and Infinity
+        for value in (float("nan"), float("inf"), 10 ** 400):  # NaN, Infinity, 1000...
             config.write_text(json.dumps({key: value}))
             assert cli.main([subcommand, "--config", str(config)]) == cli.EXIT_FAILURE
             assert capsys.readouterr().err == \

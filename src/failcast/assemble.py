@@ -74,7 +74,8 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     _, first, count = np.unique(machine_id[order], return_index=True,
                                 return_counts=True)
     last_hour = np.repeat(when[order][first + count - 1], count)
-    rows = order[when[order] + np.timedelta64(horizon_hours, "h") <= last_hour]
+    # Leads in whole hours: t + horizon in datetime64 wraps for a huge horizon.
+    rows = order[(last_hour - when[order]) // np.timedelta64(1, "h") >= horizon_hours]
     machine_id, when = machine_id[rows], when[rows]
 
     columns = {"machine_id": machine_id, "datetime": when}
@@ -94,13 +95,13 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     days = when.astype("datetime64[D]").astype(np.int64)
     columns["day_of_week"] = np.array(schema.DAY_NAMES)[(days + 3) % 7]
 
-    # A failure at hour f labels the rows at f - k for each k ahead.
+    # A failure at hour f labels the rows at f - k for each k ahead.  No k
+    # exceeds a surviving row's lead, so with no row there is no shift.
     failures = bundle.failures
     failures = failures[np.logical_or.reduce([failures[f] for f in schema.COMP_FLAGS])]
-    ahead = range(1, horizon_hours + 1) if window else (horizon_hours,)
-    columns["label"] = _rows_with(keys, np.concatenate(
-        [_pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h"))
-         for k in ahead]))
+    ahead = range(1 if window else horizon_hours, horizon_hours + 1) if len(rows) else ()
+    columns["label"] = _rows_with(keys, np.concatenate([keys[:0]] + [
+        _pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h")) for k in ahead]))
     return np.rec.fromarrays([columns[c] for c in schema.STREAM_COLUMNS],
                              names=schema.STREAM_COLUMNS)
 

@@ -225,9 +225,9 @@ def _fit_config(cfg: dict) -> logreg.FitConfig:
                             solver=cfg["solver"])
 
 
-def _warn_unconverged(what: str, meta: logreg.FitMeta):
-    if not meta.converged:
-        print(f"warning: {what}: fit did not converge in {meta.iterations} "
+def _warn_unconverged(what: str, converged: bool, iterations: int):
+    if not converged:
+        print(f"warning: {what}: fit did not converge in {iterations} "
               "iteration(s); gradient max-norm is above --tolerance", file=sys.stderr)
 
 
@@ -264,10 +264,10 @@ def cmd_train(cfg: dict) -> int:
     rows, violations = _load_stream(cfg)
     data = assemble.encode(rows, weight_positive=cfg["weight"])
     model = logreg.fit(data, _fit_config(cfg))
-    _warn_unconverged("train", model.fit_meta)
+    meta = model.fit_meta
+    _warn_unconverged("train", meta.converged, meta.iterations)
     logreg.save_model(model, cfg["out"])
     _write_json(_sibling_config_path(cfg["out"]), _config_payload("train", cfg))
-    meta = model.fit_meta
     print(f"fit {len(rows)} rows in {meta.iterations} iterations "
           f"(objective {meta.final_objective:.6f}); model saved to {cfg['out']}")
     return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -280,29 +280,28 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
     fit_config = _fit_config(cfg)
     full = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
                                 cfg["threshold"])
-    reduced_names = evaluate.prune_features(full.weights, rule=rule,
+    reduced_names = evaluate.prune_features(full["weights"], rule=rule,
                                             threshold=rule_threshold)
     reduced = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
                                    cfg["threshold"], features=reduced_names)
-    for run_name, run in (("full", full), ("reduced", reduced)):
-        for fold in run.fold_results:
-            _warn_unconverged(f"{run_name} fold {fold.fold_index}", fold.model.fit_meta)
+    runs = {"full": full, "reduced": reduced}
+    for run_name, run in runs.items():
+        for fold in run["folds"]:
+            _warn_unconverged(f"{run_name} fold {fold['fold_index']}",
+                              fold["converged"], fold["iterations"])
     payload = {
         **_config_payload(command, cfg),
         "dataset_digest": report.dataset_digest(_input_paths(cfg)),
         "label_semantics": "within-horizon" if cfg["label_window"] else "point-at-horizon",
         "pruning_rule": rule,
-        "runs": {
-            "full": report.cv_payload(full),
-            "reduced": report.cv_payload(reduced),
-        },
+        "runs": runs,
     }
     report.write_bundle(cfg["out_dir"], payload)
     _write_json(os.path.join(cfg["out_dir"], RUN_CONFIG),
                 _config_payload(command, cfg))
-    print(f"average failure recall: full {full.average_failure_recall:.4f}, "
+    print(f"average failure recall: full {full['average_normalized'][1][1]:.4f}, "
           f"reduced ({len(reduced_names)} features) "
-          f"{reduced.average_failure_recall:.4f}")
+          f"{reduced['average_normalized'][1][1]:.4f}")
     print(f"report bundle written to {cfg['out_dir']}")
     return EXIT_VIOLATIONS if violations else EXIT_OK
 

@@ -9,7 +9,7 @@ future hours of never-seen machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,69 +28,30 @@ class PruneError(Exception):
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """One fold: ascending stream row indices for each side."""
+    """One fold: ascending stream row indices for each side, its test machines'
+    rows from the time cutoff on and the other machines' rows before it."""
 
     fold_index: int
     train_rows: np.ndarray
     test_rows: np.ndarray
-    train_machines: frozenset
-    test_machines: frozenset
-    time_cutoff: object
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+def confusion_counts(y_true, y_pred) -> list[list[int]]:
     """2x2 counts indexed [true class][predicted class], negatives first."""
-
-    counts: tuple[tuple[int, int], tuple[int, int]]
-
-    @classmethod
-    def from_predictions(cls, y_true, y_pred) -> "ConfusionMatrix":
-        y_true = np.asarray(y_true, dtype=bool)
-        y_pred = np.asarray(y_pred, dtype=bool)
-        if y_true.shape != y_pred.shape:
-            raise ValueError("prediction length mismatch")
-        cells = np.bincount(2 * y_true.astype(int) + y_pred, minlength=4).tolist()
-        return cls(counts=(tuple(cells[:2]), tuple(cells[2:])))
-
-    def normalized(self) -> np.ndarray:
-        """Row-normalized rates; an empty true class yields a zero row."""
-        counts = np.array(self.counts, dtype=float)
-        totals = counts.sum(axis=1, keepdims=True)
-        return np.divide(counts, totals, out=np.zeros((2, 2)), where=totals > 0)
+    y_true = np.asarray(y_true, dtype=bool)
+    y_pred = np.asarray(y_pred, dtype=bool)
+    if y_true.shape != y_pred.shape:
+        raise ValueError("prediction length mismatch")
+    cells = np.bincount(2 * y_true.astype(int) + y_pred, minlength=4).tolist()
+    return [cells[:2], cells[2:]]
 
 
-@dataclass(frozen=True)
-class WeightEntry:
-    """One coefficient's mean and std across folds; ``constant`` is the
-    intercept."""
-
-    feature: str
-    mean: float
-    std: float
-
-
-@dataclass
-class FoldResult:
-    fold_index: int
-    matrix: ConfusionMatrix
-    model: logreg.LogisticModel
-    n_train: int
-    n_test: int
-
-
-@dataclass
-class CvResult:
-    """``weights`` holds the intercept and every feature, ordered by
-    descending |mean| and then by name."""
-
-    average_matrix: np.ndarray
-    weights: tuple[WeightEntry, ...]
-    fold_results: list[FoldResult] = field(default_factory=list)
-
-    @property
-    def average_failure_recall(self) -> float:
-        return float(self.average_matrix[1, 1])
+def normalized(counts) -> np.ndarray:
+    """Row-normalized rates of 2x2 ``counts``; an empty true class yields a
+    zero row."""
+    counts = np.array(counts, dtype=float)
+    totals = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, totals, out=np.zeros((2, 2)), where=totals > 0)
 
 
 def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
@@ -111,13 +72,10 @@ def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
     cutoff = distinct_times[len(distinct_times) // 2]
     before_cutoff = times < cutoff
 
-    shuffled = list(machines)
-    rng.Stream(rng.derive(seed, _FOLD_CHANNEL)).shuffle(shuffled)
+    rng.Stream(rng.derive(seed, _FOLD_CHANNEL)).shuffle(machines)
 
     folds = []
-    for fold_index, group in enumerate(np.array_split(shuffled, k)):
-        test_machines = frozenset(group.tolist())
-        train_machines = frozenset(machines) - test_machines
+    for fold_index, group in enumerate(np.array_split(machines, k)):
         in_test = np.isin(machine_ids, group)
         train_idx = np.flatnonzero(~in_test & before_cutoff)
         test_idx = np.flatnonzero(in_test & ~before_cutoff)
@@ -127,24 +85,27 @@ def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
                 raise FoldError(
                     f"fold {fold_index}: {name} side lacks "
                     f"{'negatives' if side.any() else 'positives'}")
-        folds.append(FoldSplit(fold_index=fold_index,
-                               train_rows=train_idx, test_rows=test_idx,
-                               train_machines=train_machines,
-                               test_machines=test_machines,
-                               time_cutoff=cutoff))
+        folds.append(FoldSplit(fold_index, train_idx, test_idx))
     return folds
 
 
 def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
                 weight_positive: float = 100.0, threshold: float = 0.5,
-                features=None) -> CvResult:
-    """Fit and score each fold without leakage; average the normalized
-    matrices elementwise and aggregate coefficients by feature name.
+                features=None) -> dict:
+    """Fit and score each fold without leakage; returns the run object that
+    report.json holds under ``runs.<name>``: the fitted ``features``; the
+    ``folds``, each with its ``fold_index``, ``n_train``, ``n_test``, fit
+    ``iterations`` and ``converged``, confusion ``counts`` and their row-
+    ``normalized`` rates, and ``alpha`` and ``beta`` by name; their elementwise
+    mean ``average_normalized`` ([1][1] is the average failure recall); and
+    ``weights``, each coefficient's ``mean`` and ``std`` across folds
+    (``constant`` is the intercept) with its ``abs_rank``, ordered by
+    descending |mean| and then by name.
 
     Encoding statistics and the fit see only that fold's training rows.
     Fit failures propagate with the fold index attached.
     """
-    fold_results = []
+    run_folds = []
     for fold in folds:
         try:
             train = assemble.encode(rows[fold.train_rows], weight_positive=weight_positive,
@@ -156,21 +117,31 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
         x_test = assemble.apply_encoding(
             assemble.raw_feature_matrix(test, features)[0], model.encoding)
         predicted = logreg.predict(model, x_test, threshold=threshold)
-        cm = ConfusionMatrix.from_predictions(test["label"], predicted)
-        fold_results.append(FoldResult(fold_index=fold.fold_index, matrix=cm,
-                                       model=model, n_train=len(fold.train_rows),
-                                       n_test=len(fold.test_rows)))
+        counts = confusion_counts(test["label"], predicted)
+        names = model.encoding.feature_names
+        run_folds.append({
+            "fold_index": fold.fold_index,
+            "n_train": len(fold.train_rows),
+            "n_test": len(fold.test_rows),
+            "iterations": model.fit_meta.iterations,
+            "converged": model.fit_meta.converged,
+            "counts": counts,
+            "normalized": normalized(counts).tolist(),
+            "alpha": model.alpha,
+            "beta": {name: float(b) for name, b in zip(names, model.beta)},
+        })
         del train, test, x_test  # free this fold's matrices before the next encode
 
-    average = np.mean([f.matrix.normalized() for f in fold_results], axis=0)
-    alphas = np.array([f.model.alpha for f in fold_results])
-    entries = [WeightEntry("constant", float(alphas.mean()), float(alphas.std()))]
-    for j, name in enumerate(fold_results[-1].model.encoding.feature_names):
-        values = np.array([f.model.beta[j] for f in fold_results])
-        entries.append(WeightEntry(name, float(values.mean()), float(values.std())))
-    entries.sort(key=lambda e: (-abs(e.mean), e.feature))
-    return CvResult(average_matrix=average, weights=tuple(entries),
-                    fold_results=fold_results)
+    values = {"constant": [f["alpha"] for f in run_folds],
+              **{name: [f["beta"][name] for f in run_folds] for name in names}}
+    weights = sorted(({"feature": name, "mean": float(np.mean(v)), "std": float(np.std(v))}
+                      for name, v in values.items()),
+                     key=lambda w: (-abs(w["mean"]), w["feature"]))
+    for rank, w in enumerate(weights, start=1):
+        w["abs_rank"] = rank
+    average = np.mean([f["normalized"] for f in run_folds], axis=0).tolist()
+    return {"features": list(names), "folds": run_folds,
+            "average_normalized": average, "weights": weights}
 
 
 # Feature categories dropped by the fixed "paper-reduced" preset:
@@ -190,11 +161,11 @@ def prune_features(weights, rule: str = "relative",
     The intercept is never part of the output.
     """
     if rule == "paper-reduced":
-        present = {e.feature for e in weights}
+        present = {w["feature"] for w in weights}
         return [f for f in PAPER_REDUCED_FEATURES if f in present]
     if rule != "relative":
         raise PruneError(f"unknown pruning rule {rule!r}; expected one of {PRUNE_RULES}")
-    magnitudes = {e.feature: abs(e.mean) for e in weights if e.feature != "constant"}
+    magnitudes = {w["feature"]: abs(w["mean"]) for w in weights if w["feature"] != "constant"}
     if not magnitudes:
         raise PruneError("weight report has no features")
     peak = max(magnitudes.values())

@@ -20,6 +20,7 @@ import csv
 import datetime as dt
 import itertools
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,10 @@ def _fast_column(cells, dtype):
         values = text == "1"
     else:
         try:
-            values = np.array(text, dtype=dtype)
+            with warnings.catch_warnings():
+                # A zone suffix or trailing blank warns; the canonical check rejects it.
+                warnings.simplefilter("ignore")
+                values = np.array(text, dtype=dtype)
         except ValueError:
             return None
     # Only canonical cells: numpy also reads "", "NaT", dates without a time

@@ -1,8 +1,8 @@
 """Report bundle: JSON payload, text summary, weight table and SVG charts.
 
-All artifacts are rendered with fixed formatting and no timestamps, so a
-re-run with identical inputs writes byte-identical files.  ``render``
-re-creates every derived artifact from report.json alone.
+Each run under ``runs`` is what ``evaluate.evaluate_cv`` returns.  All
+artifacts have fixed formatting and no timestamps, so identical inputs give
+byte-identical files, and ``render`` re-creates the rest from report.json alone.
 """
 
 from __future__ import annotations
@@ -31,35 +31,6 @@ def dataset_digest(paths) -> str:
             digest.update(handle.read())
         digest.update(b"\0")
     return "sha256:" + digest.hexdigest()
-
-
-def cv_payload(result) -> dict:
-    """JSON-ready view of one cross-validation run; the feature names are
-    those its fold models were fitted on."""
-    features = result.fold_results[0].model.encoding.feature_names
-    return {
-        "features": list(features),
-        "folds": [
-            {
-                "fold_index": f.fold_index,
-                "n_train": f.n_train,
-                "n_test": f.n_test,
-                "iterations": f.model.fit_meta.iterations,
-                "converged": f.model.fit_meta.converged,
-                "counts": [list(row) for row in f.matrix.counts],
-                "normalized": [[float(v) for v in row] for row in f.matrix.normalized()],
-                "alpha": f.model.alpha,
-                "beta": {name: float(b) for name, b in
-                         zip(features, f.model.beta)},
-            }
-            for f in result.fold_results
-        ],
-        "average_normalized": [[float(v) for v in row] for row in result.average_matrix],
-        "weights": [
-            {"feature": e.feature, "mean": e.mean, "std": e.std, "abs_rank": rank}
-            for rank, e in enumerate(result.weights, start=1)
-        ],
-    }
 
 
 def write_bundle(out_dir, payload: dict):

@@ -127,16 +127,16 @@ def test_benchmark_recall_full_and_reduced(bench_rows):
     start = time.perf_counter()
     folds = evaluate.make_folds(bench_rows, k=3, seed=42)
     full = evaluate.evaluate_cv(bench_rows, folds)
-    reduced_names = evaluate.prune_features(full.weights, rule="paper-reduced")
+    reduced_names = evaluate.prune_features(full["weights"], rule="paper-reduced")
     reduced = evaluate.evaluate_cv(bench_rows, folds, features=reduced_names)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"benchmark evaluation took {elapsed:.1f}s (budget 60s)"
-    assert full.average_failure_recall >= 0.95, \
-        f"full-feature recall {full.average_failure_recall:.4f} < 0.95"
-    assert reduced.average_failure_recall >= full.average_failure_recall - 0.02, \
-        (f"reduced recall {reduced.average_failure_recall:.4f} fell more than "
-         f"0.02 below full {full.average_failure_recall:.4f}")
-    full_fnr, reduced_fnr = full.average_matrix[1, 0], reduced.average_matrix[1, 0]
+    full_fnr, full_recall = full["average_normalized"][1]
+    reduced_fnr, reduced_recall = reduced["average_normalized"][1]
+    assert full_recall >= 0.95, f"full-feature recall {full_recall:.4f} < 0.95"
+    assert reduced_recall >= full_recall - 0.02, \
+        (f"reduced recall {reduced_recall:.4f} fell more than "
+         f"0.02 below full {full_recall:.4f}")
     assert reduced_fnr <= full_fnr + 0.02, \
         (f"reduced false-negative rate {reduced_fnr:.4f} "
          f"rose more than 0.02 above full {full_fnr:.4f}")
@@ -146,10 +146,10 @@ def test_upweighting_failures_does_not_hurt_recall(bench_rows, bench_folds,
                                                   bench_cv):
     unweighted = evaluate.evaluate_cv(bench_rows, bench_folds,
                                       weight_positive=1.0)
-    heavy = bench_cv  # weight 100, same rows and folds
-    assert heavy.average_failure_recall >= unweighted.average_failure_recall, \
-        (f"recall at weight 100 ({heavy.average_failure_recall:.4f}) below "
-         f"weight 1 ({unweighted.average_failure_recall:.4f})")
+    heavy = bench_cv["average_normalized"][1][1]  # weight 100, same rows and folds
+    light = unweighted["average_normalized"][1][1]
+    assert heavy >= light, \
+        f"recall at weight 100 ({heavy:.4f}) below weight 1 ({light:.4f})"
 
 
 def test_identical_evaluate_runs_are_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ def test_row_count_arithmetic():
 def test_short_grid_yields_no_rows():
     bundle = helpers.micro_bundle(n_machines=1, n_hours=10)
     assert len(assemble.build_event_stream(bundle)) == 0
+
+
+def test_horizon_past_int64_seconds_yields_no_rows():
+    """Leads are compared in whole hours: t + horizon in datetime64[s]
+    wraps round once the horizon's seconds pass int64."""
+    bundle = helpers.micro_bundle(n_machines=2, n_hours=30, failures_at=((1, 20),))
+    for horizon in (10**16, 2**63, 10**30):
+        for window in (False, True):
+            assert len(assemble.build_event_stream(bundle, horizon, window)) == 0
+
+
+def test_window_horizon_past_every_timeline_builds_no_shifts():
+    bundle = helpers.micro_bundle(n_machines=2, n_hours=30, failures_at=((1, 20),))
+    start = time.perf_counter()
+    assert len(assemble.build_event_stream(bundle, 10**6, window=True)) == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.1f}s; one shifted key set per hour?"
 
 
 def test_rows_in_canonical_order(small_rows):

@@ -394,6 +394,55 @@ def test_single_cell_corruption_exits_0_1_or_2(clean_lines, tmp_path, capsys, da
             assert err.startswith(f"error: {directory / name}:{index + 1}:")
 
 
+_ROW_FAULTS = {"duplicate_key": "telemetry", "nan_reading": "telemetry",
+               "no_flag": None, "fail_without_comp": "maintenance",
+               "negative_age": "machines", "two_models": "machines"}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_row_level_fault_drops_just_that_row(clean_lines, tmp_path, data):
+    """One data row of a valid dataset turned into any row-level fault gives
+    exit 2 and, byte for byte, the stream of the dataset without that row."""
+    fault = data.draw(st.sampled_from(sorted(_ROW_FAULTS)), label="fault")
+    dataset = _ROW_FAULTS[fault] or data.draw(
+        st.sampled_from(["errors", "maintenance", "failures"]), label="event dataset")
+    columns = schema.CSV_COLUMNS[dataset]
+    lines = clean_lines[f"{dataset}.csv"]
+    # A duplicate key repeats an earlier row's, since the first row is kept.
+    index = data.draw(st.integers(2 if fault == "duplicate_key" else 1, len(lines) - 1),
+                      label="row")
+    cells = dict(zip(columns, lines[index].split(b",")))
+    if fault == "duplicate_key":
+        earlier = data.draw(st.integers(1, index - 1), label="earlier row")
+        cells["machine_id"], cells["datetime"] = lines[earlier].split(b",")[:2]
+    elif fault == "nan_reading":
+        cells[data.draw(st.sampled_from(schema.TELEMETRY_FIELDS), label="reading")] = b"nan"
+    elif fault == "no_flag":
+        cells.update(dict.fromkeys(columns[2:], b"0"))
+    elif fault == "fail_without_comp":
+        comp = data.draw(st.sampled_from(schema.COMP_FLAGS), label="component")
+        cells[comp], cells[f"{comp}_fail"] = b"0", b"1"
+    elif fault == "negative_age":
+        cells["age"] = b"%d" % -data.draw(st.integers(1, 10**6), label="minus age")
+    else:
+        unset = [f for f in schema.MODEL_FLAGS if cells[f] == b"0"]
+        cells[data.draw(st.sampled_from(unset), label="second model")] = b"1"
+    results = []
+    for row in ([b",".join(cells.values())], []):
+        directory = tmp_path / "data"
+        directory.mkdir(exist_ok=True)
+        for name, content in clean_lines.items():
+            if name == f"{dataset}.csv":
+                content = content[:index] + row + content[index + 1:]
+            (directory / name).write_bytes(b"\n".join(content) + b"\n")
+        results.append(_stream_of(directory, tmp_path / "stream.csv"))
+    (rc, stream), (_, expected) = results
+    assert rc == cli.EXIT_VIOLATIONS
+    assert stream == expected
+
+
 # --- configuration -----------------------------------------------------------
 
 def test_flags_override_config_file_overrides_defaults(tmp_path):

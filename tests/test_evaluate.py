@@ -1,9 +1,11 @@
 """Fold construction, confusion arithmetic, leakage freedom and pruning."""
 
+import json
+
 import numpy as np
 import pytest
 
-from failcast import assemble, evaluate, rng, schema
+from failcast import assemble, evaluate, logreg, rng, schema
 
 import helpers
 
@@ -29,30 +31,41 @@ def _cv_rows(n_machines, n_hours=96, train_failures=True, test_failures=True):
     return assemble.build_event_stream(bundle)
 
 
+def _machines(rows, idx):
+    return set(rows.machine_id[idx].tolist())
+
+
+def _cutoff(rows):
+    """The midpoint of the distinct-hour timeline."""
+    times = np.unique(rows.datetime)
+    return times[len(times) // 2]
+
+
 # --- fold construction -------------------------------------------------------
 
 def test_three_machines_three_folds_test_singletons():
     rows = _cv_rows(3)
     folds = evaluate.make_folds(rows, k=3, seed=0)
-    test_groups = [f.test_machines for f in folds]
+    test_groups = [_machines(rows, f.test_rows) for f in folds]
     assert sorted(len(g) for g in test_groups) == [1, 1, 1]
-    assert frozenset().union(*test_groups) == {1, 2, 3}
+    assert set().union(*test_groups) == {1, 2, 3}
 
 
 def test_folds_are_machine_disjoint_and_time_ordered():
     rows = _cv_rows(5)
     folds = evaluate.make_folds(rows, k=3, seed=9)
+    late = rows.datetime >= _cutoff(rows)
     all_test = []
     for fold in folds:
-        assert not fold.train_machines & fold.test_machines
-        assert fold.train_machines | fold.test_machines == set(range(1, 6))
-        for i in fold.train_rows:
-            assert rows[i].machine_id in fold.train_machines
-            assert rows[i].datetime < fold.time_cutoff
-        for i in fold.test_rows:
-            assert rows[i].machine_id in fold.test_machines
-            assert rows[i].datetime >= fold.time_cutoff
-        all_test.append(fold.test_machines)
+        train, test = _machines(rows, fold.train_rows), _machines(rows, fold.test_rows)
+        assert not train & test
+        assert train | test == set(range(1, 6))
+        # Test rows are every late row of the test machines, train rows
+        # every early row of the others, both ascending.
+        in_test = np.isin(rows.machine_id, list(test))
+        assert np.array_equal(fold.test_rows, np.flatnonzero(in_test & late))
+        assert np.array_equal(fold.train_rows, np.flatnonzero(~in_test & ~late))
+        all_test.append(test)
     for a in range(len(all_test)):
         for b in range(a + 1, len(all_test)):
             assert not all_test[a] & all_test[b]
@@ -71,10 +84,13 @@ def test_fold_partition_matches_shuffle_and_chunk_rule():
     expected_groups = [expected_order[0:3], expected_order[3:5],
                        expected_order[5:7]]
     times = sorted({r.datetime for r in rows})
+    cutoff = times[len(times) // 2]
     folds = evaluate.make_folds(rows, k=3, seed=seed)
-    assert [sorted(f.test_machines) for f in folds] == \
+    assert [sorted(_machines(rows, f.test_rows)) for f in folds] == \
         [sorted(g) for g in expected_groups]
-    assert all(f.time_cutoff == times[len(times) // 2] for f in folds)
+    for f in folds:
+        assert rows.datetime[f.test_rows].min() == cutoff
+        assert rows.datetime[f.train_rows].max() < cutoff
 
 
 def test_fold_assignment_is_deterministic_per_seed():
@@ -82,8 +98,9 @@ def test_fold_assignment_is_deterministic_per_seed():
     a = evaluate.make_folds(rows, k=3, seed=1)
     b = evaluate.make_folds(rows, k=3, seed=1)
     c = evaluate.make_folds(rows, k=3, seed=2)
-    assert [f.test_machines for f in a] == [f.test_machines for f in b]
-    assert [f.test_machines for f in a] != [f.test_machines for f in c]
+    groups = [[_machines(rows, f.test_rows) for f in folds] for folds in (a, b, c)]
+    assert groups[0] == groups[1]
+    assert groups[0] != groups[2]
 
 
 def test_too_few_machines_for_folds():
@@ -123,31 +140,29 @@ def test_fold_missing_a_class_names_the_fold():
 def test_confusion_matrix_counts_by_hand():
     y_true = [False, False, True, True, True, False]
     y_pred = [False, True, True, False, True, False]
-    cm = evaluate.ConfusionMatrix.from_predictions(y_true, y_pred)
-    assert cm.counts == ((2, 1), (1, 2))
-    assert np.allclose(cm.normalized(), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+    counts = evaluate.confusion_counts(y_true, y_pred)
+    assert counts == [[2, 1], [1, 2]]
+    assert np.allclose(evaluate.normalized(counts), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
 
 
 def test_confusion_matrix_all_negative_predictions():
-    cm = evaluate.ConfusionMatrix.from_predictions(
-        [False, True], [False, False])
-    assert cm.counts == ((1, 0), (1, 0))
-    assert cm.normalized()[1].tolist() == [1.0, 0.0]
+    counts = evaluate.confusion_counts([False, True], [False, False])
+    assert counts == [[1, 0], [1, 0]]
+    assert evaluate.normalized(counts)[1].tolist() == [1.0, 0.0]
 
 
 def test_normalized_rows_sum_to_one():
-    cm = evaluate.ConfusionMatrix.from_predictions(
-        [False, False, True, True, True], [True, False, True, True, False])
-    norm = cm.normalized()
+    norm = evaluate.normalized(evaluate.confusion_counts(
+        [False, False, True, True, True], [True, False, True, True, False]))
     assert np.allclose(norm.sum(axis=1), 1.0, atol=1e-12)
-    empty_row = evaluate.ConfusionMatrix.from_predictions(
-        [False, False], [True, False]).normalized()
+    empty_row = evaluate.normalized(evaluate.confusion_counts(
+        [False, False], [True, False]))
     assert np.all(empty_row[1] == 0.0)
 
 
 def test_confusion_matrix_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
-        evaluate.ConfusionMatrix.from_predictions([True], [True, False])
+        evaluate.confusion_counts([True], [True, False])
 
 
 # --- cross-validated evaluation ----------------------------------------------
@@ -156,34 +171,53 @@ def test_evaluate_cv_shapes_and_bookkeeping():
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)
     result = evaluate.evaluate_cv(rows, folds)
-    assert len(result.fold_results) == 2
-    for fold, fr in zip(folds, result.fold_results):
-        assert fr.fold_index == fold.fold_index
-        assert fr.n_train == len(fold.train_rows)
-        assert fr.n_test == len(fold.test_rows)
-        assert sum(map(sum, fr.matrix.counts)) == fr.n_test
-    manual = np.mean([f.matrix.normalized() for f in result.fold_results],
-                     axis=0)
-    assert np.array_equal(result.average_matrix, manual)
-    assert result.average_failure_recall == result.average_matrix[1, 1]
+    assert result["features"] == list(schema.FEATURE_NAMES)
+    assert len(result["folds"]) == 2
+    for fold, entry in zip(folds, result["folds"]):
+        assert entry["fold_index"] == fold.fold_index
+        assert entry["n_train"] == len(fold.train_rows)
+        assert entry["n_test"] == len(fold.test_rows)
+        # The fold's model is the one fitted on its training rows alone.
+        model = logreg.fit(assemble.encode(rows[fold.train_rows]))
+        assert entry["iterations"] == model.fit_meta.iterations
+        assert entry["converged"] == model.fit_meta.converged
+        assert entry["alpha"] == model.alpha
+        assert entry["beta"] == dict(zip(result["features"], model.beta.tolist()))
+        test = rows[fold.test_rows]
+        x_test = assemble.apply_encoding(assemble.raw_feature_matrix(test)[0],
+                                         model.encoding)
+        assert entry["counts"] == evaluate.confusion_counts(
+            test.label, logreg.predict(model, x_test))
+        assert entry["normalized"] == evaluate.normalized(entry["counts"]).tolist()
+    manual = np.mean([f["normalized"] for f in result["folds"]], axis=0)
+    assert result["average_normalized"] == manual.tolist()
+    # The run object is what report.json stores: plain JSON types throughout.
+    assert json.loads(json.dumps(result)) == result
 
 
 def test_evaluate_cv_weight_report_covers_all_features():
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)
     result = evaluate.evaluate_cv(rows, folds)
-    assert sorted(e.feature for e in result.weights) == \
+    weights = result["weights"]
+    assert sorted(w["feature"] for w in weights) == \
         sorted(("constant",) + schema.FEATURE_NAMES)
-    ranks = [(-abs(e.mean), e.feature) for e in result.weights]
+    ranks = [(-abs(w["mean"]), w["feature"]) for w in weights]
     assert ranks == sorted(ranks)
+    assert [w["abs_rank"] for w in weights] == list(range(1, len(weights) + 1))
+    for w in weights:
+        per_fold = [f["alpha"] if w["feature"] == "constant" else f["beta"][w["feature"]]
+                    for f in result["folds"]]
+        assert (w["mean"], w["std"]) == (np.mean(per_fold), np.std(per_fold))
 
 
 def test_evaluate_cv_honours_feature_subset():
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)
     result = evaluate.evaluate_cv(rows, folds, features=["error_1", "age"])
-    assert {e.feature for e in result.weights} == {"constant", "error_1", "age"}
-    assert all(f.model.beta.shape == (2,) for f in result.fold_results)
+    assert {w["feature"] for w in result["weights"]} == {"constant", "error_1", "age"}
+    assert result["features"] == ["error_1", "age"]
+    assert all(list(f["beta"]) == ["error_1", "age"] for f in result["folds"])
 
 
 def test_fold_models_never_see_test_rows():
@@ -196,9 +230,9 @@ def test_fold_models_never_see_test_rows():
     perturbed.volt[victim] = 9e5
     perturbed.pressure[victim] = -9e5
     changed = evaluate.evaluate_cv(perturbed, folds)
-    for a, b in zip(base.fold_results, changed.fold_results):
-        assert a.model.alpha == b.model.alpha
-        assert np.array_equal(a.model.beta, b.model.beta)
+    for a, b in zip(base["folds"], changed["folds"]):
+        assert a["alpha"] == b["alpha"]
+        assert a["beta"] == b["beta"]
 
 
 def test_rescaling_a_telemetry_channel_changes_nothing_material():
@@ -208,19 +242,22 @@ def test_rescaling_a_telemetry_channel_changes_nothing_material():
     scaled_rows = rows.copy()
     scaled_rows.volt *= 1000.0
     scaled = evaluate.evaluate_cv(scaled_rows, folds)
-    assert np.allclose(base.average_matrix, scaled.average_matrix, atol=1e-9)
-    scaled_means = {e.feature: e.mean for e in scaled.weights}
-    assert scaled_means.keys() == {e.feature for e in base.weights}
-    for e in base.weights:
-        assert abs(e.mean - scaled_means[e.feature]) < 1e-6
+    assert np.allclose(base["average_normalized"], scaled["average_normalized"],
+                       atol=1e-9)
+    scaled_means = {w["feature"]: w["mean"] for w in scaled["weights"]}
+    assert scaled_means.keys() == {w["feature"] for w in base["weights"]}
+    for w in base["weights"]:
+        assert abs(w["mean"] - scaled_means[w["feature"]]) < 1e-6
 
 
 # --- pruning -----------------------------------------------------------------
 
+def _entry(feature, mean, std=0.0):
+    return {"feature": feature, "mean": mean, "std": std}
+
+
 def _weights(**means):
-    entries = [evaluate.WeightEntry("constant", -3.0, 0.1)]
-    entries += [evaluate.WeightEntry(f, m, 0.0) for f, m in means.items()]
-    return tuple(entries)
+    return [_entry("constant", -3.0, 0.1)] + [_entry(f, m) for f, m in means.items()]
 
 
 def test_relative_rule_drops_small_magnitudes():
@@ -231,10 +268,8 @@ def test_relative_rule_drops_small_magnitudes():
 
 
 def test_relative_rule_is_order_invariant_and_canonically_ordered():
-    entries = [evaluate.WeightEntry("age", 0.5, 0.0),
-               evaluate.WeightEntry("error_2", -1.5, 0.0),
-               evaluate.WeightEntry("constant", -3.0, 0.0),
-               evaluate.WeightEntry("error_1", 2.0, 0.0)]
+    entries = [_entry("age", 0.5), _entry("error_2", -1.5),
+               _entry("constant", -3.0), _entry("error_1", 2.0)]
     assert evaluate.prune_features(entries) == \
         evaluate.prune_features(entries[::-1]) == ["error_1", "error_2", "age"]
 
@@ -264,7 +299,7 @@ def test_prune_error_paths():
     with pytest.raises(evaluate.PruneError, match="unknown pruning rule"):
         evaluate.prune_features(weights, rule="absolute")
     with pytest.raises(evaluate.PruneError, match="no features"):
-        evaluate.prune_features([evaluate.WeightEntry("constant", -3.0, 0.0)])
+        evaluate.prune_features([_entry("constant", -3.0)])
     with pytest.raises(evaluate.PruneError, match="removed every feature"):
         evaluate.prune_features(weights, rule="relative", threshold=1.5)
 
@@ -272,16 +307,16 @@ def test_prune_error_paths():
 # --- behaviour on the benchmark dataset --------------------------------------
 
 def test_benchmark_error_flags_dominate_telemetry(bench_cv):
-    means = {e.feature: e.mean for e in bench_cv.weights}
+    means = {w["feature"]: w["mean"] for w in bench_cv["weights"]}
     peak = max(abs(m) for f, m in means.items() if f != "constant")
-    top = bench_cv.weights[0]
-    assert top.feature != "constant"
-    assert top.feature in schema.ERROR_FLAGS
+    top = bench_cv["weights"][0]["feature"]
+    assert top != "constant"
+    assert top in schema.ERROR_FLAGS
     for name in schema.TELEMETRY_FIELDS:
         assert abs(means[name]) < 0.10 * peak
 
 
 def test_benchmark_relative_prune_drops_all_telemetry(bench_cv):
-    kept = evaluate.prune_features(bench_cv.weights, rule="relative")
+    kept = evaluate.prune_features(bench_cv["weights"], rule="relative")
     assert not set(kept) & set(schema.TELEMETRY_FIELDS)
     assert set(kept) & set(schema.ERROR_FLAGS)

@@ -384,6 +384,24 @@ def test_unpadded_datetime_and_padded_cells_load(tmp_path):
             for e in bundle.errors] == [(1, dt.datetime(2015, 1, 1, 1), True, False)]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cell, expected", [
+    ("2015-01-01 00:00:00 ", [dt.datetime(2015, 1, 1)]),
+    ("2015-01-01 00:00:00Z", None),
+    ("2015-01-01 00:00:00+01", None),
+], ids=["trailing_blank", "zulu", "offset"])
+def test_zone_suffix_or_trailing_blank_raises_no_numpy_warning(tmp_path, cell, expected):
+    """Such a cell goes to the per-cell parser, which accepts the blank and
+    rejects a zone; numpy's timezone warning is not passed on."""
+    path = _write(tmp_path / "telemetry.csv",
+                  f"machine_id,datetime,volt,rotate,pressure,vibration\n1,{cell},170,450,100,40\n")
+    if expected is None:
+        with pytest.raises(ingest.IngestError, match="expected datetime"):
+            ingest.parse_csv(path, "telemetry")
+    else:
+        assert ingest.parse_csv(path, "telemetry").datetime.tolist() == expected
+
+
 @pytest.mark.parametrize("dataset, bad_row, column, message", [
     ("telemetry", "x1,2015-01-01 01:00:00,170,450,100,40", "machine_id",
      "expected integer, got 'x1'"),

@@ -30,7 +30,7 @@ def payload(micro_cv):
         "dataset_digest": "sha256:0000",
         "label_semantics": "failure at exactly t+24h",
         "pruning_rule": "relative",
-        "runs": {"full": report.cv_payload(micro_cv)},
+        "runs": {"full": micro_cv},
     }
 
 
@@ -64,24 +64,6 @@ def test_digest_is_order_independent_but_content_sensitive(tmp_path):
 
 
 # --- payload -----------------------------------------------------------------
-
-def test_cv_payload_mirrors_the_result(micro_cv):
-    features = list(schema.FEATURE_NAMES)
-    run = report.cv_payload(micro_cv)
-    assert run["features"] == features
-    assert len(run["folds"]) == len(micro_cv.fold_results)
-    for entry, fr in zip(run["folds"], micro_cv.fold_results):
-        assert entry["fold_index"] == fr.fold_index
-        assert entry["n_train"] == fr.n_train
-        assert entry["n_test"] == fr.n_test
-        assert entry["counts"] == [list(r) for r in fr.matrix.counts]
-        assert set(entry["beta"]) == set(features)
-        assert entry["alpha"] == fr.model.alpha
-    ranks = [w["abs_rank"] for w in run["weights"]]
-    assert ranks == list(range(1, len(features) + 2))  # + constant
-    mags = [abs(w["mean"]) for w in run["weights"]]
-    assert mags == sorted(mags, reverse=True)
-
 
 def test_payload_survives_json_round_trip(payload):
     again = json.loads(json.dumps(payload))
@@ -133,13 +115,13 @@ def test_weights_csv_round_trips_floats_exactly(tmp_path, payload, micro_cv):
     report.write_bundle(tmp_path, payload)
     lines = (tmp_path / "weights_full.csv").read_text().splitlines()
     assert lines[0] == "feature,mean,std,abs_rank"
-    by_feature = {e.feature: e for e in micro_cv.weights}
+    by_feature = {w["feature"]: w for w in micro_cv["weights"]}
     assert len(lines) - 1 == len(by_feature)
     for line in lines[1:]:
         feature, mean, std, rank = line.split(",")
-        assert float(mean) == by_feature[feature].mean
-        assert float(std) == by_feature[feature].std
-        assert int(rank) >= 1
+        assert float(mean) == by_feature[feature]["mean"]
+        assert float(std) == by_feature[feature]["std"]
+        assert int(rank) == by_feature[feature]["abs_rank"]
 
 
 def test_svgs_are_well_formed_xml(tmp_path, payload):

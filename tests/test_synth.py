@@ -159,11 +159,11 @@ def test_zero_signal_severs_error_label_dependence():
 
     folds = evaluate.make_folds(rows, k=3, seed=42)
     unweighted = evaluate.evaluate_cv(rows, folds, weight_positive=1.0)
-    assert unweighted.average_failure_recall <= 0.05
+    assert unweighted["average_normalized"][1][1] <= 0.05
 
     weighted = evaluate.evaluate_cv(rows, folds, weight_positive=100.0)
-    tp = sum(f.matrix.counts[1][1] for f in weighted.fold_results)
-    fp = sum(f.matrix.counts[0][1] for f in weighted.fold_results)
+    tp = sum(f["counts"][1][1] for f in weighted["folds"])
+    fp = sum(f["counts"][0][1] for f in weighted["folds"])
     precision = tp / (tp + fp)
     assert abs(precision - lab.mean()) < 0.01  # no better than base rate
 

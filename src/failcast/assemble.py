@@ -3,11 +3,12 @@
 The stream is one columnar table, a numpy record array with the columns
 ``schema.STREAM_COLUMNS``: one row per labelable telemetry hour in
 canonical (machine_id, datetime) order.  Events are left-joined onto the
-hourly telemetry grid on (machine_id, datetime) pairs (hours without a
-matching event keep all flags false), machine descriptors and day of week
-are attached, and each row is labeled with the machine failure state at
-``datetime + horizon_hours``.  Rows whose horizon extends past the last
-grid hour of their machine are dropped: their label is undefined.
+hourly telemetry grid on (machine_id, datetime) keys: a flag is set when
+any event row at that key sets it.  Machine descriptors and day of week
+are attached, and a failure at hour f labels its machine's rows in
+``[f - horizon_hours, f - first]``, where first is 1 for window labels and
+the horizon otherwise.  Rows whose horizon extends past the last grid
+hour of their machine are dropped: their label is undefined.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ def _pairs(machine_ids, datetimes) -> np.ndarray:
     return np.rec.fromarrays([machine_ids, datetimes], names="machine_id,datetime")
 
 
-def _rows_with(keys, queries) -> np.ndarray:
-    """Mask of the rows of the sorted ``keys`` that equal some query."""
+def _rows_in(keys, lo, hi) -> np.ndarray:
+    """Mask of the rows of the sorted ``keys`` that lie in some ``[lo[j], hi[j]]``."""
     marks = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.add.at(marks, np.searchsorted(keys, queries, side="left"), 1)
-    np.add.at(marks, np.searchsorted(keys, queries, side="right"), -1)
+    np.add.at(marks, np.searchsorted(keys, lo, side="left"), 1)
+    np.add.at(marks, np.searchsorted(keys, hi, side="right"), -1)
     return np.cumsum(marks[:-1]) > 0
 
 
@@ -71,11 +72,10 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
                             "absent from the machines dataset")
 
     order = np.lexsort((when, machine_id))
-    _, first, count = np.unique(machine_id[order], return_index=True,
-                                return_counts=True)
-    last_hour = np.repeat(when[order][first + count - 1], count)
+    ids, times = machine_id[order], when[order]
+    last_hour = times[np.searchsorted(ids, ids, side="right") - 1]
     # Leads in whole hours: t + horizon in datetime64 wraps for a huge horizon.
-    rows = order[(last_hour - when[order]) // np.timedelta64(1, "h") >= horizon_hours]
+    rows = order[(last_hour - times) // np.timedelta64(1, "h") >= horizon_hours]
     machine_id, when = machine_id[rows], when[rows]
 
     columns = {"machine_id": machine_id, "datetime": when}
@@ -84,7 +84,8 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
                           (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
         event_keys = _pairs(events.machine_id, events.datetime)
         for f in flags:
-            columns[f] = _rows_with(keys, event_keys[events[f]])
+            flagged = event_keys[events[f]]
+            columns[f] = _rows_in(keys, flagged, flagged)
     for f in schema.TELEMETRY_FIELDS:
         columns[f] = telemetry[f][rows]
     by_id = np.argsort(machines.machine_id)
@@ -95,13 +96,13 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     days = when.astype("datetime64[D]").astype(np.int64)
     columns["day_of_week"] = np.array(schema.DAY_NAMES)[(days + 3) % 7]
 
-    # A failure at hour f labels the rows at f - k for each k ahead.  No k
-    # exceeds a surviving row's lead, so with no row there is no shift.
+    # Failure f labels [f - horizon, f - first].  The horizon is at most a
+    # surviving row's lead; with no row it may pass datetime64's range.
     failures = bundle.failures
     failures = failures[np.logical_or.reduce([failures[f] for f in schema.COMP_FLAGS])]
-    ahead = range(1 if window else horizon_hours, horizon_hours + 1) if len(rows) else ()
-    columns["label"] = _rows_with(keys, np.concatenate([keys[:0]] + [
-        _pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h")) for k in ahead]))
+    ahead = (horizon_hours, 1 if window else horizon_hours) if len(rows) else (0, 0)
+    columns["label"] = _rows_in(keys, *(
+        _pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h")) for k in ahead))
     return np.rec.fromarrays([columns[c] for c in schema.STREAM_COLUMNS],
                              names=schema.STREAM_COLUMNS)
 

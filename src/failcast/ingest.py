@@ -8,9 +8,10 @@ first malformed cell.  Timestamps are rounded to the nearest hour (exact
 half rounds up).
 
 After validation every row that a violation names is dropped: duplicate
-keys keep their first row, and rows referencing a machine missing from
-(or dropped from) the machines dataset go.  Event rows that then collide
-on (machine_id, hour) are merged by logical OR of their flags.
+telemetry or machine keys keep their first row, and rows referencing a
+machine missing from (or dropped from) the machines dataset go.  Event
+rows that share a (machine_id, hour) are kept as they are; the stream
+join (``assemble``) ORs their flags.
 """
 
 from __future__ import annotations
@@ -208,18 +209,6 @@ def parse_csv(path, dataset: str) -> np.recarray:
     return parsed
 
 
-def _or_merge(table, flag_names):
-    """Merge events sharing (machine_id, hour) by OR of their flags, in the
-    order each key first appears."""
-    first = schema.first_rows(table.machine_id, table.datetime)
-    leads = first == np.arange(len(table))
-    merged = table[leads]
-    group = (np.cumsum(leads) - 1)[first]
-    for f in flag_names:
-        merged[f] = np.bincount(group, weights=table[f], minlength=len(merged)) > 0
-    return merged
-
-
 def _grid_violations(telemetry) -> list:
     """Report non-contiguous hourly telemetry grids; gaps are tolerated."""
     order = np.lexsort((telemetry.datetime, telemetry.machine_id))
@@ -250,10 +239,12 @@ def _kept(table, violations, name):
 
 
 def load_bundle(telemetry, errors, maintenance, failures, machines):
-    """Load, round, validate, drop violating rows and merge the five datasets.
+    """Load, round and validate the five datasets and drop violating rows.
 
-    Returns ``(DatasetBundle, violations)``.  Violations are data; only
-    structural faults (missing column, malformed cell) raise IngestError.
+    Returns ``(DatasetBundle, violations)``.  Each table holds its file's
+    rows in file order, minus the rows a violation names; event rows that
+    share a (machine_id, hour) stay separate rows.  Violations are data;
+    only structural faults (missing column, malformed cell) raise IngestError.
     """
     paths = {"telemetry": telemetry, "errors": errors, "maintenance": maintenance,
              "failures": failures, "machines": machines}
@@ -265,16 +256,9 @@ def load_bundle(telemetry, errors, maintenance, failures, machines):
     machines = _kept(raw["machines"], violations, "machines")
     violations.extend(_reference_violations(raw, machines.machine_id))
     violations.extend(_grid_violations(raw["telemetry"]))
-    kept = {name: _kept(raw[name], violations, name)
-            for name in ("telemetry", "errors", "maintenance", "failures")}
-    bundle = DatasetBundle(
-        telemetry=kept["telemetry"],
-        errors=_or_merge(kept["errors"], schema.ERROR_FLAGS),
-        maintenance=_or_merge(kept["maintenance"],
-                              schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS),
-        failures=_or_merge(kept["failures"], schema.COMP_FLAGS),
-        machines=machines,
-    )
+    bundle = DatasetBundle(machines=machines, **{
+        name: _kept(raw[name], violations, name)
+        for name in ("telemetry", "errors", "maintenance", "failures")})
     return bundle, violations
 
 

@@ -72,8 +72,8 @@ def micro_bundle(n_machines=2, n_hours=48, failures_at=(), errors_at=(),
     tel = [telemetry(m, i)
            for m in range(1, n_machines + 1) for i in range(n_hours)]
     fails = [failure(m, i, comp=(m + i) % 4 + 1) for m, i in failures_at]
-    # Valid bundles carry at most one event record per machine-hour, so
-    # coinciding entries are folded into a single record here.
+    # Coinciding entries are folded into one record per machine-hour here;
+    # test_assemble's unmerged bundles cover several rows at one hour.
     mnt_flags = {}
     for m, i in failures_at:
         mnt_flags.setdefault((m, i), [set(), set()])[1].add((m + i) % 4 + 1)

@@ -4,8 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from failcast import assemble, cli, ingest, schema
+from failcast import assemble, cli, ingest, schema, synth
 
 import helpers
 from helpers import hour
@@ -36,6 +37,43 @@ def test_matches_brute_force_join_oracle():
         maintenance_at=((2, 10, 3),))
     assert helpers.table_rows(assemble.build_event_stream(bundle)) == \
         helpers.brute_force_stream(bundle)
+
+
+@st.composite
+def unmerged_bundles(draw):
+    """A bundle built from tables as ``load_bundle`` leaves them: telemetry
+    with gaps and in any row order, and event rows that may share a
+    machine-hour, each a separate row."""
+    n_machines = draw(st.integers(1, 3))
+    n_hours = draw(st.integers(1, 96))
+    gaps = st.sets(st.integers(0, n_hours - 1), max_size=6)
+    tel = [helpers.telemetry(m, i) for m in range(1, n_machines + 1)
+           for i in sorted(set(range(n_hours)) - draw(gaps))]
+    keys = st.tuples(st.integers(1, n_machines), st.integers(0, n_hours - 1))
+
+    def rows(make, values, max_size):
+        drawn = draw(st.lists(st.tuples(keys, values), max_size=max_size))
+        return [make(m, i, v) for (m, i), v in drawn]
+
+    tables = {
+        "telemetry": draw(st.permutations(tel)),
+        "errors": rows(lambda m, i, v: helpers.error(m, i, *v),
+                       st.sets(st.integers(1, 5), min_size=1), 10),
+        "maintenance": rows(lambda m, i, v: helpers.maintenance(m, i, *v),
+                            st.tuples(st.sets(st.integers(1, 4), min_size=1),
+                                      st.sets(st.integers(1, 4))), 6),
+        "failures": rows(lambda m, i, v: helpers.failure(m, i, v), st.integers(1, 4), 8),
+        "machines": [helpers.descriptor(m) for m in range(1, n_machines + 1)],
+    }
+    return ingest.DatasetBundle(**{name: helpers.table(name, records)
+                                   for name, records in tables.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle=unmerged_bundles(), horizon=st.integers(1, 48), window=st.booleans())
+def test_unmerged_bundle_matches_brute_force_join_oracle(bundle, horizon, window):
+    assert helpers.table_rows(assemble.build_event_stream(bundle, horizon, window)) == \
+        helpers.brute_force_stream(bundle, horizon, window)
 
 
 def test_window_variant_matches_oracle():
@@ -76,11 +114,17 @@ def test_horizon_past_int64_seconds_yields_no_rows():
 
 
 def test_window_horizon_past_every_timeline_builds_no_shifts():
-    bundle = helpers.micro_bundle(n_machines=2, n_hours=30, failures_at=((1, 20),))
-    start = time.perf_counter()
-    assert len(assemble.build_event_stream(bundle, 10**6, window=True)) == 0
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"took {elapsed:.1f}s; one shifted key set per hour?"
+    cases = [
+        (helpers.micro_bundle(n_machines=2, n_hours=30, failures_at=((1, 20),)), 10**6, 0),
+        # Every row of this year is within 8000 hours of a failure.
+        (synth.generate(synth.SynthConfig(n_machines=2, n_days=365, seed=0)), 8000, 1520),
+    ]
+    for bundle, horizon, n_rows in cases:
+        start = time.perf_counter()
+        rows = assemble.build_event_stream(bundle, horizon, window=True)
+        elapsed = time.perf_counter() - start
+        assert len(rows) == n_rows and rows.label.all()
+        assert elapsed < 1.0, f"took {elapsed:.1f}s; one shifted key set per hour?"
 
 
 def test_rows_in_canonical_order(small_rows):

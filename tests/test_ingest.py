@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failcast import ingest, schema
+from failcast import assemble, ingest, schema
 
 import helpers
 from helpers import hour
@@ -147,28 +147,38 @@ def test_grid_gap_reported_but_tolerated(tmp_path):
 
 
 def test_error_events_or_merged_on_collision(tmp_path):
+    """Event rows that round to one machine-hour stay separate bundle rows;
+    the stream row at that hour ORs their flags."""
     paths = _write_minimal(
-        tmp_path, "1,2015-01-01 00:00:00,170,450,100,40\n")
+        tmp_path,
+        "1,2015-01-01 00:00:00,170,450,100,40\n"
+        "1,2015-01-01 01:00:00,170,450,100,40\n")
     _write(tmp_path / "errors.csv",
            "machine_id,datetime,error_1,error_2,error_3,error_4,error_5\n"
            "1,2015-01-01 00:10:00,1,0,0,0,0\n"
            "1,2015-01-01 00:20:00,0,0,1,0,0\n")
-    bundle, _ = ingest.load_bundle(**paths)
-    assert len(bundle.errors) == 1
-    merged = bundle.errors[0]
-    assert merged.error_1 and merged.error_3
-    assert not (merged.error_2 or merged.error_4 or merged.error_5)
+    bundle, violations = ingest.load_bundle(**paths)
+    assert violations == []
+    assert len(bundle.errors) == 2
+    rows = assemble.build_event_stream(bundle, horizon_hours=1)
+    assert rows.datetime.tolist() == [dt.datetime(2015, 1, 1)]
+    assert [bool(rows[f][0]) for f in schema.ERROR_FLAGS] == [True, False, True, False, False]
 
 
 def test_distinct_hours_not_merged(tmp_path):
     paths = _write_minimal(
-        tmp_path, "1,2015-01-01 00:00:00,170,450,100,40\n")
+        tmp_path,
+        "1,2015-01-01 00:00:00,170,450,100,40\n"
+        "1,2015-01-01 01:00:00,170,450,100,40\n")
     _write(tmp_path / "errors.csv",
            "machine_id,datetime,error_1,error_2,error_3,error_4,error_5\n"
            "1,2015-01-01 00:00:00,1,0,0,0,0\n"
            "1,2015-01-01 01:00:00,0,0,1,0,0\n")
     bundle, _ = ingest.load_bundle(**paths)
     assert len(bundle.errors) == 2
+    rows = assemble.build_event_stream(bundle, horizon_hours=1)
+    assert rows.datetime.tolist() == [dt.datetime(2015, 1, 1)]
+    assert [bool(rows[f][0]) for f in schema.ERROR_FLAGS] == [True, False, False, False, False]
 
 
 def test_load_is_deterministic(tmp_path):

@@ -1,11 +1,12 @@
 """CSV parsing and validation for the five event datasets.
 
-Each file is read once and parsed straight into columns, giving one table
-per dataset (see ``schema``).  A column is parsed by numpy in one pass when
-every cell is in canonical form; otherwise its cells go through the
-per-cell parser, which strips whitespace and raises ``IngestError`` at the
-first malformed cell.  Timestamps are rounded to the nearest hour (exact
-half rounds up).
+Each file is parsed into columns, giving one table per dataset (see
+``schema``).  A file in canonical form, such as every ``write_csv``
+output, is read once by numpy's C reader (``np.loadtxt``).  Any other
+file, valid or not, goes to the block parser, which reads it again with the
+csv module, strips whitespace around each cell and parses cell by cell; it
+alone raises ``IngestError``, at the first malformed cell.  Timestamps are
+rounded to the nearest hour (exact half rounds up).
 
 After validation every row that a violation names is dropped: duplicate
 telemetry or machine keys keep their first row, and rows referencing a
@@ -16,10 +17,8 @@ join (``assemble``) ORs their flags.
 
 from __future__ import annotations
 
-import array
 import csv
 import datetime as dt
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -34,6 +33,12 @@ BUNDLE_FILENAMES = {name: f"{name}.csv" for name in CSV_COLUMNS}
 _BLOCK_ROWS = 1 << 15
 _INT64 = np.iinfo(np.int64)
 _FIRST_DATETIME = np.datetime64(dt.datetime.min, "s")
+# The C reader reads each flag and datetime cell as text one byte wider than
+# a canonical cell, so that a longer cell shows instead of being cut.  Per
+# dtype kind: that text dtype, then the lowest and highest byte at each place
+# of a canonical cell, whose last byte is the NUL padding.
+_TEXT_CELLS = {"b": ("S2", b"0\0", b"1\0"),
+               "M": ("S20", b"0000-00-00 00:00:00\0", b"9999-99-99 99:99:99\0")}
 
 
 class IngestError(Exception):
@@ -87,126 +92,111 @@ def _parse_cell(text, kind, path, line, column):
 def _canonical(column):
     """The cells of a table column as the strings written to CSV: flags as
     1 and 0, timestamps as ``YYYY-MM-DD HH:MM:SS`` (year zero-padded) and
-    anything else as ``str``.  Flags and timestamps stay a numpy array, so
-    the reader's check on them makes no Python string per cell."""
+    anything else as ``str``."""
     if column.dtype.kind == "b":
-        return np.where(column, "1", "0")
+        return np.where(column, "1", "0").tolist()
     if column.dtype.kind == "M":
-        return np.char.replace(np.datetime_as_string(column), "T", " ")
-    return list(map(str, column.tolist()))
+        return np.char.replace(np.datetime_as_string(column), "T", " ").tolist()
+    if column.dtype.kind == "U":
+        return column.tolist()
+    return list(map(repr, column.tolist()))  # a number's str, but quicker to call
 
 
-def _fast_column(cells, dtype):
-    """The cells as an array of ``dtype`` when every cell is in the form the
-    per-cell parser would read back the same way; otherwise None."""
-    if not cells:
-        return np.zeros(0, dtype)
-    if dtype.kind in "if":
-        try:
-            return np.fromiter(map(int if dtype.kind == "i" else float, cells),
-                               dtype, len(cells))
-        except (ValueError, OverflowError):
-            return None
-    text = np.array(cells, dtype=str)
-    if dtype.kind == "b":
-        values = text == "1"
-    else:
-        try:
-            with warnings.catch_warnings():
-                # A zone suffix or trailing blank warns; the canonical check rejects it.
-                warnings.simplefilter("ignore")
-                values = np.array(text, dtype=dtype)
-        except ValueError:
-            return None
-    # Only canonical cells: numpy also reads "", "NaT", dates without a time
-    # and ISO "T" separators, and the per-cell parser strips whitespace.
-    canonical = text == _canonical(values)
-    if dtype.kind == "M":
-        canonical &= values >= _FIRST_DATETIME
-    return values if canonical.all() else None
-
-
-def _parse_rows(rows, lines, columns, path) -> dict:
-    """Columns of a block of rows starting on the given physical lines;
-    raises the first structural fault of the block in file order."""
-    if not all(rows):
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = [row for row in rows if row]
-    wrong = np.flatnonzero(np.fromiter(map(len, rows), np.int64, len(rows)) != len(columns))
-    short = wrong[0] if len(wrong) else None
-    good = rows[:short]
-    cells = list(zip(*good)) if good else [()] * len(columns)
-
-    parsed, faults = {}, []
-    for position, (name, column) in enumerate(zip(columns, cells)):
-        dtype = schema.column_type(name)
-        values = _fast_column(column, dtype)
-        if values is None:
-            try:
-                values = np.array([_parse_cell(cell.strip(), dtype.kind, path, line, name)
-                                   for cell, line in zip(column, lines)], dtype)
-            except IngestError as exc:
-                faults.append((exc.line, position, exc))
-                continue
-        parsed[name] = values
-    if faults:
-        raise min(faults, key=lambda fault: fault[:2])[2]
-    if short is not None:
-        raise IngestError(path, lines[short], "-",
-                          f"expected {len(columns)} fields, got {len(rows[short])}")
+def _read_canonical(path, columns):
+    """The file's columns as numpy's C reader reads them, or None unless the
+    file is canonical: the exact header, no NUL (a text cell loses trailing
+    NULs), no quote, comment or line past the csv field limit (where the
+    block parser stops), and flags and datetimes exactly as ``write_csv``
+    writes them.  The C reader reads every number there as Python does."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    header = ",".join(columns).encode()
+    half = csv.field_size_limit() // 2  # a longer line holds a whole chunk this long
+    if not (b"\0" not in raw and raw.startswith((header + b"\n", header + b"\r\n"))
+            and all(raw.find(b"\n", i, i + half) >= 0
+                    for i in range(0, len(raw) - half + 1, half))):
+        return None
+    del raw
+    types = {name: schema.column_type(name) for name in columns}
+    read_as = [(name, _TEXT_CELLS[t.kind][0] if t.kind in _TEXT_CELLS else t)
+               for name, t in types.items()]
+    parsed = {}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = np.loadtxt(path, read_as, delimiter=",", skiprows=1, comments=None,
+                               quotechar=None, ndmin=1)
+            for name, t in types.items():
+                parsed[name] = cells[name]
+                if t.kind in _TEXT_CELLS:
+                    low, high = (np.frombuffer(b, np.uint8) for b in _TEXT_CELLS[t.kind][1:])
+                    chars = cells[name][:, None].view(np.uint8)  # a row of bytes per cell
+                    if not ((chars >= low) & (chars <= high)).all():
+                        return None
+                    # numpy rejects a date or time out of range, as strptime does.
+                    parsed[name] = cells[name] == b"1" if t.kind == "b" else \
+                        cells[name].astype(t)
+    except (ValueError, Warning):
+        return None
+    if "datetime" in parsed and (parsed["datetime"] < _FIRST_DATETIME).any():
+        return None  # year 0, which numpy reads and strptime does not
     return parsed
 
 
-def _records(reader, path, faults, starts):
-    """The reader's rows up to its first ``csv.Error`` (such as an oversized
-    field), which is appended to ``faults`` at the line the reader reached.
-    Before each row is read, the physical line it starts on is appended to
-    ``starts``; a row may span lines when a quoted cell holds a newline."""
-    try:
-        starts.append(reader.line_num + 1)
-        for row in reader:
-            yield row
-            starts.append(reader.line_num + 1)
-    except csv.Error as exc:
-        faults.append(IngestError(path, reader.line_num, "-", str(exc)))
+def _read_blocks(path, columns) -> np.ndarray:
+    """The block parser: the file's rows as a structured array, read by the
+    csv module and parsed cell by cell, ``_BLOCK_ROWS`` rows to a block.
+    Raises the first structural fault in file order: within a line a wrong
+    field count comes before any cell, and cells are checked left to right.
+    A row's line is the physical line it starts on, which a quoted cell that
+    holds a newline moves on."""
+    dtype = np.dtype([(name, schema.column_type(name)) for name in columns])
+    kinds = [dtype[name].kind for name in columns]
+    blocks, rows = [], []
+    # Undecodable bytes become lone surrogates, which no cell parser accepts,
+    # so they are reported at their file:line:column like any malformed cell.
+    with open(path, newline="", errors="surrogateescape") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(path, 1, "-", "empty file, header row required")
+            if tuple(header) != columns:
+                missing = [c for c in columns if c not in header]
+                detail = f"missing column(s) {missing}" if missing else f"got {header}"
+                raise IngestError(path, 1, "-",
+                                  f"header must be {','.join(columns)}; {detail}")
+            line = reader.line_num + 1
+            for row in reader:
+                if row and len(row) != len(columns):
+                    raise IngestError(path, line, "-",
+                                      f"expected {len(columns)} fields, got {len(row)}")
+                if row:
+                    rows.append(tuple([_parse_cell(cell.strip(), kind, path, line, name)
+                                       for cell, kind, name in zip(row, kinds, columns)]))
+                if len(rows) == _BLOCK_ROWS:
+                    blocks.append(np.array(rows, dtype))
+                    rows = []
+                line = reader.line_num + 1
+        except csv.Error as exc:  # such as a field past the field limit
+            raise IngestError(path, reader.line_num, "-", str(exc)) from None
+    return np.concatenate(blocks + [np.array(rows, dtype)])
 
 
 def parse_csv(path, dataset: str) -> np.recarray:
     """Parse one dataset file into its table, aborting on structural faults.
 
-    The fault reported is the first in file order: within a line a wrong
-    field count comes before any cell, and cells are checked left to right.
-    Rows are parsed in blocks, so the text of only one block is held at once.
+    A file in canonical form (``_read_canonical``) is read once by numpy's C
+    reader.  Any other file is parsed again by the block parser
+    (``_read_blocks``), which is slower and alone reports a fault, with its
+    file, line and column.
     """
     columns = CSV_COLUMNS[dataset]
-    blocks, faults = [], []
-    # Undecodable bytes become lone surrogates, which no cell parser accepts,
-    # so they are reported at their file:line:column like any malformed cell.
-    with open(path, newline="", errors="surrogateescape") as handle:
-        starts = array.array("q")
-        records = _records(csv.reader(handle), path, faults, starts)
-        header = next(records, None)
-        if header is None:
-            raise faults[0] if faults else IngestError(
-                path, 1, "-", "empty file, header row required")
-        if tuple(header) != columns:
-            missing = [c for c in columns if c not in header]
-            detail = f"missing column(s) {missing}" if missing else f"got {header}"
-            raise IngestError(path, 1, "-", f"header must be {','.join(columns)}; {detail}")
-        while True:
-            rows = list(itertools.islice(records, _BLOCK_ROWS))
-            lines = starts[1:len(rows) + 1]  # starts[0] is the row before the block
-            del starts[:len(rows)]
-            blocks.append(_parse_rows(rows, lines, columns, path))
-            if faults:
-                raise faults[0]
-            if len(rows) < _BLOCK_ROWS:
-                break
-    parsed = schema.table(dataset, {c: np.concatenate([b[c] for b in blocks])
-                                    for c in columns})
+    table = schema.table(dataset, _read_canonical(path, columns)
+                         or _read_blocks(path, columns))
     if "datetime" in columns:
-        parsed.datetime = round_to_hour(parsed.datetime)
-    return parsed
+        table.datetime = round_to_hour(table.datetime)
+    return table
 
 
 def _grid_violations(telemetry) -> list:
@@ -268,11 +258,11 @@ def write_csv(path, table):
     one block of rows at a time."""
     names = table.dtype.names
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(names)
+        handle.write(",".join(names) + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            writer.writerows(zip(*[_canonical(block[name]) for name in names]))
+            handle.writelines(",".join(row) + "\n" for row in
+                              zip(*[_canonical(block[name]) for name in names]))
 
 
 def write_bundle(bundle, directory):

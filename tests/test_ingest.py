@@ -2,7 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from failcast import assemble, ingest, schema
 
@@ -350,12 +350,13 @@ def test_rows_parsed_in_blocks_load_the_same_table(tmp_path, monkeypatch):
     paths = _write_minimal(tmp_path, "".join(
         f"1,2015-01-01 {h:02d}:00:00,{170 + h},450,100,40\n" + ("\n" if h == 2 else "")
         for h in range(7)))
-    whole, _ = ingest.load_bundle(**paths)
+    whole = ingest.parse_csv(paths["telemetry"], "telemetry")
     monkeypatch.setattr(ingest, "_BLOCK_ROWS", 2)
-    blocked, violations = ingest.load_bundle(**paths)
-    assert violations == []
-    assert helpers.bundle_rows(blocked) == helpers.bundle_rows(whole)
-    assert len(blocked.telemetry) == 7
+    # The file is canonical, so only a direct call reaches the block parser.
+    blocked = ingest._read_blocks(paths["telemetry"], schema.CSV_COLUMNS["telemetry"])
+    assert helpers.table_rows(schema.table("telemetry", blocked)) == \
+        helpers.table_rows(whole)
+    assert len(blocked) == 7
     # An empty line still counts, so the last row is on line 10.
     _write(paths["telemetry"], paths["telemetry"].read_text() + "1,bad,1,1,1,1\n")
     with pytest.raises(ingest.IngestError) as exc:
@@ -435,3 +436,122 @@ def test_each_cell_fault_kind_names_file_line_column(tmp_path, dataset, bad_row,
     with pytest.raises(ingest.IngestError) as exc:
         ingest.parse_csv(path, dataset)
     assert str(exc.value) == f"{path}:3:{column}: {message}"
+
+
+def test_written_bundle_is_read_by_the_c_reader_alone(tmp_path, monkeypatch, small_bundle):
+    ingest.write_bundle(small_bundle, tmp_path)
+
+    def block_parser(path, columns):
+        raise AssertionError(f"{path} went to the block parser")
+
+    monkeypatch.setattr(ingest, "_read_blocks", block_parser)
+    loaded, violations = ingest.load_bundle(
+        **{key: tmp_path / name for key, name in ingest.BUNDLE_FILENAMES.items()})
+    assert violations == []
+    assert helpers.bundle_rows(loaded) == helpers.bundle_rows(small_bundle)
+
+
+_INT64 = np.iinfo(np.int64)
+_CANONICAL_CELLS = {
+    "i": st.integers(_INT64.min, _INT64.max).map(str),
+    "f": st.floats().map(repr),
+    "b": st.sampled_from(["0", "1"]),
+    "M": st.datetimes(max_value=dt.datetime(9999, 12, 31, 23, 59, 59)).map(
+        lambda t: t.replace(microsecond=0).isoformat(" ")),
+}
+_OVER_LIMIT = ["9" * 131_073, "0" * 131_072 + "1", "1." + "0" * 131_072]
+_ODD_CELLS = {
+    "i": ["+1", "007", "1_0", "\u0661", "-0", "9223372036854775807", "-9223372036854775809",
+          "99999999999999999999", "1.0", "1e3", "0x10", "- 1", ""],
+    "f": ["nan", "-nan", "-inf", "Infinity", "1e500", "1_0.5", "\u0661.5", "0x1p3", "1.5j",
+          "1.5d3", "1.5.5", ""],
+    "b": ["10", "01", "+1", "2", "true", "\u0661", ""],
+    "M": ["2015-1-1 6:00:00", "2015-01-01T06:00:00", "2015-01-01 06:00:00Z",
+          "2015-01-01 06:00:00+01", "2015-01-01 06:00:00.5", "2015-01-01 06:00:00 0",
+          "2015-01-01", "NaT", "0000-01-01 00:00:00", "10000-01-01 00:00:00",
+          "-001-01-01 00:00:00", "2015-02-29 00:00:00", "2015-01-01 24:00:00",
+          "2015-01-01 23:59:60", "2015-01-01 00:29:59", ""],
+}
+# Each wraps a canonical cell: padding (ASCII and not), quoting, a quoted
+# newline, NUL, a comment mark and an undecodable byte.
+_WRAPPED = [" {}", "{} ", "\t{}\x0c", "\x0b{}\x1c", "\xa0{}", "{}\u2028", '"{}"',
+            '"{}\n"', '"{}\r\n"', '"{}' + "\n" * 131_073 + '"', "{}\x00", "\x00{}", "{}#",
+            "#{}", "{}\udcff"]
+
+
+@st.composite
+def _csv_files(draw):
+    """A dataset and the bytes of a file for it: canonical rows with a few
+    cells made odd, blank lines, a line ending, and at times a wrong field
+    count or header."""
+    dataset = draw(st.sampled_from(["telemetry", "errors", "machines"]))
+    columns = schema.CSV_COLUMNS[dataset]
+    kinds = [schema.column_type(name).kind for name in columns]
+    rows = [[draw(_CANONICAL_CELLS[kind]) for kind in kinds]
+            for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        row, at = draw(st.sampled_from(rows)), draw(st.integers(0, len(columns) - 1))
+        row[at] = draw(st.sampled_from(_ODD_CELLS[kinds[at]] + _OVER_LIMIT)
+                       | st.sampled_from(_WRAPPED).map(lambda w, cell=row[at]: w.format(cell)))
+    if rows and draw(st.integers(0, 9)) == 0:  # a wrong field count
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    header = draw(st.sampled_from([",".join(columns)] * 12 + [
+        ",".join(f'"{c}"' for c in columns), ",".join(columns[:-1]), ",".join(columns) + " "]))
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return dataset, text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("dataset, row", [
+    ("telemetry", "1,2015-01-01 01:00:00Z,170,450,100,40"),
+    ("errors", "1,2015-01-01 01:00:00,10,0,0,0,0"),
+    ("errors", "1,2015-01-01 01:00:00,1\x00,0,0,0,0"),
+    ("telemetry", "1,2015-01-01 01:00:00\x00,170,450,100,40"),
+    ("telemetry", "1,0000-01-01 01:00:00,170,450,100,40"),
+    ("telemetry", "1,2015-01-01 01:00:00,170,450,100,40#1"),
+    ("telemetry", '1,2015-01-01 01:00:00,"1' + "\n" * 131_073 + '",450,100,40'),
+    ("telemetry", "1,2015-01-01 01:00:00," + "0" * 131_072 + "1,450,100,40"),
+], ids=["datetime_past_19", "flag_past_1", "flag_nul", "datetime_nul", "year_0",
+        "comment", "quoted_past_limit", "line_past_limit"])
+def test_c_reader_leaves_each_faulty_file_to_the_block_parser(tmp_path, dataset, row):
+    """Each row is a fault that the C reader would read past if unchecked: a
+    cell cut to the width read, a NUL lost at a cell's end, year 0, a comment,
+    or a field over the csv limit, on one line or on many short ones."""
+    good = {"telemetry": "1,2015-01-01 00:00:00,170,450,100,40",
+            "errors": "1,2015-01-01 00:00:00,1,0,0,0,0"}[dataset]
+    path = _write(tmp_path / f"{dataset}.csv",
+                  ",".join(schema.CSV_COLUMNS[dataset]) + f"\n{good}\n{row}\n")
+    assert ingest._read_canonical(path, schema.CSV_COLUMNS[dataset]) is None
+    with pytest.raises(ingest.IngestError):
+        ingest.parse_csv(path, dataset)
+
+
+def _outcome(parse):
+    """The table ``parse()`` returns, as bytes, or the IngestError it raises."""
+    try:
+        return parse().tobytes()
+    except ingest.IngestError as exc:
+        return exc.path, exc.line, exc.column, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_csv_files())
+def test_c_reader_and_block_parser_agree(tmp_path_factory, case):
+    """On any file, parse_csv gives the block parser's table byte for byte,
+    or raises its IngestError, whether or not the C reader took the file."""
+    dataset, data = case
+    path = tmp_path_factory.mktemp("csv") / f"{dataset}.csv"
+    path.write_bytes(data)
+    event("C reader" if ingest._read_canonical(path, schema.CSV_COLUMNS[dataset])
+          is not None else "block parser")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_read_canonical", lambda path, columns: None)
+        by_blocks = _outcome(lambda: ingest.parse_csv(path, dataset))
+    assert _outcome(lambda: ingest.parse_csv(path, dataset)) == by_blocks

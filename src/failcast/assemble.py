@@ -78,33 +78,33 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     rows = order[(last_hour - times) // np.timedelta64(1, "h") >= horizon_hours]
     machine_id, when = machine_id[rows], when[rows]
 
-    columns = {"machine_id": machine_id, "datetime": when}
+    stream = np.recarray(len(rows), [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
+    stream["machine_id"], stream["datetime"] = machine_id, when
     keys = _pairs(machine_id, when)
     for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
                           (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
         event_keys = _pairs(events.machine_id, events.datetime)
         for f in flags:
             flagged = event_keys[events[f]]
-            columns[f] = _rows_in(keys, flagged, flagged)
+            stream[f] = _rows_in(keys, flagged, flagged)
     for f in schema.TELEMETRY_FIELDS:
-        columns[f] = telemetry[f][rows]
+        stream[f] = telemetry[f][rows]
     by_id = np.argsort(machines.machine_id)
     descriptor = by_id[np.searchsorted(machines.machine_id, machine_id, sorter=by_id)]
     for f in ("age",) + schema.MODEL_FLAGS:
-        columns[f] = machines[f][descriptor]
+        stream[f] = machines[f][descriptor]
     # 1970-01-01, day 0 of datetime64, was a Thursday.
     days = when.astype("datetime64[D]").astype(np.int64)
-    columns["day_of_week"] = np.array(schema.DAY_NAMES)[(days + 3) % 7]
+    stream["day_of_week"] = np.array(schema.DAY_NAMES)[(days + 3) % 7]
 
     # Failure f labels [f - horizon, f - first].  The horizon is at most a
     # surviving row's lead; with no row it may pass datetime64's range.
     failures = bundle.failures
     failures = failures[np.logical_or.reduce([failures[f] for f in schema.COMP_FLAGS])]
     ahead = (horizon_hours, 1 if window else horizon_hours) if len(rows) else (0, 0)
-    columns["label"] = _rows_in(keys, *(
+    stream["label"] = _rows_in(keys, *(
         _pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h")) for k in ahead))
-    return np.rec.fromarrays([columns[c] for c in schema.STREAM_COLUMNS],
-                             names=schema.STREAM_COLUMNS)
+    return stream
 
 
 def raw_feature_matrix(rows, features=None):

@@ -195,12 +195,6 @@ def _config_payload(command: str, cfg: dict) -> dict:
             "config": dict(sorted(cfg.items()))}
 
 
-def _write_json(path, payload: dict):
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _sibling_config_path(out_path: str) -> str:
     return os.path.splitext(out_path)[0] + ".config.json"
 
@@ -241,8 +235,8 @@ def cmd_generate(cfg: dict) -> int:
         telemetry_drift=cfg["drift"])
     bundle = synth.generate(config)
     ingest.write_bundle(bundle, cfg["out_dir"])
-    _write_json(os.path.join(cfg["out_dir"], RUN_CONFIG),
-                _config_payload("generate", cfg))
+    report.write_json(os.path.join(cfg["out_dir"], RUN_CONFIG),
+                      _config_payload("generate", cfg))
     print(f"wrote {cfg['machines']} machines x {cfg['days']} days "
           f"({len(bundle.failures)} failures) to {cfg['out_dir']}")
     return EXIT_OK
@@ -252,8 +246,8 @@ def cmd_assemble(cfg: dict) -> int:
     _require(cfg, "out")
     rows, violations = _load_stream(cfg)
     ingest.write_csv(cfg["out"], rows)
-    _write_json(_sibling_config_path(cfg["out"]),
-                _config_payload("assemble", cfg))
+    report.write_json(_sibling_config_path(cfg["out"]),
+                      _config_payload("assemble", cfg))
     positives = int(rows.label.sum())
     print(f"wrote {len(rows)} rows ({positives} labeled failures) to {cfg['out']}")
     return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -267,7 +261,7 @@ def cmd_train(cfg: dict) -> int:
     meta = model.fit_meta
     _warn_unconverged("train", meta.converged, meta.iterations)
     logreg.save_model(model, cfg["out"])
-    _write_json(_sibling_config_path(cfg["out"]), _config_payload("train", cfg))
+    report.write_json(_sibling_config_path(cfg["out"]), _config_payload("train", cfg))
     print(f"fit {len(rows)} rows in {meta.iterations} iterations "
           f"(objective {meta.final_objective:.6f}); model saved to {cfg['out']}")
     return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -297,8 +291,8 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
         "runs": runs,
     }
     report.write_bundle(cfg["out_dir"], payload)
-    _write_json(os.path.join(cfg["out_dir"], RUN_CONFIG),
-                _config_payload(command, cfg))
+    report.write_json(os.path.join(cfg["out_dir"], RUN_CONFIG),
+                      _config_payload(command, cfg))
     print(f"average failure recall: full {full['average_normalized'][1][1]:.4f}, "
           f"reduced ({len(reduced_names)} features) "
           f"{reduced['average_normalized'][1][1]:.4f}")

@@ -103,8 +103,10 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     descending |mean| and then by name.
 
     Encoding statistics and the fit see only that fold's training rows.
-    Fit failures propagate with the fold index attached.
+    Fit failures propagate with the fold index attached; no folds raise FoldError.
     """
+    if not folds:
+        raise FoldError("no folds to evaluate")
     run_folds = []
     for fold in folds:
         try:

@@ -70,12 +70,9 @@ class LogisticModel:
 def sigmoid(z):
     """Logistic function, overflow-safe and strictly inside (0, 1)."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _P_LO, _P_HI)
+    ez = np.exp(-np.abs(z))
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below: exp never overflows.
+    return np.clip(np.where(z >= 0, 1.0, ez) / (1.0 + ez), _P_LO, _P_HI)
 
 
 def predict_proba(model: LogisticModel, x):
@@ -116,11 +113,12 @@ def gradient(params, data, config: FitConfig) -> np.ndarray:
     """Analytic gradient, intercept component first (no penalty on it)."""
     alpha, beta = params
     beta = np.asarray(beta, dtype=float)
-    return _gradient_at(sigmoid(alpha + data.rows @ beta), beta, data, config)
+    y = data.labels.astype(float)
+    return _gradient_at(sigmoid(alpha + data.rows @ beta), y, beta, data, config)
 
 
-def _gradient_at(p, beta, data, config):
-    residual = data.sample_weights * (p - data.labels.astype(float))
+def _gradient_at(p, y, beta, data, config):
+    residual = data.sample_weights * (p - y)
     g_beta = data.rows.T @ residual + config.l2_strength * beta
     return np.concatenate(([float(residual.sum())], g_beta))
 
@@ -156,7 +154,7 @@ def _descend(data, config, step_fn):
     iterations = 0
     while True:
         p = sigmoid(alpha + data.rows @ beta)
-        grad = _gradient_at(p, beta, data, config)
+        grad = _gradient_at(p, y, beta, data, config)
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
         if converged or iterations == config.max_iterations:
             break

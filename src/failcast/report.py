@@ -33,12 +33,17 @@ def dataset_digest(paths) -> str:
     return "sha256:" + digest.hexdigest()
 
 
+def write_json(path, payload: dict):
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def write_bundle(out_dir, payload: dict):
     """Write report.json plus every rendered artifact."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, REPORT_JSON), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(os.path.join(out_dir, REPORT_JSON), payload)
     render(out_dir, payload)
 
 

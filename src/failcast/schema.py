@@ -7,7 +7,7 @@ timezone-naive ``datetime64[s]`` values at hour resolution after ingestion
 rounding; booleans are encoded 0/1 in CSV.  ``validate_dataset`` checks a
 table's invariants column-wise.  The joined machine-state stream is a
 columnar table too (see ``assemble``); ``STREAM_COLUMNS`` names its columns
-in CSV order.
+in CSV order and ``column_type`` gives their types, as for the datasets.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ STREAM_COLUMNS = (
     + TELEMETRY_FIELDS + ("age",) + MODEL_FLAGS + ("day_of_week", "label")
 )
 
-# numpy type of every dataset column; the flag columns not listed are bool.
+# numpy type of every dataset and stream column; unlisted flag columns are bool.
 _COLUMN_TYPES = {"machine_id": np.int64, "age": np.int64, "datetime": "datetime64[s]",
-                 **dict.fromkeys(TELEMETRY_FIELDS, np.float64)}
+                 "day_of_week": "U3", **dict.fromkeys(TELEMETRY_FIELDS, np.float64)}
 
 
 def column_type(name: str) -> np.dtype:

@@ -146,6 +146,18 @@ def bundle_rows(bundle):
     return {name: table_rows(getattr(bundle, name)) for name in ingest.BUNDLE_FILENAMES}
 
 
+def two_branch_sigmoid(z):
+    """Logistic function in two masked halves, 1/(1+e^-z) at z >= 0 and
+    e^z/(1+e^z) below, clipped into (0, 1) as logreg.sigmoid clips."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+
+
 def random_instance(seed, n_rows, n_features, weighted=True):
     """Small random design matrix with both classes guaranteed."""
     from failcast import assemble

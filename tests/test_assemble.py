@@ -104,6 +104,13 @@ def test_short_grid_yields_no_rows():
     assert len(assemble.build_event_stream(bundle)) == 0
 
 
+def test_stream_columns_have_the_types_the_schema_declares(small_rows):
+    declared = np.dtype([(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
+    empty = assemble.build_event_stream(helpers.micro_bundle(n_machines=1, n_hours=10))
+    assert small_rows.dtype == declared
+    assert empty.dtype == declared
+
+
 def test_horizon_past_int64_seconds_yields_no_rows():
     """Leads are compared in whole hours: t + horizon in datetime64[s]
     wraps round once the horizon's seconds pass int64."""

@@ -336,6 +336,19 @@ def test_impossible_folds_exit_3(tmp_path, capsys):
     assert "at least 5 machines" in capsys.readouterr().err
 
 
+def test_stream_with_no_rows_exits_1(dataset, tmp_path, capsys):
+    # Every telemetry row names a machine the header-only machines file lacks,
+    # so each is dropped and the encoding, which runs before the fit, has no rows.
+    machines = tmp_path / "machines.csv"
+    machines.write_text((dataset / "machines.csv").read_text().splitlines()[0] + "\n")
+    model = tmp_path / "m.txt"
+    rc = cli.main(["train", "--in-dir", str(dataset), "--machines", str(machines),
+                   "--out", str(model)])
+    assert rc == cli.EXIT_FAILURE
+    assert capsys.readouterr().err.endswith("\nerror: fit rows must be non-empty\n")
+    assert not model.exists()
+
+
 # --- single-cell corruption: the exit-code contract --------------------------
 
 @pytest.fixture(scope="module")

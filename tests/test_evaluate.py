@@ -195,6 +195,11 @@ def test_evaluate_cv_shapes_and_bookkeeping():
     assert json.loads(json.dumps(result)) == result
 
 
+def test_evaluate_cv_without_folds_raises_fold_error():
+    with pytest.raises(evaluate.FoldError, match="no folds to evaluate"):
+        evaluate.evaluate_cv(_cv_rows(4), [])
+
+
 def test_evaluate_cv_weight_report_covers_all_features():
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)

@@ -48,6 +48,20 @@ def test_sigmoid_is_monotone(zs):
     assert np.all((p > 0.0) & (p < 1.0))
 
 
+@given(st.lists(st.floats(allow_nan=False)
+                | st.sampled_from([0.0, -0.0, math.inf, -math.inf]), max_size=40))
+def test_sigmoid_matches_the_two_branch_form_bit_for_bit(zs):
+    z = np.array(zs, dtype=float)
+    got, want = logreg.sigmoid(z), helpers.two_branch_sigmoid(z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sigmoid_of_nan_is_nan():
+    p = logreg.sigmoid(np.array([math.nan, -1.0, math.nan, 0.0, 1.0]))
+    assert np.isnan(p).tolist() == [True, False, True, False, False]
+    assert np.isnan(logreg.sigmoid(math.nan))
+
+
 def test_predict_proba_zero_model_says_half():
     model = logreg.LogisticModel(alpha=0.0, beta=np.zeros(3), encoding=None)
     assert logreg.predict_proba(model, np.ones(3)) == 0.5

@@ -31,7 +31,7 @@ class EncodingError(Exception):
 
 @dataclass
 class DesignMatrix:
-    """Encoded features with labels and per-row weights."""
+    """Encoded features with labels and weights; a row may stand for several."""
 
     rows: np.ndarray
     labels: np.ndarray
@@ -107,11 +107,12 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     return stream
 
 
-def raw_feature_matrix(rows, features=None):
+def raw_feature_matrix(rows, features=None, index=None):
     """Unstandardized feature columns of the stream table in canonical order.
 
-    Returns (matrix, labels, feature_names).  ``features`` selects a
-    subset of the canonical names; order always follows the canonical one.
+    Returns (matrix, labels, feature_names) of the rows at ``index`` (all rows
+    when None).  ``features`` selects a subset of the canonical names; order
+    always follows the canonical one.  Only the selected columns are gathered.
     """
     if features is None:
         names = schema.FEATURE_NAMES
@@ -119,15 +120,16 @@ def raw_feature_matrix(rows, features=None):
         unknown = [f for f in features if f not in schema.FEATURE_NAMES]
         if unknown:
             raise EncodingError(f"unknown feature(s) {unknown}")
-        wanted = set(features)
-        names = tuple(f for f in schema.FEATURE_NAMES if f in wanted)
+        names = tuple(f for f in schema.FEATURE_NAMES if f in features)
     if not names:
         raise EncodingError("empty feature set")
 
+    take = slice(None) if index is None else index
     day = dict(zip(schema.DOW_FEATURES, schema.DAY_NAMES))
-    matrix = np.stack([rows["day_of_week"] == day[name] if name in day else rows[name]
+    day_of_week = rows["day_of_week"][take] if day.keys() & set(names) else None
+    matrix = np.stack([day_of_week == day[name] if name in day else rows[name][take]
                        for name in names], axis=1, dtype=float)
-    return matrix, rows["label"], names
+    return matrix, rows["label"][take], names
 
 
 def fit_encoding(matrix, feature_names) -> schema.FeatureEncoding:
@@ -167,18 +169,25 @@ def apply_encoding(matrix, encoding: schema.FeatureEncoding) -> np.ndarray:
     return matrix
 
 
-def encode(rows, weight_positive=100.0, features=None) -> DesignMatrix:
-    """Encode the stream table into a standardized design matrix.
+def encode(rows, weight_positive=100.0, features=None, index=None) -> DesignMatrix:
+    """Encode the stream rows at ``index`` (all rows when None) into a design matrix.
 
     Continuous features are z-scored with statistics from these rows only
     (cross-validation passes each fold's training rows); flags become 0/1
     and day of week expands to 7 indicators.  Positive rows get
-    ``weight_positive``, negative rows weight 1.
+    ``weight_positive``, negative rows weight 1.  Without telemetry, identical
+    (x, y) rows merge into one with their summed weight (the grouped binomial
+    form): fewer rows, the same objective.
     """
     if not weight_positive > 0:
         raise ValueError("weight_positive must be positive")
-    matrix, labels, names = raw_feature_matrix(rows, features)
+    matrix, labels, names = raw_feature_matrix(rows, features, index)
     encoding = fit_encoding(matrix, names)
     weights = np.where(labels, float(weight_positive), 1.0)
+    if set(names).isdisjoint(schema.TELEMETRY_FIELDS):
+        keys = np.column_stack([matrix, labels])
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        matrix, labels, weights = matrix[first], labels[first], np.bincount(inverse, weights)
     return DesignMatrix(rows=apply_encoding(matrix, encoding), labels=labels,
                         sample_weights=weights, encoding=encoding)

@@ -26,6 +26,7 @@ EXIT_VIOLATIONS = 2
 EXIT_FIT = 3
 
 RUN_CONFIG = "run_config.json"
+_SHOWN_VIOLATIONS = 20  # per-row stderr lines per dataset; the rest are counted
 
 # Each subcommand's options: key -> (flag type, default, help).  A bool type
 # is a switch, a tuple lists the choices, and the flag is the key with dashes.
@@ -203,12 +204,17 @@ def _load_stream(cfg: dict):
     """Load the input datasets, report their violations on stderr and join
     them into the labeled stream; returns ``(rows, violations)``."""
     bundle, violations = ingest.load_bundle(**_input_paths(cfg))
+    seen = dict.fromkeys(BUNDLE_FILENAMES, 0)
     for v in violations:
-        print(f"violation [{v.dataset} row {v.row_index}]: {v.message}",
-              file=sys.stderr)
+        seen[v.dataset] += 1
+        if seen[v.dataset] <= _SHOWN_VIOLATIONS:
+            print(f"violation [{v.dataset} row {v.row_index}]: {v.message}", file=sys.stderr)
+    for dataset, count in seen.items():
+        if count > _SHOWN_VIOLATIONS:
+            print(f"violation [{dataset}]: {count - _SHOWN_VIOLATIONS} more not shown",
+                  file=sys.stderr)
     if violations:
-        print(f"{len(violations)} validation violation(s); continuing",
-              file=sys.stderr)
+        print(f"{len(violations)} validation violation(s); continuing", file=sys.stderr)
     return (assemble.build_event_stream(bundle, cfg["horizon"], cfg["label_window"]),
             violations)
 
@@ -300,14 +306,6 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def cmd_evaluate(cfg: dict) -> int:
-    return _run_cv("evaluate", cfg, "paper-reduced", 0.10)
-
-
-def cmd_prune(cfg: dict) -> int:
-    return _run_cv("prune", cfg, cfg["rule"], cfg["prune_threshold"])
-
-
 def cmd_report(cfg: dict) -> int:
     _require(cfg, "bundle")
     payload = report.load_bundle_payload(cfg["bundle"])
@@ -325,8 +323,8 @@ _HANDLERS = {
     "generate": cmd_generate,
     "assemble": cmd_assemble,
     "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "prune": cmd_prune,
+    "evaluate": lambda cfg: _run_cv("evaluate", cfg, "paper-reduced", 0.10),
+    "prune": lambda cfg: _run_cv("prune", cfg, cfg["rule"], cfg["prune_threshold"]),
     "report": cmd_report,
 }
 

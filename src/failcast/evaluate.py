@@ -110,16 +110,15 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     run_folds = []
     for fold in folds:
         try:
-            train = assemble.encode(rows[fold.train_rows], weight_positive=weight_positive,
-                                    features=features)
+            train = assemble.encode(rows, weight_positive=weight_positive,
+                                    features=features, index=fold.train_rows)
             model = logreg.fit(train, fit_config)
         except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
-        test = rows[fold.test_rows]
-        x_test = assemble.apply_encoding(
-            assemble.raw_feature_matrix(test, features)[0], model.encoding)
-        predicted = logreg.predict(model, x_test, threshold=threshold)
-        counts = confusion_counts(test["label"], predicted)
+        x_test, y_test, _ = assemble.raw_feature_matrix(rows, features, fold.test_rows)
+        predicted = logreg.predict(model, assemble.apply_encoding(x_test, model.encoding),
+                                   threshold=threshold)
+        counts = confusion_counts(y_test, predicted)
         names = model.encoding.feature_names
         run_folds.append({
             "fold_index": fold.fold_index,
@@ -132,7 +131,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
             "alpha": model.alpha,
             "beta": {name: float(b) for name, b in zip(names, model.beta)},
         })
-        del train, test, x_test  # free this fold's matrices before the next encode
+        del train, x_test  # free this fold's matrices before the next encode
 
     values = {"constant": [f["alpha"] for f in run_folds],
               **{name: [f["beta"][name] for f in run_folds] for name in names}}

@@ -216,6 +216,31 @@ def test_feature_order_is_canonical_and_stable(small_rows):
     assert subset.encoding.feature_names == ("error_1", "error_2", "age")
 
 
+_GATHERS = (np.arange(3, 700, 7), np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize("features", [None, schema.ERROR_FLAGS + ("age",) + schema.MODEL_FLAGS,
+                                      ["dow_sun", "dow_mon"]])
+def test_gathering_by_index_matches_the_gathered_rows_bit_for_bit(small_rows, features):
+    for index in _GATHERS:
+        matrix, labels, names = assemble.raw_feature_matrix(small_rows, features, index)
+        want, want_labels, want_names = assemble.raw_feature_matrix(small_rows[index], features)
+        assert matrix.shape == want.shape and matrix.tobytes() == want.tobytes()
+        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        assert names == want_names
+
+
+@pytest.mark.parametrize("features", [None, ["error_1", "volt", "dow_tue"]])
+def test_encoding_by_index_matches_encoding_the_gathered_rows(small_rows, features):
+    index = _GATHERS[0]
+    got = assemble.encode(small_rows, features=features, index=index)
+    want = assemble.encode(small_rows[index], features=features)
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert np.array_equal(got.labels, want.labels)
+    assert got.sample_weights.tobytes() == want.sample_weights.tobytes()
+    assert got.encoding == want.encoding
+
+
 def test_degenerate_column_error_names_column():
     bundle = helpers.micro_bundle(n_machines=1, n_hours=26)
     rows = assemble.build_event_stream(bundle)

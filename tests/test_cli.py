@@ -1,13 +1,15 @@
 """End-to-end command-line behaviour: exit codes, config precedence,
 artifact layout and byte-for-byte rerun determinism."""
 
+import collections
+import hashlib
 import json
 import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from failcast import cli, evaluate, logreg, report, schema
+from failcast import cli, evaluate, ingest, logreg, report, schema
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,22 @@ def test_rerun_with_identical_flags_is_byte_identical(dataset, tmp_path):
     first = _read_all(out)
     assert cli.main(argv) == cli.EXIT_OK
     assert _read_all(out) == first
+
+
+# The full run of `evaluate` on `generate --machines 8 --days 45 --seed 7`, as
+# json.dumps(runs["full"], sort_keys=True).  A change that moves any digit of
+# the full run must update this digest and say why.
+FULL_RUN_SHA256 = "147fe9b283798139ffa1ddbad287cba1634d44a90329f31dc114d0478b453156"
+
+
+def test_full_run_matches_its_golden_digest(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "rep"
+    assert cli.main(["generate", "--out-dir", str(data), "--machines", "8",
+                     "--days", "45", "--seed", "7"]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--in-dir", str(data), "--out-dir", str(out)]) == cli.EXIT_OK
+    full = report.load_bundle_payload(out)["runs"]["full"]
+    digest = hashlib.sha256(json.dumps(full, sort_keys=True).encode()).hexdigest()
+    assert digest == FULL_RUN_SHA256
 
 
 @pytest.mark.parametrize("flags, semantics", [([], "point-at-horizon"),
@@ -347,6 +365,30 @@ def test_stream_with_no_rows_exits_1(dataset, tmp_path, capsys):
     assert rc == cli.EXIT_FAILURE
     assert capsys.readouterr().err.endswith("\nerror: fit rows must be non-empty\n")
     assert not model.exists()
+
+
+def test_violation_lines_are_capped_per_dataset(dataset, tmp_path, capsys):
+    # A header-only machines file orphans every row of the four other datasets.
+    machines = tmp_path / "machines.csv"
+    machines.write_text((dataset / "machines.csv").read_text().splitlines()[0] + "\n")
+    paths = {key: str(dataset / name) for key, name in ingest.BUNDLE_FILENAMES.items()}
+    _, violations = ingest.load_bundle(**{**paths, "machines": str(machines)})
+    per_dataset = collections.Counter(v.dataset for v in violations)
+    assert min(per_dataset.values()) > 20
+
+    rc = cli.main(["assemble", "--in-dir", str(dataset), "--machines", str(machines),
+                   "--out", str(tmp_path / "stream.csv")])
+    assert rc == cli.EXIT_VIOLATIONS
+    err = capsys.readouterr().err.splitlines()
+    expected = []
+    for name in per_dataset:
+        shown = [v for v in violations if v.dataset == name][:20]
+        expected += [f"violation [{name} row {v.row_index}]: {v.message}" for v in shown]
+    assert sorted(err[:-len(per_dataset) - 1]) == sorted(expected)
+    assert err[-len(per_dataset) - 1:] == [
+        f"violation [{name}]: {per_dataset[name] - 20} more not shown"
+        for name in ingest.BUNDLE_FILENAMES if name in per_dataset
+    ] + [f"{len(violations)} validation violation(s); continuing"]
 
 
 # --- single-cell corruption: the exit-code contract --------------------------

@@ -270,6 +270,38 @@ def test_newton_converges_on_weighted_one_hot_stream_fold():
     assert np.max(np.abs(grad)) <= config.tolerance
 
 
+def test_grouped_fit_equals_the_row_fit():
+    # Without telemetry encode merges identical (x, y) rows and sums their
+    # weights; the merged fold must fit and score as its ungrouped rows do.
+    from failcast import evaluate, synth
+
+    bundle = synth.generate(synth.SynthConfig(n_machines=10, n_days=365, seed=0))
+    rows = assemble.build_event_stream(bundle)
+    fold = evaluate.make_folds(rows, 3, 0)[2]
+    features = evaluate.PAPER_REDUCED_FEATURES
+    grouped = assemble.encode(rows, features=features, index=fold.train_rows)
+    matrix, labels, _ = assemble.raw_feature_matrix(rows, features, fold.train_rows)
+    ungrouped = _design(assemble.apply_encoding(matrix, grouped.encoding), labels,
+                        np.where(labels, 100.0, 1.0))
+    assert len(grouped.labels) < len(ungrouped.labels) // 100
+
+    config = logreg.FitConfig()
+    a, b = logreg.fit(grouped, config), logreg.fit(ungrouped, config)
+    assert abs(a.alpha - b.alpha) < 1e-9
+    assert np.max(np.abs(a.beta - b.beta)) < 1e-9
+    assert a.fit_meta.iterations == b.fit_meta.iterations
+    x_test = assemble.apply_encoding(
+        assemble.raw_feature_matrix(rows, features, fold.test_rows)[0], grouped.encoding)
+    assert np.array_equal(logreg.predict(a, x_test), logreg.predict(b, x_test))
+
+    s = helpers.Stream(13)
+    for _ in range(3):
+        alpha, beta = float(s.normals(1)[0]), s.normals(len(features))
+        got = logreg.objective((alpha, beta), grouped, config)
+        want = helpers.naive_objective(alpha, beta, ungrouped, config.l2_strength)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("solver", logreg.SOLVERS)
 def test_first_step_past_exp_range_is_halved_without_warning(solver):
     # Separable bulk at x = +-1 and one near-weightless row at x = 1000: the

@@ -9,7 +9,7 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from failcast import cli, evaluate, ingest, logreg, report, schema
+from failcast import __version__, cli, evaluate, ingest, logreg, report, schema
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +302,83 @@ def test_missing_required_option_exits_1(dataset, capsys):
     assert "missing required option --out" in capsys.readouterr().err
     assert cli.main(["evaluate", "--out-dir", "/tmp/x"]) == cli.EXIT_FAILURE
     assert "missing input" in capsys.readouterr().err
+
+
+# --- the steps every subcommand shares ---------------------------------------
+# Each run below uses relative paths inside tmp_path.
+
+_RUNS = [  # subcommand, argv after it, the config record it writes (or None)
+    ("generate", ["--out-dir", "gen", "--machines", "3", "--days", "3"],
+     "gen/run_config.json"),
+    ("assemble", ["--in-dir", "data", "--out", "stream.csv"], "stream.config.json"),
+    ("train", ["--in-dir", "data", "--out", "model.txt"], "model.config.json"),
+    ("evaluate", ["--in-dir", "data", "--out-dir", "rep"], "rep/run_config.json"),
+    ("prune", ["--in-dir", "data", "--out-dir", "pruned"], "pruned/run_config.json"),
+    ("report", ["--bundle", "rep"], None),  # leaves rep/run_config.json as it was
+]
+
+_OUTPUT_OPTION = {"generate": "--out-dir", "assemble": "--out", "train": "--out",
+                  "evaluate": "--out-dir", "prune": "--out-dir", "report": "--bundle"}
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _with_droppable_row(source, target):
+    """A copy of the dataset whose one extra errors row names an unknown
+    machine, so ingest drops that row and reports one violation."""
+    shutil.copytree(source, target)
+    with open(target / "errors.csv", "a") as handle:
+        handle.write("999,2015-01-02 05:00:00,1,0,0,0,0\n")
+
+
+def test_each_subcommand_writes_its_resolved_config_record(dataset, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(dataset, "data")
+    for subcommand, argv, record in _RUNS:
+        before = _files(tmp_path)
+        assert cli.main([subcommand] + argv) == cli.EXIT_OK, subcommand
+        after = _files(tmp_path)
+        written = {name for name, content in after.items() if before.get(name) != content}
+        assert {name for name in written if name.endswith(".json")
+                and name.rpartition("/")[2] != report.REPORT_JSON} == \
+            ({record} if record else set()), subcommand
+        if record:
+            resolved = cli._resolve(subcommand,
+                                    cli.build_parser().parse_args([subcommand] + argv))
+            assert json.loads(after[record]) == {
+                "version": __version__, "command": subcommand,
+                "config": dict(sorted(resolved.items()))}
+    assert "re-rendered artifacts in rep" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subcommand", list(_OUTPUT_OPTION))
+def test_missing_output_option_exits_1_before_reading_inputs(subcommand, dataset,
+                                                             tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    _with_droppable_row(dataset, tmp_path / "data")
+    before = _files(tmp_path)
+    inputs = ["--in-dir", "data"] if "in_dir" in cli.DEFAULTS[subcommand] else []
+    assert cli.main([subcommand] + inputs) == cli.EXIT_FAILURE
+    assert capsys.readouterr() == (
+        "", f"error: missing required option {_OUTPUT_OPTION[subcommand]}\n")
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("subcommand, argv, record", [
+    pytest.param(*run, id=run[0]) for run in _RUNS if "--in-dir" in run[1]])
+def test_droppable_row_exits_2_and_writes_outputs(subcommand, argv, record, dataset,
+                                                  tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _with_droppable_row(dataset, tmp_path / "data")
+    assert cli.main([subcommand] + argv) == cli.EXIT_VIOLATIONS
+    out, err = capsys.readouterr()
+    assert err.endswith("1 validation violation(s); continuing\n")
+    assert out and (tmp_path / record).is_file()
 
 
 def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):

@@ -174,11 +174,6 @@ def _check_config_value(key, value, kind, default):
                          f"{expected.__name__} values{allowed}, got {value!r}")
 
 
-def _require(cfg: dict, key: str):
-    if cfg.get(key) is None:
-        raise ValueError(f"missing required option {_flag(key)}")
-
-
 def _input_paths(cfg: dict) -> dict:
     paths = {}
     for key, filename in BUNDLE_FILENAMES.items():
@@ -196,10 +191,6 @@ def _config_payload(command: str, cfg: dict) -> dict:
             "config": dict(sorted(cfg.items()))}
 
 
-def _sibling_config_path(out_path: str) -> str:
-    return os.path.splitext(out_path)[0] + ".config.json"
-
-
 def _load_stream(cfg: dict):
     """Load the input datasets, report their violations on stderr and join
     them into the labeled stream; returns ``(rows, violations)``."""
@@ -208,7 +199,8 @@ def _load_stream(cfg: dict):
     for v in violations:
         seen[v.dataset] += 1
         if seen[v.dataset] <= _SHOWN_VIOLATIONS:
-            print(f"violation [{v.dataset} row {v.row_index}]: {v.message}", file=sys.stderr)
+            row = "" if v.row_index is None else f" row {v.row_index}"
+            print(f"violation [{v.dataset}{row}]: {v.message}", file=sys.stderr)
     for dataset, count in seen.items():
         if count > _SHOWN_VIOLATIONS:
             print(f"violation [{dataset}]: {count - _SHOWN_VIOLATIONS} more not shown",
@@ -231,51 +223,35 @@ def _warn_unconverged(what: str, converged: bool, iterations: int):
               "iteration(s); gradient max-norm is above --tolerance", file=sys.stderr)
 
 
-def cmd_generate(cfg: dict) -> int:
-    _require(cfg, "out_dir")
-    config = synth.SynthConfig(
+def cmd_generate(cfg: dict, rows):
+    bundle = synth.generate(synth.SynthConfig(
         n_machines=cfg["machines"], n_days=cfg["days"], seed=cfg["seed"],
         target_failure_rate=cfg["failure_rate"], signal_strength=cfg["signal"],
         per_flag_error_rate=cfg["error_rate"],
         scheduled_maintenance_rate=cfg["maintenance_rate"],
-        telemetry_drift=cfg["drift"])
-    bundle = synth.generate(config)
+        telemetry_drift=cfg["drift"]))
     ingest.write_bundle(bundle, cfg["out_dir"])
-    report.write_json(os.path.join(cfg["out_dir"], RUN_CONFIG),
-                      _config_payload("generate", cfg))
     print(f"wrote {cfg['machines']} machines x {cfg['days']} days "
           f"({len(bundle.failures)} failures) to {cfg['out_dir']}")
-    return EXIT_OK
 
 
-def cmd_assemble(cfg: dict) -> int:
-    _require(cfg, "out")
-    rows, violations = _load_stream(cfg)
+def cmd_assemble(cfg: dict, rows):
     ingest.write_csv(cfg["out"], rows)
-    report.write_json(_sibling_config_path(cfg["out"]),
-                      _config_payload("assemble", cfg))
     positives = int(rows.label.sum())
     print(f"wrote {len(rows)} rows ({positives} labeled failures) to {cfg['out']}")
-    return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def cmd_train(cfg: dict) -> int:
-    _require(cfg, "out")
-    rows, violations = _load_stream(cfg)
+def cmd_train(cfg: dict, rows):
     data = assemble.encode(rows, weight_positive=cfg["weight"])
     model = logreg.fit(data, _fit_config(cfg))
     meta = model.fit_meta
     _warn_unconverged("train", meta.converged, meta.iterations)
     logreg.save_model(model, cfg["out"])
-    report.write_json(_sibling_config_path(cfg["out"]), _config_payload("train", cfg))
     print(f"fit {len(rows)} rows in {meta.iterations} iterations "
           f"(objective {meta.final_objective:.6f}); model saved to {cfg['out']}")
-    return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
-    _require(cfg, "out_dir")
-    rows, violations = _load_stream(cfg)
+def _run_cv(command: str, cfg: dict, rows, rule: str, rule_threshold: float):
     folds = evaluate.make_folds(rows, k=cfg["folds"], seed=cfg["seed"])
     fit_config = _fit_config(cfg)
     full = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
@@ -297,17 +273,13 @@ def _run_cv(command: str, cfg: dict, rule: str, rule_threshold: float) -> int:
         "runs": runs,
     }
     report.write_bundle(cfg["out_dir"], payload)
-    report.write_json(os.path.join(cfg["out_dir"], RUN_CONFIG),
-                      _config_payload(command, cfg))
     print(f"average failure recall: full {full['average_normalized'][1][1]:.4f}, "
           f"reduced ({len(reduced_names)} features) "
           f"{reduced['average_normalized'][1][1]:.4f}")
     print(f"report bundle written to {cfg['out_dir']}")
-    return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def cmd_report(cfg: dict) -> int:
-    _require(cfg, "bundle")
+def cmd_report(cfg: dict, rows):
     payload = report.load_bundle_payload(cfg["bundle"])
     try:
         report.render(cfg["bundle"], payload)
@@ -316,23 +288,34 @@ def cmd_report(cfg: dict) -> int:
         raise ValueError(f"{os.path.join(cfg['bundle'], report.REPORT_JSON)}: "
                          f"not a report payload ({type(exc).__name__}: {exc})") from None
     print(f"re-rendered artifacts in {cfg['bundle']}")
-    return EXIT_OK
 
 
 _HANDLERS = {
     "generate": cmd_generate,
     "assemble": cmd_assemble,
     "train": cmd_train,
-    "evaluate": lambda cfg: _run_cv("evaluate", cfg, "paper-reduced", 0.10),
-    "prune": lambda cfg: _run_cv("prune", cfg, cfg["rule"], cfg["prune_threshold"]),
+    "evaluate": lambda cfg, rows: _run_cv("evaluate", cfg, rows, "paper-reduced", 0.10),
+    "prune": lambda cfg, rows: _run_cv("prune", cfg, rows, cfg["rule"],
+                                       cfg["prune_threshold"]),
     "report": cmd_report,
 }
 
 
 def main(argv=None) -> int:
+    """Run a subcommand's handler between the steps every subcommand shares."""
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](_resolve(args.subcommand, args))
+        cfg = _resolve(args.subcommand, args)
+        out_key = next(key for key in ("out_dir", "out", "bundle") if key in cfg)
+        if cfg[out_key] is None:
+            raise ValueError(f"missing required option {_flag(out_key)}")
+        rows, violations = _load_stream(cfg) if "in_dir" in cfg else (None, [])
+        _HANDLERS[args.subcommand](cfg, rows)
+        if out_key != "bundle":  # report re-renders a bundle that has its record
+            record = (os.path.join(cfg[out_key], RUN_CONFIG) if out_key == "out_dir"
+                      else os.path.splitext(cfg[out_key])[0] + ".config.json")
+            report.write_json(record, _config_payload(args.subcommand, cfg))
+        return EXIT_VIOLATIONS if violations else EXIT_OK
     except (evaluate.FoldError, logreg.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -107,6 +107,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     """
     if not folds:
         raise FoldError("no folds to evaluate")
+    logreg.check_threshold(threshold)
     run_folds = []
     for fold in folds:
         try:

@@ -239,10 +239,8 @@ def load_bundle(telemetry, errors, maintenance, failures, machines):
     paths = {"telemetry": telemetry, "errors": errors, "maintenance": maintenance,
              "failures": failures, "machines": machines}
     raw = {name: parse_csv(path, name) for name, path in paths.items()}
-    violations = []
-    for name, table in raw.items():
-        if len(table):
-            violations.extend(schema.validate_dataset(table, name))
+    violations = [v for name, table in raw.items()
+                  for v in schema.validate_dataset(table, name)]
     machines = _kept(raw["machines"], violations, "machines")
     violations.extend(_reference_violations(raw, machines.machine_id))
     violations.extend(_grid_violations(raw["telemetry"]))

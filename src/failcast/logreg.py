@@ -87,10 +87,15 @@ def predict_proba(model: LogisticModel, x):
     return float(p) if single else p
 
 
-def predict(model: LogisticModel, x, threshold=0.5):
-    """Hard class call: probability at or above the threshold is positive."""
+def check_threshold(threshold):
+    """Reject a decision threshold outside (0, 1)."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
+
+
+def predict(model: LogisticModel, x, threshold=0.5):
+    """Hard class call: probability at or above the threshold is positive."""
+    check_threshold(threshold)
     return predict_proba(model, x) >= threshold
 
 

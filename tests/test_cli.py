@@ -468,6 +468,33 @@ def test_violation_lines_are_capped_per_dataset(dataset, tmp_path, capsys):
     ] + [f"{len(violations)} validation violation(s); continuing"]
 
 
+def test_telemetry_gap_violation_prints_without_a_row(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    lines = (data / "telemetry.csv").read_text().splitlines()
+    before_gap = lines[10].split(",")[1]  # machine 1's hour 9
+    del lines[11:13]
+    (data / "telemetry.csv").write_text("\n".join(lines) + "\n")
+    rc = cli.main(["assemble", "--in-dir", str(data), "--out", str(tmp_path / "s.csv")])
+    assert rc == cli.EXIT_VIOLATIONS
+    assert capsys.readouterr().err == (
+        f"violation [telemetry]: machine 1: 2 missing hour(s) after {before_gap}\n"
+        "1 validation violation(s); continuing\n")
+
+
+@pytest.mark.parametrize("threshold", ["0", "1.0"])
+def test_out_of_range_threshold_exits_1_before_any_fit(dataset, tmp_path, capsys,
+                                                      monkeypatch, threshold):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("logreg.fit called")
+
+    monkeypatch.setattr(logreg, "fit", no_fit)
+    rc = cli.main(["evaluate", "--in-dir", str(dataset), "--out-dir", str(tmp_path / "rep"),
+                   "--threshold", threshold])
+    assert rc == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == "error: threshold must lie in (0, 1)\n"
+
+
 # --- single-cell corruption: the exit-code contract --------------------------
 
 @pytest.fixture(scope="module")

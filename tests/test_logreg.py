@@ -236,6 +236,31 @@ def test_converged_fit_satisfies_its_own_certificate():
         logreg.objective((model.alpha, model.beta), data, config), rel=1e-15)
 
 
+def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
+    # Unpenalized, an all-zero column leaves a zero row and column in every
+    # Hessian, so np.linalg.solve fails and each Newton step is a lstsq one.
+    base = helpers.random_instance(seed=3, n_rows=200, n_features=4)
+    data = assemble.DesignMatrix(rows=np.column_stack([base.rows, np.zeros(200)]),
+                                 labels=base.labels, sample_weights=base.sample_weights,
+                                 encoding=None)
+    config = logreg.FitConfig(l2_strength=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(logreg._hessian(np.full(200, 0.5), data, config), np.ones(6))
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    model = logreg.fit(data, config)
+    assert model.fit_meta.converged
+    assert len(calls) == model.fit_meta.iterations > 0
+    grad = logreg.gradient((model.alpha, model.beta), data, config)
+    assert np.max(np.abs(grad)) <= config.tolerance
+    assert model.beta[-1] == 0.0
+
+
 @pytest.mark.parametrize("seed, n_rows, n_features", [(11, 2000, 6),
                                                      (6, 500, 8)])
 def test_newton_reaches_tolerance_when_objective_ties_at_float_resolution(

@@ -54,6 +54,11 @@ def test_clean_telemetry_has_empty_report():
                                    "telemetry") == []
 
 
+@pytest.mark.parametrize("dataset", list(schema.CSV_COLUMNS))
+def test_empty_table_has_empty_report(dataset):
+    assert schema.validate_dataset(helpers.table(dataset, []), dataset) == []
+
+
 def test_duplicate_telemetry_key_is_violation():
     records = [helpers.telemetry(1, 0), helpers.telemetry(1, 0)]
     report = schema.validate_dataset(helpers.table("telemetry", records),

@@ -7,6 +7,14 @@ from hypothesis import given, strategies as st
 from failcast import rng
 
 MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_mix(z):
+    """The published output mix, on Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
 
 
 def reference_splitmix64(seed, n):
@@ -14,12 +22,18 @@ def reference_splitmix64(seed, n):
     out = []
     state = seed & MASK
     for _ in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
+        state = (state + GAMMA) & MASK
+        out.append(reference_mix(state))
     return out
+
+
+def reference_derive(seed, keys):
+    """The fold ``s = mix((s ^ mix(key + GAMMA)) + GAMMA)`` of rng.derive's
+    docstring, all mod 2**64."""
+    s = seed & MASK
+    for key in keys:
+        s = reference_mix(((s ^ reference_mix((key + GAMMA) & MASK)) + GAMMA) & MASK)
+    return s
 
 
 def test_known_answer_seed_zero():
@@ -45,6 +59,14 @@ def test_scalar_mix_agrees_with_vector_path():
     vector = rng.Stream(seed).u64(50)
     scalar = [rng.mix64((seed + (i + 1) * rng.GAMMA) & MASK) for i in range(50)]
     assert list(vector) == scalar
+
+
+@given(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+       st.lists(st.integers(min_value=-2 ** 70, max_value=2 ** 70), max_size=3))
+def test_derive_matches_reference_fold(seed, keys):
+    derived = rng.derive(seed, *keys)
+    assert type(derived) is int
+    assert derived == reference_derive(seed, keys)
 
 
 def test_derive_differs_per_key():

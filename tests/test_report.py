@@ -150,3 +150,49 @@ def test_confusion_heat_colors_span_white_to_blue(tmp_path):
     assert 'fill="#ffffff"' in svg  # zero cells
     assert 'fill="#1f77b4"' in svg  # saturated cells
     assert "1.0000" in svg and "0.0000" in svg
+
+
+# A literal payload, so the rendered bytes depend on no fit, BLAS or numpy.
+GOLDEN_PAYLOAD = {
+    "version": "0.0-golden",
+    "command": "prune",
+    "config": {"folds": 2, "seed": 5, "threshold": 0.5},
+    "dataset_digest": "sha256:feed",
+    "label_semantics": "point-at-horizon",
+    "pruning_rule": "relative",
+    "runs": {"reduced": {
+        "features": ["error_1", "age"],
+        "folds": [
+            {"fold_index": 0, "n_train": 120, "n_test": 60,
+             "iterations": 7, "converged": True,
+             "counts": [[50, 4], [1, 5]],
+             "normalized": [[0.9259259259259259, 0.07407407407407407],
+                            [0.16666666666666666, 0.8333333333333334]]},
+            {"fold_index": 1, "n_train": 110, "n_test": 70,
+             "counts": [[61, 2], [3, 4]],
+             "normalized": [[0.9682539682539683, 0.031746031746031744],
+                            [0.42857142857142855, 0.5714285714285714]]},
+        ],
+        "average_normalized": [[0.9470899470899471, 0.05291005291005291],
+                               [0.2976190476190476, 0.7023809523809523]],
+        "weights": [
+            {"feature": "constant", "mean": -3.25, "std": 0.125, "abs_rank": 1},
+            {"feature": "error_1", "mean": 1.5, "std": 0.1, "abs_rank": 2},
+            {"feature": "age", "mean": -0.0625, "std": 0.03125, "abs_rank": 3},
+        ],
+    }},
+}
+
+GOLDEN_SHA256 = {
+    "summary.txt": "ff64aa99801bf03f8ad42e70f370f9352a889d56788675132fcd40da94a885e9",
+    "weights_reduced.csv": "58c9076145f9374185998e8da05f49bde5a8e8e6fe4a7da5325498aafcd4b97a",
+    "weights_reduced.svg": "5ad70243559994c2a8e933b2771affd0b5575b78e19b4a1c58b7c8cf56a845a2",
+    "confusion_reduced.svg": "eba46994012f0e3dfb3d57c7d51c1362a764c45e1e7dec37b4a9ab386e3c24e1",
+}
+
+
+def test_rendered_artifacts_match_their_golden_digests(tmp_path):
+    report.render(tmp_path, GOLDEN_PAYLOAD)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == GOLDEN_SHA256

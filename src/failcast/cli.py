@@ -60,36 +60,6 @@ _EVAL = {
     "seed": (int, 0, "machine-shuffle seed for folds"),
 }
 
-_COMMANDS = {
-    "generate": ("write a seeded synthetic five-CSV dataset", {
-        "out_dir": (str, None, "output directory"),
-        "machines": (int, 100, "number of machines"),
-        "days": (int, 365, "number of simulated days"),
-        "seed": (int, 0, "generator seed"),
-        "failure_rate": (float, 0.017, "target per-hour failure probability"),
-        "signal": (float, 50.0, "odds ratio of error-driven to background failures"),
-        "error_rate": (float, 0.005, "per-flag per-hour error probability"),
-        "maintenance_rate": (float, 0.002, "per-hour scheduled maintenance probability"),
-        "drift": (bool, False, "add a telemetry ramp in the day before failures"),
-    }),
-    "assemble": ("join the five CSVs into a labeled hourly stream", {
-        **_INPUT, "out": (str, None, "output stream CSV path"), **_HORIZON}),
-    "train": ("fit one weighted model on the full stream", {
-        **_INPUT, "out": (str, None, "output model file path"), **_HORIZON, **_FIT}),
-    "evaluate": ("machine-disjoint temporal cross-validation report", _EVAL),
-    "prune": ("evaluate, prune weak features, re-evaluate reduced set", {
-        **_EVAL,
-        "rule": (evaluate.PRUNE_RULES, "relative", "pruning rule for the reduced run"),
-        "prune_threshold": (float, 0.10,
-                            "relative-magnitude cutoff for rule 'relative'"),
-    }),
-    "report": ("re-render summary/CSV/SVG artifacts from report.json", {
-        "bundle": (str, None, "report bundle directory")}),
-}
-
-DEFAULTS = {name: {key: default for key, (_, default, _) in options.items()}
-            for name, (_, options) in _COMMANDS.items()}
-
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
@@ -111,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"failcast {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (summary, options) in _COMMANDS.items():
+    for name, (summary, options, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=summary,
                               argument_default=argparse.SUPPRESS)
         sub.add_argument("--config",
@@ -252,6 +222,8 @@ def cmd_train(cfg: dict, rows):
 
 
 def _run_cv(command: str, cfg: dict, rows, rule: str, rule_threshold: float):
+    if rule == "relative":
+        evaluate.check_prune_threshold(rule_threshold)
     folds = evaluate.make_folds(rows, k=cfg["folds"], seed=cfg["seed"])
     fit_config = _fit_config(cfg)
     full = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
@@ -290,15 +262,39 @@ def cmd_report(cfg: dict, rows):
     print(f"re-rendered artifacts in {cfg['bundle']}")
 
 
-_HANDLERS = {
-    "generate": cmd_generate,
-    "assemble": cmd_assemble,
-    "train": cmd_train,
-    "evaluate": lambda cfg, rows: _run_cv("evaluate", cfg, rows, "paper-reduced", 0.10),
-    "prune": lambda cfg, rows: _run_cv("prune", cfg, rows, cfg["rule"],
-                                       cfg["prune_threshold"]),
-    "report": cmd_report,
+# Each subcommand: (help summary, options, handler taking (cfg, rows)).
+_COMMANDS = {
+    "generate": ("write a seeded synthetic five-CSV dataset", {
+        "out_dir": (str, None, "output directory"),
+        "machines": (int, 100, "number of machines"),
+        "days": (int, 365, "number of simulated days"),
+        "seed": (int, 0, "generator seed"),
+        "failure_rate": (float, 0.017, "target per-hour failure probability"),
+        "signal": (float, 50.0, "odds ratio of error-driven to background failures"),
+        "error_rate": (float, 0.005, "per-flag per-hour error probability"),
+        "maintenance_rate": (float, 0.002, "per-hour scheduled maintenance probability"),
+        "drift": (bool, False, "add a telemetry ramp in the day before failures"),
+    }, cmd_generate),
+    "assemble": ("join the five CSVs into a labeled hourly stream", {
+        **_INPUT, "out": (str, None, "output stream CSV path"), **_HORIZON},
+        cmd_assemble),
+    "train": ("fit one weighted model on the full stream", {
+        **_INPUT, "out": (str, None, "output model file path"), **_HORIZON, **_FIT},
+        cmd_train),
+    "evaluate": ("machine-disjoint temporal cross-validation report", _EVAL,
+                 lambda cfg, rows: _run_cv("evaluate", cfg, rows, "paper-reduced", 0.10)),
+    "prune": ("evaluate, prune weak features, re-evaluate reduced set", {
+        **_EVAL,
+        "rule": (evaluate.PRUNE_RULES, "relative", "pruning rule for the reduced run"),
+        "prune_threshold": (float, 0.10,
+                            "relative-magnitude cutoff for rule 'relative'"),
+    }, lambda cfg, rows: _run_cv("prune", cfg, rows, cfg["rule"], cfg["prune_threshold"])),
+    "report": ("re-render summary/CSV/SVG artifacts from report.json", {
+        "bundle": (str, None, "report bundle directory")}, cmd_report),
 }
+
+DEFAULTS = {name: {key: default for key, (_, default, _) in options.items()}
+            for name, (_, options, _) in _COMMANDS.items()}
 
 
 def main(argv=None) -> int:
@@ -310,7 +306,7 @@ def main(argv=None) -> int:
         if cfg[out_key] is None:
             raise ValueError(f"missing required option {_flag(out_key)}")
         rows, violations = _load_stream(cfg) if "in_dir" in cfg else (None, [])
-        _HANDLERS[args.subcommand](cfg, rows)
+        _COMMANDS[args.subcommand][2](cfg, rows)
         if out_key != "bundle":  # report re-renders a bundle that has its record
             record = (os.path.join(cfg[out_key], RUN_CONFIG) if out_key == "out_dir"
                       else os.path.splitext(cfg[out_key])[0] + ".config.json")

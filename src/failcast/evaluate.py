@@ -154,6 +154,12 @@ PAPER_REDUCED_FEATURES = schema.ERROR_FLAGS + ("age",) + schema.MODEL_FLAGS
 PRUNE_RULES = ("relative", "paper-reduced")
 
 
+def check_prune_threshold(threshold: float):
+    """Reject a ``relative`` cutoff above 1, which no feature can reach."""
+    if threshold > 1:
+        raise PruneError("pruning removed every feature")
+
+
 def prune_features(weights, rule: str = "relative",
                    threshold: float = 0.10) -> list[str]:
     """Reduced feature list in canonical order, from a run's ``weights``.
@@ -167,6 +173,7 @@ def prune_features(weights, rule: str = "relative",
         return [f for f in PAPER_REDUCED_FEATURES if f in present]
     if rule != "relative":
         raise PruneError(f"unknown pruning rule {rule!r}; expected one of {PRUNE_RULES}")
+    check_prune_threshold(threshold)
     magnitudes = {w["feature"]: abs(w["mean"]) for w in weights if w["feature"] != "constant"}
     if not magnitudes:
         raise PruneError("weight report has no features")

@@ -110,7 +110,8 @@ def objective(params, data, config: FitConfig) -> float:
     beta = np.asarray(beta, dtype=float)
     z = alpha + data.rows @ beta
     y = data.labels.astype(float)
-    value = float(np.dot(data.sample_weights, _nll_terms(z, y)))
+    with np.errstate(over="ignore"):  # _descend rejects a non-finite start
+        value = float(np.dot(data.sample_weights, _nll_terms(z, y)))
     return value + 0.5 * config.l2_strength * float(np.dot(beta, beta))
 
 
@@ -168,10 +169,10 @@ def _descend(data, config, step_fn):
         u = d_alpha + data.rows @ d_beta
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # NaN is no descent
                 per_row = np.log1p(p * np.expm1(-t * u)) + y * t * u
-            change = np.dot(data.sample_weights, per_row) + config.l2_strength * t * (
-                t / 2 * (d_beta @ d_beta) - beta @ d_beta)
+                change = np.dot(data.sample_weights, per_row) + config.l2_strength * t * (
+                    t / 2 * (d_beta @ d_beta) - beta @ d_beta)
             if change < 0:
                 break
             t *= 0.5

@@ -59,7 +59,8 @@ def render(out_dir, payload: dict):
         artifacts[f"confusion_{run_name}.svg"] = _confusion_svg(
             run, f"average normalized confusion ({run_name})")
     for name, text in artifacts.items():
-        _write_text(os.path.join(out_dir, name), text)
+        with open(os.path.join(out_dir, name), "w", newline="\n") as handle:
+            handle.write(text)
 
 
 def load_bundle_payload(bundle_dir) -> dict:
@@ -71,36 +72,27 @@ def load_bundle_payload(bundle_dir) -> dict:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_text(path, text):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+def _class_rows(matrix, spec):
+    """One line per true class, its two cells formatted with ``spec``."""
+    return [f"  {'true ' + name:16s}{matrix[t][0]:>16{spec}}{matrix[t][1]:>16{spec}}"
+            for t, name in enumerate(_CLASS_NAMES)]
 
 
-def _matrix_block(counts, normalized, indent="  "):
-    lines = []
-    header = f"{'':14s}{'pred ' + _CLASS_NAMES[0]:>16s}{'pred ' + _CLASS_NAMES[1]:>16s}"
-    lines.append(indent + header)
-    for t in (0, 1):
-        label = f"true {_CLASS_NAMES[t]}"
-        lines.append(indent + f"{label:16s}{counts[t][0]:>16d}{counts[t][1]:>16d}")
-    lines.append(indent + "normalized:")
-    for t in (0, 1):
-        label = f"true {_CLASS_NAMES[t]}"
-        lines.append(indent + f"{label:16s}{normalized[t][0]:>16.6f}{normalized[t][1]:>16.6f}")
-    return lines
+def _matrix_block(counts, normalized):
+    header = f"{'':16s}{'pred ' + _CLASS_NAMES[0]:>16s}{'pred ' + _CLASS_NAMES[1]:>16s}"
+    return [header, *_class_rows(counts, "d"), "  normalized:",
+            *_class_rows(normalized, ".6f")]
 
 
 def _summary_text(payload) -> str:
-    lines = []
-    lines.append(f"failcast {payload.get('version', '?')} evaluation report")
-    lines.append("=" * 48)
-    lines.append(f"command:         {payload.get('command', '?')}")
-    lines.append(f"dataset digest:  {payload.get('dataset_digest', '?')}")
-    lines.append(f"label semantics: {payload.get('label_semantics', '?')}")
     config = payload.get("config", {})
-    lines.append("resolved config:")
-    for key in sorted(config):
-        lines.append(f"  {key} = {config[key]}")
+    lines = [f"failcast {payload.get('version', '?')} evaluation report",
+             "=" * 48,
+             f"command:         {payload.get('command', '?')}",
+             f"dataset digest:  {payload.get('dataset_digest', '?')}",
+             f"label semantics: {payload.get('label_semantics', '?')}",
+             "resolved config:",
+             *(f"  {key} = {config[key]}" for key in sorted(config))]
     for run_name, run in sorted(payload.get("runs", {}).items()):
         lines.append("")
         features = run["features"]
@@ -114,10 +106,7 @@ def _summary_text(payload) -> str:
                          f"(train {fold['n_train']}, test {fold['n_test']}{fit}):")
             lines.extend(_matrix_block(fold["counts"], fold["normalized"]))
         lines.append("average normalized matrix:")
-        avg = run["average_normalized"]
-        for t in (0, 1):
-            label = f"true {_CLASS_NAMES[t]}"
-            lines.append(f"  {label:16s}{avg[t][0]:>16.6f}{avg[t][1]:>16.6f}")
+        lines.extend(_class_rows(run["average_normalized"], ".6f"))
         lines.append("coefficients by |mean| (feature, mean, std):")
         for entry in run["weights"]:
             lines.append(f"  {entry['feature']:12s} {entry['mean']:>14.6f} "

@@ -18,12 +18,10 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 _U_GAMMA = np.uint64(GAMMA)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
+_U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_MIX2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
@@ -31,31 +29,24 @@ _S11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
 
 
-def mix64(z: int) -> int:
-    """Scalar splitmix64 output mix of a 64-bit value."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def derive(seed: int, *keys: int) -> int:
-    """Derive an independent substream seed from integer keys.
-
-    Each key is folded in as ``s = mix64((s ^ mix64(key + GAMMA)) + GAMMA)``,
-    so (seed, keys) tuples that differ anywhere give unrelated streams.
-    """
-    s = seed & _MASK
-    for k in keys:
-        s = mix64(((s ^ mix64((k + GAMMA) & _MASK)) + GAMMA) & _MASK)
-    return s
-
-
 def _mix_vec(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = (z ^ (z >> _S30)) * _U_MIX1
         z = (z ^ (z >> _S27)) * _U_MIX2
     return z ^ (z >> _S31)
+
+
+def derive(seed: int, *keys: int) -> int:
+    """Derive an independent substream seed from integer keys.
+
+    Each key is folded in as ``s = mix((s ^ mix(key + GAMMA)) + GAMMA)``,
+    so (seed, keys) tuples that differ anywhere give unrelated streams.
+    """
+    s = np.uint64(seed & _MASK)
+    with np.errstate(over="ignore"):
+        for k in keys:
+            s = _mix_vec((s ^ _mix_vec(np.uint64(k & _MASK) + _U_GAMMA)) + _U_GAMMA)
+    return int(s)
 
 
 class Stream:

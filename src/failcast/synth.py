@@ -135,9 +135,8 @@ def _generate_machine(config: SynthConfig, machine_id: int):
     trigger_draws = _machine_stream(config, machine_id, _CH_TRIGGER).uniforms(n)
     triggered = np.zeros(n, dtype=bool)
     lead = LEAD_HOURS
-    if n > lead:
-        triggered[lead:] = error_any[:-lead] & (trigger_draws[:-lead]
-                                                < config.triggered_failure_prob)
+    triggered[lead:] = error_any[:-lead] & (trigger_draws[:-lead]
+                                            < config.triggered_failure_prob)
     failure = background | triggered
     fail_comp = _machine_stream(config, machine_id, _CH_FAIL_COMP).below(n, 4)
 

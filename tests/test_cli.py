@@ -431,6 +431,21 @@ def test_impossible_folds_exit_3(tmp_path, capsys):
     assert "at least 5 machines" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight, rc, message", [
+    # the objective at the start overflows: the fit is refused
+    ("1e307", cli.EXIT_FIT, "error: objective became non-finite (inf)\n"),
+    # the Hessian overflows, so the first Newton direction is NaN: no step is taken
+    ("1.5e306", cli.EXIT_OK, "warning: train: fit did not converge in 0 iteration(s)"),
+])
+def test_extreme_weight_prints_no_numpy_warning(dataset, tmp_path, capsys,
+                                                weight, rc, message):
+    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(tmp_path / "m.txt"),
+                     "--weight", weight]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Warning" not in err
+
+
 def test_stream_with_no_rows_exits_1(dataset, tmp_path, capsys):
     # Every telemetry row names a machine the header-only machines file lacks,
     # so each is dropped and the encoding, which runs before the fit, has no rows.
@@ -493,6 +508,18 @@ def test_out_of_range_threshold_exits_1_before_any_fit(dataset, tmp_path, capsys
                    "--threshold", threshold])
     assert rc == cli.EXIT_FAILURE
     assert capsys.readouterr().err == "error: threshold must lie in (0, 1)\n"
+
+
+def test_prune_threshold_above_one_exits_1_before_any_fit(dataset, tmp_path, capsys,
+                                                         monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("logreg.fit called")
+
+    monkeypatch.setattr(logreg, "fit", no_fit)
+    rc = cli.main(["prune", "--in-dir", str(dataset), "--out-dir", str(tmp_path / "rep"),
+                   "--rule", "relative", "--prune-threshold", "2.0"])
+    assert rc == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == "error: pruning removed every feature\n"
 
 
 # --- single-cell corruption: the exit-code contract --------------------------

@@ -299,6 +299,11 @@ def test_fixed_preset_intersects_with_available_features():
     assert kept == ["error_1", "age"]
 
 
+def test_relative_cutoff_of_one_keeps_the_largest_feature():
+    weights = _weights(error_1=-2.0, error_2=1.999, age=0.5)
+    assert evaluate.prune_features(weights, rule="relative", threshold=1.0) == ["error_1"]
+
+
 def test_prune_error_paths():
     weights = _weights(error_1=1.0)
     with pytest.raises(evaluate.PruneError, match="unknown pruning rule"):

@@ -54,13 +54,6 @@ def test_counter_based_blocks_are_call_pattern_independent():
     assert list(whole) == list(parts)
 
 
-def test_scalar_mix_agrees_with_vector_path():
-    seed = 0x0123456789ABCDEF
-    vector = rng.Stream(seed).u64(50)
-    scalar = [rng.mix64((seed + (i + 1) * rng.GAMMA) & MASK) for i in range(50)]
-    assert list(vector) == scalar
-
-
 @given(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
        st.lists(st.integers(min_value=-2 ** 70, max_value=2 ** 70), max_size=3))
 def test_derive_matches_reference_fold(seed, keys):

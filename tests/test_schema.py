@@ -103,6 +103,36 @@ def test_violations_preserve_row_order():
     assert schema.validate_dataset(records, "machines") == report
 
 
+def _first_index_oracle(*columns):
+    """Each row's first index among the rows with its key tuple, by a dict."""
+    first = {}
+    return [first.setdefault(key, i)
+            for i, key in enumerate(zip(*[c.tolist() for c in columns]))]
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@given(st.lists(st.integers(-3, 3) | st.integers(_INT64.min, _INT64.max)))
+def test_first_rows_of_one_int_column_match_a_dict_oracle(values):
+    ids = np.array(values, dtype=np.int64)
+    assert schema.first_rows(ids).tolist() == _first_index_oracle(ids)
+
+
+# A few keys each, so that most draws repeat some (machine_id, datetime).
+@given(st.lists(st.tuples(st.sampled_from([-1, 1, 2, _INT64.max]),
+                          st.sampled_from([-86_400, 0, 3_600, 7_200, 10**11]))))
+def test_first_rows_of_a_key_pair_match_a_dict_oracle(keys):
+    ids = np.array([k[0] for k in keys], dtype=np.int64)
+    times = np.array([k[1] for k in keys], dtype=np.int64).astype("datetime64[s]")
+    assert schema.first_rows(ids, times).tolist() == _first_index_oracle(ids, times)
+
+
+def test_first_rows_of_an_empty_table_is_empty():
+    empty = helpers.table("telemetry", [])
+    assert schema.first_rows(empty.machine_id, empty.datetime).tolist() == []
+
+
 _ids = st.integers(min_value=1, max_value=500)
 _hours = st.integers(min_value=0, max_value=10_000).map(hour)
 _reals = st.floats(min_value=-1e6, max_value=1e6,

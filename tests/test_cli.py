@@ -4,6 +4,7 @@ artifact layout and byte-for-byte rerun determinism."""
 import collections
 import hashlib
 import json
+import random
 import shutil
 
 import pytest
@@ -172,6 +173,64 @@ def test_evaluate_records_label_semantics(dataset, tmp_path, flags, semantics):
                      "--out-dir", str(out)] + flags) == cli.EXIT_OK
     assert report.load_bundle_payload(out)["label_semantics"] == semantics
     assert f"label semantics: {semantics}\n" in (out / "summary.txt").read_text()
+
+
+# --- metamorphic relations: rewrites of the input that keep the report ------
+
+def _report_without_paths(out_dir):
+    """report.json less what names the input: its digest and the two paths."""
+    payload = json.loads((out_dir / "report.json").read_text())
+    del payload["dataset_digest"]
+    del payload["config"]["in_dir"], payload["config"]["out_dir"]
+    return payload
+
+
+def _shuffled(name, rows):
+    random.Random(name).shuffle(rows)
+    return rows
+
+
+def _padded(name, rows):
+    return [",".join(f"  {cell} " for cell in row.split(",")) for row in rows]
+
+
+def _with_dropped_rows(name, rows):
+    # Every added row is one the loader drops: a repeated telemetry or
+    # machine key keeps its first row, so the later one's other cells may
+    # differ, and a failure must set a flag and name a known machine.
+    if name == "telemetry":
+        return rows + [row.rsplit(",", 1)[0] + ",0.5" for row in rows[::len(rows) // 20][:20]]
+    if name == "machines":
+        return rows + [row.replace(",", ",99", 1) for row in rows[:2]]
+    if name == "failures":
+        machine, when = rows[0].split(",")[:2]
+        return rows + [f"{machine},{when},0,0,0,0", f"999,{when},1,0,0,0"]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def base_report(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("base") / "rep"
+    assert cli.main(["evaluate", "--in-dir", str(dataset), "--out-dir", str(out)]) == cli.EXIT_OK
+    return _report_without_paths(out)
+
+
+@pytest.mark.parametrize("rewrite, rc", [
+    (_shuffled, cli.EXIT_OK),
+    # sends every file through the block parser instead of the C reader
+    (_padded, cli.EXIT_OK),
+    (_with_dropped_rows, cli.EXIT_VIOLATIONS),
+])
+def test_input_rewrite_keeps_the_report(dataset, base_report, tmp_path, rewrite, rc):
+    data = tmp_path / "data"
+    data.mkdir()
+    for filename in ingest.BUNDLE_FILENAMES.values():
+        header, *rows = (dataset / filename).read_text().splitlines()
+        rows = rewrite(filename.removesuffix(".csv"), rows)
+        (data / filename).write_text("\n".join([header] + rows) + "\n")
+    out = tmp_path / "rep"
+    assert cli.main(["evaluate", "--in-dir", str(data), "--out-dir", str(out)]) == rc
+    assert _report_without_paths(out) == base_report
 
 
 # --- exit codes --------------------------------------------------------------

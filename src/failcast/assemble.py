@@ -64,7 +64,7 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     """
     if horizon_hours < 1:
         raise ValueError("horizon_hours must be at least 1")
-    telemetry, machines = bundle.telemetry, bundle.machines
+    telemetry, machines, failures = bundle.telemetry, bundle.machines, bundle.failures
     machine_id, when = telemetry.machine_id, telemetry.datetime
     missing = machine_id[~np.isin(machine_id, machines.machine_id)]
     if len(missing):
@@ -99,8 +99,6 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
 
     # Failure f labels [f - horizon, f - first].  The horizon is at most a
     # surviving row's lead; with no row it may pass datetime64's range.
-    failures = bundle.failures
-    failures = failures[np.logical_or.reduce([failures[f] for f in schema.COMP_FLAGS])]
     ahead = (horizon_hours, 1 if window else horizon_hours) if len(rows) else (0, 0)
     stream["label"] = _rows_in(keys, *(
         _pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h")) for k in ahead))

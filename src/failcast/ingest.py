@@ -222,10 +222,8 @@ def _reference_violations(raw, known_ids) -> list:
 
 def _kept(table, violations, name):
     """Rows of ``table`` that no violation of dataset ``name`` names."""
-    keep = np.ones(len(table), dtype=bool)
-    keep[[v.row_index for v in violations
-          if v.dataset == name and v.row_index is not None]] = False
-    return table[keep]
+    return np.delete(table, [v.row_index for v in violations
+                             if v.dataset == name and v.row_index is not None])
 
 
 def load_bundle(telemetry, errors, maintenance, failures, machines):

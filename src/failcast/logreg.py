@@ -30,8 +30,8 @@ SOLVERS = ("newton", "gradient_descent")
 
 
 class FitError(Exception):
-    """Raised when a fit cannot start: there are no rows, the labels carry
-    one class only, or the objective at the zero start is non-finite."""
+    """Raised when a fit cannot start (no rows, one label class, or a non-finite
+    objective at the zero start) or its step direction is non-finite."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,10 @@ def _descend(data, config, step_fn):
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
         if converged or iterations == config.max_iterations:
             break
-        direction = step_fn((alpha, beta), grad, p)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            direction = step_fn((alpha, beta), grad, p)
+        if not np.isfinite(direction).all():
+            raise FitError(f"step direction became non-finite at iteration {iterations}")
         d_alpha, d_beta = direction[0], direction[1:]
         u = d_alpha + data.rows @ d_beta
         t = 1.0

@@ -93,13 +93,9 @@ def table(dataset: str, columns) -> np.recarray:
 
 def first_rows(*columns) -> np.ndarray:
     """For each row, the index of the first row equal to it in every column."""
-    order = np.lexsort(columns[::-1])
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.logical_or.reduce([c[order][1:] != c[order][:-1] for c in columns])
-    start_of_group = np.maximum.accumulate(np.where(starts, np.arange(len(order)), 0))
-    first = np.empty_like(order)
-    first[order] = order[start_of_group]
-    return first
+    _, first, inverse = np.unique(np.rec.fromarrays(columns), return_index=True,
+                                  return_inverse=True)
+    return first[inverse]
 
 
 # Each validator returns its checks in report order as (mask of violating

@@ -493,16 +493,18 @@ def test_impossible_folds_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("weight, rc, message", [
     # the objective at the start overflows: the fit is refused
     ("1e307", cli.EXIT_FIT, "error: objective became non-finite (inf)\n"),
-    # the Hessian overflows, so the first Newton direction is NaN: no step is taken
-    ("1.5e306", cli.EXIT_OK, "warning: train: fit did not converge in 0 iteration(s)"),
+    # the Hessian overflows, so the first Newton direction is NaN: the fit is refused
+    ("1.5e306", cli.EXIT_FIT, "error: step direction became non-finite at iteration 0\n"),
 ])
 def test_extreme_weight_prints_no_numpy_warning(dataset, tmp_path, capsys,
                                                 weight, rc, message):
-    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(tmp_path / "m.txt"),
+    model = tmp_path / "m.txt"
+    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(model),
                      "--weight", weight]) == rc
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Warning" not in err
+    assert not model.exists()
 
 
 def test_stream_with_no_rows_exits_1(dataset, tmp_path, capsys):

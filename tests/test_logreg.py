@@ -373,6 +373,20 @@ def test_non_finite_feature_aborts_with_iteration_number():
             logreg.fit(data)
 
 
+def test_overflowing_curvature_aborts_with_iteration_number():
+    # Weights summing to 1e307 keep the start objective (log 2 times that)
+    # finite, but with features scaled by 10 the Hessian's sums overflow, so
+    # the first Newton direction is not finite.  The fit must say so rather
+    # than return the zero start, and without a numpy warning.
+    base = helpers.random_instance(seed=5, n_rows=40, n_features=3)
+    data = _design(10.0 * base.rows, base.labels,
+                   base.sample_weights * (1e307 / base.sample_weights.sum()))
+    assert np.isfinite(logreg.objective((0.0, np.zeros(3)), data, logreg.FitConfig()))
+    with pytest.raises(logreg.FitError,
+                       match="^step direction became non-finite at iteration 0$"):
+        logreg.fit(data)
+
+
 def test_fit_config_validation():
     for l2 in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="l2_strength"):

@@ -2,6 +2,7 @@
 artifact layout and byte-for-byte rerun determinism."""
 
 import collections
+import datetime
 import hashlib
 import json
 import random
@@ -208,6 +209,21 @@ def _with_dropped_rows(name, rows):
     return rows
 
 
+def _ids_mapped(name, rows):
+    # a strictly increasing map, so the fold shuffle sees the machines in order
+    return [f"{10 * int(machine) + 3},{rest}"
+            for machine, rest in (row.split(",", 1) for row in rows)]
+
+
+def _weeks_shifted(name, rows):
+    # a whole number of weeks keeps each day of week and the cutoff's place
+    if name == "machines":
+        return rows
+    shift = datetime.timedelta(weeks=30)
+    return [f"{machine},{datetime.datetime.fromisoformat(when) + shift},{rest}"
+            for machine, when, rest in (row.split(",", 2) for row in rows)]
+
+
 @pytest.fixture(scope="module")
 def base_report(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("base") / "rep"
@@ -220,6 +236,8 @@ def base_report(dataset, tmp_path_factory):
     # sends every file through the block parser instead of the C reader
     (_padded, cli.EXIT_OK),
     (_with_dropped_rows, cli.EXIT_VIOLATIONS),
+    (_ids_mapped, cli.EXIT_OK),
+    (_weeks_shifted, cli.EXIT_OK),
 ])
 def test_input_rewrite_keeps_the_report(dataset, base_report, tmp_path, rewrite, rc):
     data = tmp_path / "data"

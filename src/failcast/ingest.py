@@ -104,15 +104,17 @@ def _canonical(column):
 
 def _read_canonical(path, columns):
     """The file's columns as numpy's C reader reads them, or None unless the
-    file is canonical: the exact header, no NUL (a text cell loses trailing
-    NULs), no quote, comment or line past the csv field limit (where the
-    block parser stops), and flags and datetimes exactly as ``write_csv``
-    writes them.  The C reader reads every number there as Python does."""
+    file is canonical: ASCII (so loadtxt's default encoding cannot matter),
+    the exact header, no NUL (a text cell loses trailing NULs), no quote,
+    comment or line past the csv field limit (where the block parser stops),
+    and flags and datetimes exactly as ``write_csv`` writes them.  The C
+    reader reads every number there as Python does."""
     with open(path, "rb") as handle:
         raw = handle.read()
     header = ",".join(columns).encode()
     half = csv.field_size_limit() // 2  # a longer line holds a whole chunk this long
-    if not (b"\0" not in raw and raw.startswith((header + b"\n", header + b"\r\n"))
+    if not (raw.isascii() and b"\0" not in raw
+            and raw.startswith((header + b"\n", header + b"\r\n"))
             and all(raw.find(b"\n", i, i + half) >= 0
                     for i in range(0, len(raw) - half + 1, half))):
         return None

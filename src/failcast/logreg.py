@@ -16,11 +16,13 @@ start from zero parameters and are fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .schema import CONTINUOUS_FEATURES, FeatureEncoding
+from .report import write_json
+from .schema import FeatureEncoding
 
 _P_LO = np.finfo(float).tiny
 _P_HI = float(np.nextafter(1.0, 0.0))
@@ -30,8 +32,9 @@ SOLVERS = ("newton", "gradient_descent")
 
 
 class FitError(Exception):
-    """Raised when a fit cannot start (no rows, one label class, or a non-finite
-    objective at the zero start) or its step direction is non-finite."""
+    """Raised when a fit cannot start (no rows, one label class, a non-finite
+    objective at the zero start or a non-finite gradient-descent step bound) or
+    its step direction is non-finite."""
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,10 @@ def _gd_step_factory(data, config):
     shared step-halving loop still decides which steps are taken."""
     # Lipschitz bound for the weighted logistic loss with intercept column
     aug_sq = 1.0 + np.einsum("ij,ij->i", data.rows, data.rows)
-    lipschitz = 0.25 * float(np.dot(data.sample_weights, aug_sq)) + config.l2_strength
+    with np.errstate(over="ignore"):  # rejected just below
+        lipschitz = 0.25 * float(np.dot(data.sample_weights, aug_sq)) + config.l2_strength
+    if not np.isfinite(lipschitz):
+        raise FitError(f"gradient-descent step bound became non-finite ({lipschitz})")
     base = 1.0 / max(lipschitz, 1e-12)
     state = {}
 
@@ -244,61 +250,32 @@ def _gd_step_factory(data, config):
 
 # --- model file format -------------------------------------------------------
 #
-# Plain "key = value" lines; floats printed with %.17g so reloading is
-# exact.  Keys: feature list, alpha, beta.<name>, mean.<name>, std.<name>,
-# fit.iterations, fit.final_objective, fit.converged.  Only continuous
-# features have mean/std lines; every other column is stored as 0 and 1.
+# One JSON object, written by report.write_json.  json writes each float with
+# repr, so reloading is exact.
 
-_FORMAT_HEADER = "# failcast logistic model v1"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_FORMAT = "failcast logistic model v2"
 
 
 def save_model(model: LogisticModel, path):
-    encoding = model.encoding
-    if encoding is None:
+    if model.encoding is None:
         raise ValueError("model has no encoding; cannot serialize")
-    lines = [_FORMAT_HEADER]
-    lines.append(f"features = {','.join(encoding.feature_names)}")
-    lines.append(f"alpha = {_fmt(model.alpha)}")
-    for name, value in zip(encoding.feature_names, model.beta):
-        lines.append(f"beta.{name} = {_fmt(value)}")
-    for name, mean, std in zip(encoding.feature_names, encoding.means, encoding.std_devs):
-        if name in CONTINUOUS_FEATURES:
-            lines.append(f"mean.{name} = {_fmt(mean)}")
-            lines.append(f"std.{name} = {_fmt(std)}")
-    if model.fit_meta is not None:
-        lines.append(f"fit.iterations = {model.fit_meta.iterations}")
-        lines.append(f"fit.final_objective = {_fmt(model.fit_meta.final_objective)}")
-        lines.append(f"fit.converged = {int(model.fit_meta.converged)}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    meta = model.fit_meta
+    write_json(path, {"format": _FORMAT, "alpha": float(model.alpha),
+                      "beta": dict(zip(model.encoding.feature_names, map(float, model.beta))),
+                      "encoding": asdict(model.encoding),
+                      "fit_meta": None if meta is None else asdict(meta)})
 
 
 def load_model(path) -> LogisticModel:
-    entries = {}
-    with open(path) as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
-    if "features" not in entries or "alpha" not in entries:
-        raise ValueError(f"{path}: not a model file (missing features/alpha)")
-    names = tuple(entries["features"].split(","))
-    beta = np.array([float(entries[f"beta.{n}"]) for n in names])
-    encoding = FeatureEncoding(
-        feature_names=names,
-        means=tuple(float(entries.get(f"mean.{n}", 0.0)) for n in names),
-        std_devs=tuple(float(entries.get(f"std.{n}", 1.0)) for n in names),
-    )
-    meta = None
-    if "fit.iterations" in entries:
-        meta = FitMeta(iterations=int(entries["fit.iterations"]),
-                       final_objective=float(entries["fit.final_objective"]),
-                       converged=bool(int(entries["fit.converged"])))
-    return LogisticModel(alpha=float(entries["alpha"]), beta=beta,
-                         encoding=encoding, fit_meta=meta)
+    try:
+        with open(path) as handle:
+            record = json.load(handle)
+    except ValueError:  # not JSON, or not text
+        record = None
+    if not isinstance(record, dict) or record.get("format") != _FORMAT:
+        raise ValueError(f"{path}: not a model file (expected {_FORMAT!r})")
+    encoding = FeatureEncoding(**{key: tuple(v) for key, v in record["encoding"].items()})
+    meta = record["fit_meta"]
+    return LogisticModel(alpha=record["alpha"],
+                         beta=np.array([record["beta"][n] for n in encoding.feature_names]),
+                         encoding=encoding, fit_meta=None if meta is None else FitMeta(**meta))

@@ -71,6 +71,10 @@ def test_assemble_train_evaluate_prune_report(dataset, tmp_path, capsys):
     assert payload["dataset_digest"].startswith("sha256:")
     assert payload["runs"]["reduced"]["features"] == \
         list(evaluate.PAPER_REDUCED_FEATURES)
+    # Records from the same JSON writer are not model files.
+    for record in (tmp_path / "model.config.json", rep / "report.json"):
+        with pytest.raises(ValueError, match="not a model file"):
+            logreg.load_model(record)
     assert "average failure recall" in capsys.readouterr().out
 
     pruned = tmp_path / "pruned"
@@ -154,6 +158,17 @@ def test_rerun_with_identical_flags_is_byte_identical(dataset, tmp_path):
 # json.dumps(runs["full"], sort_keys=True).  A change that moves any digit of
 # the full run must update this digest and say why.
 FULL_RUN_SHA256 = "147fe9b283798139ffa1ddbad287cba1634d44a90329f31dc114d0478b453156"
+
+
+# The model file that `train` writes on the module's dataset.  A change that
+# moves any byte of it, format or fit, must update this digest and say why.
+MODEL_FILE_SHA256 = "df39ba66a55a760099b1a87cc10eca2ccee2a9f10bb5e5eecb61a18a1f2bcee0"
+
+
+def test_train_writes_its_golden_model_file(dataset, tmp_path):
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(model)]) == cli.EXIT_OK
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_FILE_SHA256
 
 
 def test_full_run_matches_its_golden_digest(tmp_path):
@@ -508,17 +523,21 @@ def test_impossible_folds_exit_3(tmp_path, capsys):
     assert "at least 5 machines" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("weight, rc, message", [
+@pytest.mark.parametrize("weight, rc, message, solver", [
     # the objective at the start overflows: the fit is refused
-    ("1e307", cli.EXIT_FIT, "error: objective became non-finite (inf)\n"),
+    ("1e307", cli.EXIT_FIT, "error: objective became non-finite (inf)\n", "newton"),
     # the Hessian overflows, so the first Newton direction is NaN: the fit is refused
-    ("1.5e306", cli.EXIT_FIT, "error: step direction became non-finite at iteration 0\n"),
+    ("1.5e306", cli.EXIT_FIT, "error: step direction became non-finite at iteration 0\n",
+     "newton"),
+    # the Lipschitz bound overflows, so the base step would be 0: the fit is refused
+    ("1.5e306", cli.EXIT_FIT, "error: gradient-descent step bound became non-finite (inf)\n",
+     "gradient_descent"),
 ])
 def test_extreme_weight_prints_no_numpy_warning(dataset, tmp_path, capsys,
-                                                weight, rc, message):
+                                                weight, rc, message, solver):
     model = tmp_path / "m.txt"
     assert cli.main(["train", "--in-dir", str(dataset), "--out", str(model),
-                     "--weight", weight]) == rc
+                     "--weight", weight, "--solver", solver]) == rc
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Warning" not in err

@@ -533,6 +533,16 @@ def test_c_reader_leaves_each_faulty_file_to_the_block_parser(tmp_path, dataset,
         ingest.parse_csv(path, dataset)
 
 
+def test_c_reader_takes_only_ascii_files(tmp_path):
+    """A non-ASCII file goes to the block parser, so loadtxt's default
+    encoding, which numpy 2.0 changed, never decides what the C path reads."""
+    path = _write(tmp_path / "telemetry.csv",
+                  ",".join(schema.CSV_COLUMNS["telemetry"])
+                  + "\n1,2015-01-01 00:00:00,\uff11\uff17\uff10.\uff15,450,100,40\n")
+    assert ingest._read_canonical(path, schema.CSV_COLUMNS["telemetry"]) is None
+    assert ingest.parse_csv(path, "telemetry").volt.tolist() == [170.5]
+
+
 def _outcome(parse):
     """The table ``parse()`` returns, as bytes, or the IngestError it raises."""
     try:

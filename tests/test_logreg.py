@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failcast import assemble, logreg
+from failcast import assemble, logreg, schema
 
 import helpers
 
@@ -373,18 +373,32 @@ def test_non_finite_feature_aborts_with_iteration_number():
             logreg.fit(data)
 
 
-def test_overflowing_curvature_aborts_with_iteration_number():
+def _heavy_design():
     # Weights summing to 1e307 keep the start objective (log 2 times that)
-    # finite, but with features scaled by 10 the Hessian's sums overflow, so
-    # the first Newton direction is not finite.  The fit must say so rather
-    # than return the zero start, and without a numpy warning.
+    # finite, but with features scaled by 10 every curvature sum overflows.
     base = helpers.random_instance(seed=5, n_rows=40, n_features=3)
     data = _design(10.0 * base.rows, base.labels,
                    base.sample_weights * (1e307 / base.sample_weights.sum()))
     assert np.isfinite(logreg.objective((0.0, np.zeros(3)), data, logreg.FitConfig()))
+    return data
+
+
+def test_overflowing_curvature_aborts_with_iteration_number():
+    # The Hessian's sums overflow, so the first Newton direction is not
+    # finite.  The fit must say so rather than return the zero start, and
+    # without a numpy warning.
     with pytest.raises(logreg.FitError,
                        match="^step direction became non-finite at iteration 0$"):
-        logreg.fit(data)
+        logreg.fit(_heavy_design())
+
+
+def test_overflowing_step_bound_stops_gradient_descent():
+    # The Lipschitz sum overflows, so the base step would be 1/inf = 0 and
+    # every direction a finite zero that no direction check catches.  The fit
+    # must refuse rather than return the zero start.
+    with pytest.raises(logreg.FitError,
+                       match=r"^gradient-descent step bound became non-finite \(inf\)$"):
+        logreg.fit(_heavy_design(), logreg.FitConfig(solver="gradient_descent"))
 
 
 def test_fit_config_validation():
@@ -425,8 +439,37 @@ def test_model_without_encoding_cannot_be_saved(tmp_path):
         logreg.save_model(model, tmp_path / "model.txt")
 
 
+def test_model_without_fit_meta_round_trips(tmp_path):
+    encoding = schema.FeatureEncoding(feature_names=("volt", "error_1"),
+                                      means=(170.1, 0.0), std_devs=(15.3, 1.0))
+    model = logreg.LogisticModel(alpha=-0.1, beta=np.array([1 / 3, -5e-324]),
+                                 encoding=encoding)
+    path = tmp_path / "model.json"
+    logreg.save_model(model, path)
+    back = logreg.load_model(path)
+    assert (back.alpha, back.encoding, back.fit_meta) == (model.alpha, encoding, None)
+    assert [b.hex() for b in back.beta] == [b.hex() for b in model.beta]
+
+
+# The model file format before it became one JSON object.
+V1_MODEL_FILE = """# failcast logistic model v1
+features = volt,error_1
+alpha = -5.3328078637580978
+beta.volt = 0.053113953802349026
+beta.error_1 = 11.571028667890836
+mean.volt = 170.30546201237154
+std.volt = 15.227154208473734
+fit.iterations = 9
+fit.final_objective = 1007.1283894018213
+fit.converged = 1
+"""
+
+
 def test_load_rejects_files_that_are_not_models(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("hello\nworld\n")
-    with pytest.raises(ValueError, match="not a model file"):
-        logreg.load_model(path)
+    # test_cli also rejects a real report.json and a config record
+    for name, content in [("junk.txt", b"hello\nworld\n"), ("v1.txt", V1_MODEL_FILE.encode()),
+                          ("list.json", b"[1, 2]\n"), ("binary", b"\xff\xfe\x00")]:
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not a model file"):
+            logreg.load_model(path)

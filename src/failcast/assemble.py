@@ -31,12 +31,14 @@ class EncodingError(Exception):
 
 @dataclass
 class DesignMatrix:
-    """Encoded features with labels and weights; a row may stand for several."""
+    """Encoded features with labels and weights; a row may stand for several.
+    ``groups`` is each row's ``pattern_groups`` index; None means one group."""
 
     rows: np.ndarray
     labels: np.ndarray
     sample_weights: np.ndarray
     encoding: schema.FeatureEncoding
+    groups: np.ndarray | None = None
 
 
 def _pairs(machine_ids, datetimes) -> np.ndarray:
@@ -167,25 +169,43 @@ def apply_encoding(matrix, encoding: schema.FeatureEncoding) -> np.ndarray:
     return matrix
 
 
+def pattern_groups(matrix, feature_names) -> np.ndarray:
+    """Group of each row of the raw ``matrix``, equal iff the rows' non-telemetry
+    values are: an int64 mixed-radix key where a 0/1 column adds a bit and any
+    other column its value's rank, re-ranked before its span could pass 2**62."""
+    key, span = np.zeros(len(matrix), np.int64), 1
+    for j in np.flatnonzero(~np.isin(feature_names, schema.TELEMETRY_FIELDS)):
+        column = np.ascontiguousarray(matrix[:, j])  # one strided read
+        binary = ((column == 0) | (column == 1)).all()
+        digit = column.astype(np.int64) if binary else np.unique(column, return_inverse=True)[1]
+        base = int(digit.max()) + 1
+        if span * base > 2**62:
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max()) + 1
+        key, span = key * base + digit, span * base
+    return np.unique(key, return_inverse=True)[1]
+
+
 def encode(rows, weight_positive=100.0, features=None, index=None) -> DesignMatrix:
     """Encode the stream rows at ``index`` (all rows when None) into a design matrix.
 
     Continuous features are z-scored with statistics from these rows only
     (cross-validation passes each fold's training rows); flags become 0/1
     and day of week expands to 7 indicators.  Positive rows get
-    ``weight_positive``, negative rows weight 1.  Without telemetry, identical
-    (x, y) rows merge into one with their summed weight (the grouped binomial
-    form): fewer rows, the same objective.
+    ``weight_positive``, negative rows weight 1.  Without telemetry, rows of
+    one group and label merge into one with their summed weight (the grouped
+    binomial form): fewer rows, the same objective.
     """
     if not weight_positive > 0:
         raise ValueError("weight_positive must be positive")
     matrix, labels, names = raw_feature_matrix(rows, features, index)
     encoding = fit_encoding(matrix, names)
     weights = np.where(labels, float(weight_positive), 1.0)
+    groups = pattern_groups(matrix, names)
     if set(names).isdisjoint(schema.TELEMETRY_FIELDS):
-        keys = np.column_stack([matrix, labels])
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        keys, first, inverse = np.unique(2 * groups + labels, return_index=True,
+                                         return_inverse=True)
         matrix, labels, weights = matrix[first], labels[first], np.bincount(inverse, weights)
+        groups = keys // 2
     return DesignMatrix(rows=apply_encoding(matrix, encoding), labels=labels,
-                        sample_weights=weights, encoding=encoding)
+                        sample_weights=weights, encoding=encoding, groups=groups)

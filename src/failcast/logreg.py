@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .report import write_json
-from .schema import FeatureEncoding
+from .schema import TELEMETRY_FIELDS, FeatureEncoding
 
 _P_LO = np.finfo(float).tiny
 _P_HI = float(np.nextafter(1.0, 0.0))
@@ -122,78 +122,100 @@ def gradient(params, data, config: FitConfig) -> np.ndarray:
     """Analytic gradient, intercept component first (no penalty on it)."""
     alpha, beta = params
     beta = np.asarray(beta, dtype=float)
-    y = data.labels.astype(float)
-    return _gradient_at(sigmoid(alpha + data.rows @ beta), y, beta, data, config)
-
-
-def _gradient_at(p, y, beta, data, config):
-    residual = data.sample_weights * (p - y)
+    residual = data.sample_weights * (sigmoid(alpha + data.rows @ beta) - data.labels)
     g_beta = data.rows.T @ residual + config.l2_strength * beta
     return np.concatenate(([float(residual.sum())], g_beta))
 
 
-def _hessian(p, data, config):
-    s = data.sample_weights * p * (1.0 - p)
-    d = data.rows.shape[1]
-    hess = np.empty((d + 1, d + 1))
-    hess[0, 0] = s.sum()
-    sx = data.rows.T @ s
-    hess[0, 1:] = sx
-    hess[1:, 0] = sx
-    hess[1:, 1:] = data.rows.T @ (s[:, None] * data.rows)
-    hess[1:, 1:] += config.l2_strength * np.eye(d)
-    return hess
+class _Factored:
+    """The design X = [1 | rows], its columns permuted to [D | T[g]]: D holds the
+    telemetry columns, T one row per group g with the intercept and the other
+    columns.  margins(theta), transpose_dot(r) and gram(s) give X theta, X^T r
+    and X^T diag(s) X, intercept first, with T's share through per-group sums.
+    Without groups every column is dense and T is the intercept alone."""
+
+    def __init__(self, data):
+        rows, grouped = data.rows, data.groups is not None
+        dense = (np.isin(data.encoding.feature_names, TELEMETRY_FIELDS) if grouped
+                 else np.ones(rows.shape[1], bool))
+        self.groups = data.groups if grouped else np.zeros(len(rows), np.intp)
+        self.n_groups, self.k = int(self.groups.max()) + 1, int(dense.sum())
+        self.cols = np.concatenate([1 + np.flatnonzero(dense), [0], 1 + np.flatnonzero(~dense)])
+        self.back = np.argsort(self.cols)  # [D | T] columns back in [1 | rows] order
+        self.dense = rows if dense.all() else rows[:, dense]
+        member = np.empty(self.n_groups, np.intp)
+        member[self.groups] = np.arange(len(rows))  # any row of a group holds its values
+        self.table = np.column_stack([np.ones(self.n_groups), rows[member][:, ~dense]])
+
+    def margins(self, theta):
+        theta = theta[self.cols]
+        return self.dense @ theta[:self.k] + (self.table @ theta[self.k:])[self.groups]
+
+    def transpose_dot(self, r):
+        per_group = np.bincount(self.groups, r)
+        return np.concatenate([self.dense.T @ r, self.table.T @ per_group])[self.back]
+
+    def gram(self, s):
+        sd = s[:, None] * self.dense
+        sums = np.array([np.bincount(self.groups, c) for c in (s, *sd.T)])  # s, then s * D
+        cross = sums[1:] @ self.table
+        block = np.block([[self.dense.T @ sd, cross],
+                          [cross.T, (self.table.T * sums[0]) @ self.table]])
+        return block[np.ix_(self.back, self.back)]
 
 
-def _descend(data, config, step_fn):
-    """Shared damped-descent loop; step_fn(params, grad, p) proposes a
-    direction (da, db).  Each iterate is evaluated once: p = sigmoid(z) at
-    its margins z = alpha + x.beta gives the gradient, which decides
-    convergence, and the line search, so n steps take n + 1 evaluations.
-    A step of length t moves each margin to z - t*u, with u = da + x.db,
-    and changes the objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i))
-    + y_i*t*u_i) + l2*t*(t/2*|db|^2 - beta.db).  Summed row by row this
-    change is resolved far below one ulp of the objective itself, so a step
-    is taken when it is negative and halved otherwise."""
-    y = data.labels.astype(float)
-    alpha, beta = 0.0, np.zeros(data.rows.shape[1])
-    obj = objective((alpha, beta), data, config)
+def _descend(data, config, make_step):
+    """Shared damped-descent loop; make_step(data, design, config) gives a
+    step_fn(theta, grad, p) that proposes a direction (da, db) from theta =
+    (alpha, beta).  Each iterate is evaluated once: p = sigmoid(z) at its
+    margins z = alpha + x.beta gives the gradient, which decides convergence,
+    and the line search, so n steps take n + 1 evaluations.  A step of length
+    t moves each margin to z - t*u, with u = da + x.db, and changes the
+    objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i)) + y_i*t*u_i) +
+    l2*t*(t/2*|db|^2 - beta.db), resolved row by row far below one ulp of the
+    objective, so a step is taken when it is negative and halved otherwise."""
+    y, design = data.labels.astype(float), _Factored(data)
+    step_fn = make_step(data, design, config)
+    theta = np.zeros(data.rows.shape[1] + 1)
+    obj = objective((0.0, theta[1:]), data, config)
     if not np.isfinite(obj):
         raise FitError(f"objective became non-finite ({obj})")
     iterations = 0
     while True:
-        p = sigmoid(alpha + data.rows @ beta)
-        grad = _gradient_at(p, y, beta, data, config)
+        p = sigmoid(design.margins(theta))
+        grad = design.transpose_dot(data.sample_weights * (p - y))
+        grad[1:] += config.l2_strength * theta[1:]
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
         if converged or iterations == config.max_iterations:
             break
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            direction = step_fn((alpha, beta), grad, p)
+            direction = step_fn(theta, grad, p)
         if not np.isfinite(direction).all():
             raise FitError(f"step direction became non-finite at iteration {iterations}")
-        d_alpha, d_beta = direction[0], direction[1:]
-        u = d_alpha + data.rows @ d_beta
+        d_beta = direction[1:]
+        u = design.margins(direction)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             with np.errstate(over="ignore", invalid="ignore"):  # NaN is no descent
                 per_row = np.log1p(p * np.expm1(-t * u)) + y * t * u
                 change = np.dot(data.sample_weights, per_row) + config.l2_strength * t * (
-                    t / 2 * (d_beta @ d_beta) - beta @ d_beta)
+                    t / 2 * (d_beta @ d_beta) - theta[1:] @ d_beta)
             if change < 0:
                 break
             t *= 0.5
         else:
             break
-        alpha, beta = alpha - t * d_alpha, beta - t * d_beta
+        theta = theta - t * direction
         iterations += 1
-    return alpha, beta, FitMeta(iterations=iterations,
-                                final_objective=objective((alpha, beta), data, config),
-                                converged=converged)
+    return theta[0], theta[1:], FitMeta(
+        iterations=iterations, converged=converged,
+        final_objective=objective((theta[0], theta[1:]), data, config))
 
 
-def _newton_direction(data, config):
-    def step(params, grad, p):
-        hess = _hessian(p, data, config)
+def _newton_direction(data, design, config):
+    def step(theta, grad, p):
+        hess = design.gram(data.sample_weights * p * (1.0 - p))
+        hess[1:, 1:] += config.l2_strength * np.eye(len(theta) - 1)
         try:
             return np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -213,11 +235,11 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     if n_pos == 0 or n_pos == len(data.labels):
         raise FitError("labels contain a single class; both classes are required")
     make_step = _newton_direction if config.solver == "newton" else _gd_step_factory
-    alpha, beta, meta = _descend(data, config, make_step(data, config))
+    alpha, beta, meta = _descend(data, config, make_step)
     return LogisticModel(alpha=alpha, beta=beta, encoding=data.encoding, fit_meta=meta)
 
 
-def _gd_step_factory(data, config):
+def _gd_step_factory(data, design, config):
     """Gradient-only directions: no curvature matrix, so this route is
     independent of the Newton solver.  Step length starts at the inverse
     Lipschitz bound and then follows Barzilai-Borwein estimates; the
@@ -231,19 +253,17 @@ def _gd_step_factory(data, config):
     base = 1.0 / max(lipschitz, 1e-12)
     state = {}
 
-    def step(params, grad, p):
-        vec = np.concatenate(([params[0]], params[1]))
+    def step(theta, grad, p):
         size = base
         if "params" in state:
-            d_params = vec - state["params"]
+            d_params = theta - state["params"]
             d_grad = grad - state["grad"]
             denom = float(d_grad @ d_grad)
             if denom > 0.0:
                 bb = float(d_params @ d_grad) / denom
                 if np.isfinite(bb) and bb > 0.0:
                     size = bb
-        state["params"] = vec
-        state["grad"] = grad.copy()
+        state["params"], state["grad"] = theta, grad
         return size * grad
     return step
 
@@ -270,12 +290,12 @@ def load_model(path) -> LogisticModel:
     try:
         with open(path) as handle:
             record = json.load(handle)
-    except ValueError:  # not JSON, or not text
-        record = None
-    if not isinstance(record, dict) or record.get("format") != _FORMAT:
-        raise ValueError(f"{path}: not a model file (expected {_FORMAT!r})")
-    encoding = FeatureEncoding(**{key: tuple(v) for key, v in record["encoding"].items()})
-    meta = record["fit_meta"]
-    return LogisticModel(alpha=record["alpha"],
-                         beta=np.array([record["beta"][n] for n in encoding.feature_names]),
-                         encoding=encoding, fit_meta=None if meta is None else FitMeta(**meta))
+        if record["format"] == _FORMAT:
+            encoding = FeatureEncoding(**{k: tuple(v) for k, v in record["encoding"].items()})
+            beta = np.array([record["beta"][name] for name in encoding.feature_names])
+            meta = record["fit_meta"]
+            return LogisticModel(record["alpha"], beta, encoding,
+                                 None if meta is None else FitMeta(**meta))
+    except (ValueError, LookupError, TypeError, AttributeError):  # not text, JSON or a model
+        pass
+    raise ValueError(f"{path}: not a model file (expected {_FORMAT!r})")

@@ -239,6 +239,49 @@ def test_encoding_by_index_matches_encoding_the_gathered_rows(small_rows, featur
     assert np.array_equal(got.labels, want.labels)
     assert got.sample_weights.tobytes() == want.sample_weights.tobytes()
     assert got.encoding == want.encoding
+    assert np.array_equal(got.groups, want.groups)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_pattern_groups_match_a_dict_of_value_tuples(data):
+    # Rows share a group iff their non-telemetry values are equal.  24 columns
+    # of 7 or more values each take the mixed-radix span past 2**62, which
+    # forces a re-rank, and the {0, 0.5, 1} column must be ranked, not read
+    # as bits.  The telemetry column takes no part.
+    n_patterns = data.draw(st.integers(7, 9))
+    extra = data.draw(st.lists(st.integers(0, n_patterns - 1), max_size=40))
+    pattern = np.array(data.draw(st.permutations(list(range(n_patterns)) + extra)))
+    n = len(pattern)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    columns = {f"wide_{i}": np.array(data.draw(st.lists(
+        finite, min_size=n_patterns, max_size=n_patterns, unique=True)))[pattern]
+        for i in range(24)}
+    for name, values in (("volt", finite), ("flag", st.sampled_from([0.0, 1.0])),
+                         ("half", st.sampled_from([0.0, 0.5, 1.0]))):
+        columns[name] = data.draw(st.lists(values, min_size=n, max_size=n))
+    names = data.draw(st.permutations(list(columns)))
+    matrix = np.column_stack([np.asarray(columns[name], dtype=float) for name in names])
+    others = [j for j, name in enumerate(names) if name != "volt"]
+    assert np.prod([float(len(np.unique(matrix[:, j]))) for j in others]) > 2.0**62
+
+    groups = assemble.pattern_groups(matrix, names)
+    first = {}
+    for i, values in enumerate(matrix[:, others].tolist()):
+        first.setdefault(tuple(values), i)
+    assert sorted(set(groups.tolist())) == list(range(len(first)))
+    for i, values in enumerate(matrix[:, others].tolist()):
+        assert groups[i] == groups[first[tuple(values)]]
+
+
+def test_pattern_groups_keep_the_first_of_70_bit_columns():
+    # Unranked, 70 bits would shift column 0 out of the int64 key, and the
+    # first two rows would share a group.
+    matrix = np.zeros((4, 70))
+    matrix[1, 0] = matrix[2, 69] = 1.0
+    matrix[3] = 1.0
+    groups = assemble.pattern_groups(matrix, [f"flag_{j}" for j in range(70)])
+    assert groups.tolist() == [0, 2, 1, 3]
 
 
 def test_degenerate_column_error_names_column():

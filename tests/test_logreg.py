@@ -245,7 +245,7 @@ def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
                                  encoding=None)
     config = logreg.FitConfig(l2_strength=0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(logreg._hessian(np.full(200, 0.5), data, config), np.ones(6))
+        np.linalg.solve(logreg._Factored(data).gram(0.25 * data.sample_weights), np.ones(6))
     calls, lstsq = [], np.linalg.lstsq
 
     def counted_lstsq(*args, **kwargs):
@@ -325,6 +325,30 @@ def test_grouped_fit_equals_the_row_fit():
         got = logreg.objective((alpha, beta), grouped, config)
         want = helpers.naive_objective(alpha, beta, ungrouped, config.l2_strength)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_factored_design_matches_the_dense_products(bench_rows, bench_folds, reduced):
+    # X theta, X^T r and X^T diag(s) X through the per-group table equal the
+    # dense products with the intercept column prepended, each entry to 1e-12
+    # of the sum of its terms' magnitudes.
+    from failcast import evaluate
+
+    features = evaluate.PAPER_REDUCED_FEATURES if reduced else None
+    data = assemble.encode(bench_rows, features=features, index=bench_folds[0].train_rows)
+    design = logreg._Factored(data)
+    assert design.k == (0 if reduced else len(schema.TELEMETRY_FIELDS))
+    assert design.n_groups < (len(data.labels) if reduced else len(data.labels) // 10)
+    x = np.column_stack([np.ones(len(data.labels)), data.rows])
+    s = helpers.Stream(17)
+    theta, r, w = s.normals(x.shape[1]), s.normals(len(x)), s.uniforms(len(x))
+    ax = np.abs(x)
+    for got, want, scale in [
+            (design.margins(theta), x @ theta, ax @ np.abs(theta)),
+            (design.transpose_dot(r), x.T @ r, ax.T @ np.abs(r)),
+            (design.gram(w), x.T @ (w[:, None] * x), ax.T @ (w[:, None] * ax))]:
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("solver", logreg.SOLVERS)
@@ -468,7 +492,8 @@ fit.converged = 1
 def test_load_rejects_files_that_are_not_models(tmp_path):
     # test_cli also rejects a real report.json and a config record
     for name, content in [("junk.txt", b"hello\nworld\n"), ("v1.txt", V1_MODEL_FILE.encode()),
-                          ("list.json", b"[1, 2]\n"), ("binary", b"\xff\xfe\x00")]:
+                          ("list.json", b"[1, 2]\n"), ("binary", b"\xff\xfe\x00"),
+                          ("partial.json", b'{"format": "failcast logistic model v2", "alpha": 0.0}')]:
         path = tmp_path / name
         path.write_bytes(content)
         with pytest.raises(ValueError, match="not a model file"):

@@ -154,10 +154,11 @@ def test_rerun_with_identical_flags_is_byte_identical(dataset, tmp_path):
     assert _read_all(out) == first
 
 
-# The full run of `evaluate` on `generate --machines 8 --days 45 --seed 7`, as
-# json.dumps(runs["full"], sort_keys=True).  A change that moves any digit of
-# the full run must update this digest and say why.
+# The full and reduced runs of `evaluate` on `generate --machines 8 --days 45
+# --seed 7`, each as json.dumps(runs[name], sort_keys=True).  A change that
+# moves any digit of either run must update its digest and say why.
 FULL_RUN_SHA256 = "bfede273df0d021055a187fbea0625315fb26c7b795daeed62acfc82643cc9db"
+REDUCED_RUN_SHA256 = "9c090236c093837bc1ae3648daf989bffbb038403e5ef09417646c9a5a64edf7"
 
 
 # The model file that `train` writes on the module's dataset.  A change that
@@ -171,14 +172,27 @@ def test_train_writes_its_golden_model_file(dataset, tmp_path):
     assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_FILE_SHA256
 
 
-def test_full_run_matches_its_golden_digest(tmp_path):
-    data, out = tmp_path / "data", tmp_path / "rep"
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """The ``runs`` of `evaluate` on `generate --machines 8 --days 45 --seed 7`."""
+    base = tmp_path_factory.mktemp("golden")
+    data, out = base / "data", base / "rep"
     assert cli.main(["generate", "--out-dir", str(data), "--machines", "8",
                      "--days", "45", "--seed", "7"]) == cli.EXIT_OK
     assert cli.main(["evaluate", "--in-dir", str(data), "--out-dir", str(out)]) == cli.EXIT_OK
-    full = report.load_bundle_payload(out)["runs"]["full"]
-    digest = hashlib.sha256(json.dumps(full, sort_keys=True).encode()).hexdigest()
-    assert digest == FULL_RUN_SHA256
+    return report.load_bundle_payload(out)["runs"]
+
+
+def _run_digest(run):
+    return hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()
+
+
+def test_full_run_matches_its_golden_digest(golden_runs):
+    assert _run_digest(golden_runs["full"]) == FULL_RUN_SHA256
+
+
+def test_reduced_run_matches_its_golden_digest(golden_runs):
+    assert _run_digest(golden_runs["reduced"]) == REDUCED_RUN_SHA256
 
 
 @pytest.mark.parametrize("flags, semantics", [([], "point-at-horizon"),

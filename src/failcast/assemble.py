@@ -13,8 +13,6 @@ hour of their machine are dropped: their label is undefined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import schema
@@ -29,16 +27,28 @@ class EncodingError(Exception):
     pass
 
 
-@dataclass
 class DesignMatrix:
     """Encoded features with labels and weights; a row may stand for several.
-    ``groups`` is each row's ``pattern_groups`` index; None means one group."""
+    Row i is ``dense[i]`` in the telemetry columns and ``table[groups[i]]`` in the
+    others (column-major, a table row per pattern); plain ``rows`` are all dense."""
 
-    rows: np.ndarray
-    labels: np.ndarray
-    sample_weights: np.ndarray
-    encoding: schema.FeatureEncoding
-    groups: np.ndarray | None = None
+    def __init__(self, labels, sample_weights, encoding, rows=None, *,
+                 dense=None, table=None, groups=None):
+        if rows is not None:
+            dense, table, groups = rows, np.empty((1, 0)), np.zeros(len(rows), np.intp)
+        self.labels, self.sample_weights, self.encoding = labels, sample_weights, encoding
+        self.dense, self.table, self.groups, self._rows = dense, table, groups, rows
+        self.in_dense = (np.isin(encoding.feature_names, schema.TELEMETRY_FIELDS)
+                         if table.shape[1] else np.ones(dense.shape[1], bool))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The n x m feature matrix in canonical column order, assembled on first read."""
+        if self._rows is None:
+            self._rows = np.empty((len(self.groups), len(self.in_dense)))
+            self._rows[:, self.in_dense] = self.dense
+            self._rows[:, ~self.in_dense] = self.table[self.groups]
+        return self._rows
 
 
 def _pairs(machine_ids, datetimes) -> np.ndarray:
@@ -107,78 +117,76 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     return stream
 
 
-def raw_feature_matrix(rows, features=None, index=None):
-    """Unstandardized feature columns of the stream table in canonical order.
-
-    Returns (matrix, labels, feature_names) of the rows at ``index`` (all rows
-    when None).  ``features`` selects a subset of the canonical names; order
-    always follows the canonical one.  Only the selected columns are gathered.
-    """
-    if features is None:
-        names = schema.FEATURE_NAMES
-    else:
-        unknown = [f for f in features if f not in schema.FEATURE_NAMES]
-        if unknown:
-            raise EncodingError(f"unknown feature(s) {unknown}")
-        names = tuple(f for f in schema.FEATURE_NAMES if f in features)
+def _feature_names(features):
+    """The canonical names that ``features`` selects (all when None), in canonical order."""
+    unknown = [f for f in features or () if f not in schema.FEATURE_NAMES]
+    if unknown:
+        raise EncodingError(f"unknown feature(s) {unknown}")
+    names = tuple(f for f in schema.FEATURE_NAMES if features is None or f in features)
     if not names:
         raise EncodingError("empty feature set")
+    return names
 
+
+def _column(rows, name, at=slice(None)):
+    """Raw values of feature ``name`` at the stream rows ``at``."""
+    day = dict(zip(schema.DOW_FEATURES, schema.DAY_NAMES)).get(name)
+    return rows[name][at] if day is None else rows["day_of_week"][at] == day
+
+
+def _gather(rows, names, at):
+    """Column-major float block of the features ``names`` at the stream rows ``at``."""
+    return np.array([_column(rows, n, at) for n in names], float).reshape(len(names), len(at)).T
+
+
+def raw_feature_matrix(rows, features=None, index=None):
+    """(matrix, labels, feature_names) of the stream rows at ``index`` (all rows
+    when None): the unstandardized columns of the canonical names that
+    ``features`` selects, in canonical order."""
+    names = _feature_names(features)
     take = slice(None) if index is None else index
-    day = dict(zip(schema.DOW_FEATURES, schema.DAY_NAMES))
-    day_of_week = rows["day_of_week"][take] if day.keys() & set(names) else None
-    matrix = np.stack([day_of_week == day[name] if name in day else rows[name][take]
-                       for name in names], axis=1, dtype=float)
+    matrix = np.stack([_column(rows, name, take) for name in names], axis=1, dtype=float)
     return matrix, rows["label"][take], names
 
 
-def fit_encoding(matrix, feature_names) -> schema.FeatureEncoding:
-    """Standardization statistics from the rows of ``matrix``: each
-    continuous column's mean and standard deviation, and 0.0 and 1.0 for
-    every other column.
-
-    Raises EncodingError when there are no rows, or when a continuous
-    column is constant on them or its mean or std overflows float64.
-    """
-    if not len(matrix):
-        raise EncodingError("fit rows must be non-empty")
+def fit_encoding(columns, feature_names) -> schema.FeatureEncoding:
+    """Each continuous feature's mean and std over its float ``columns[name]``,
+    0.0 and 1.0 for the others.  Raises EncodingError when such a column is
+    constant or its mean or std overflows float64."""
     means, stds = [], []
-    for j, name in enumerate(feature_names):
+    for name in feature_names:
         mean, std = 0.0, 1.0
         if name in schema.CONTINUOUS_FEATURES:
             with np.errstate(over="ignore", invalid="ignore"):
-                mean, std = float(matrix[:, j].mean()), float(matrix[:, j].std())
-            if std == 0.0:
-                raise EncodingError(f"degenerate encoding: column {name!r} is "
-                                    "constant on the fit rows")
-            if not np.isfinite([mean, std]).all():
-                raise EncodingError(f"degenerate encoding: column {name!r} has a "
-                                    "non-finite mean or std on the fit rows")
+                mean, std = float(columns[name].mean()), float(columns[name].std())
+            if std == 0.0 or not np.isfinite([mean, std]).all():
+                fault = "is constant" if std == 0.0 else "has a non-finite mean or std"
+                raise EncodingError(f"degenerate encoding: column {name!r} {fault} "
+                                    "on the fit rows")
         means.append(mean)
         stds.append(std)
-    return schema.FeatureEncoding(feature_names=tuple(feature_names),
-                                  means=tuple(means), std_devs=tuple(stds))
+    return schema.FeatureEncoding(tuple(feature_names), tuple(means), tuple(stds))
 
 
-def apply_encoding(matrix, encoding: schema.FeatureEncoding) -> np.ndarray:
-    """Standardize the float ``matrix`` in place, column j to
-    ``(x - means[j]) / std_devs[j]``, and return it.  Indicator columns
-    keep their exact values, since x - 0.0 and x / 1.0 are identities."""
-    matrix -= encoding.means
-    matrix /= encoding.std_devs
+def apply_encoding(matrix, encoding: schema.FeatureEncoding, columns=slice(None)) -> np.ndarray:
+    """Standardize the float ``matrix`` in place, its columns as the encoded
+    ``columns``: ``(x - mean) / std``, and return it.  Indicator columns keep
+    their exact values, since x - 0.0 and x / 1.0 are identities."""
+    matrix -= np.asarray(encoding.means)[columns]
+    matrix /= np.asarray(encoding.std_devs)[columns]
     return matrix
 
 
-def pattern_groups(matrix, feature_names) -> np.ndarray:
-    """Group of each row of the raw ``matrix``, equal iff the rows' non-telemetry
-    values are: an int64 mixed-radix key where a 0/1 column adds a bit and any
-    other column its value's rank, re-ranked before its span could pass 2**62."""
-    key, span = np.zeros(len(matrix), np.int64), 1
-    for j in np.flatnonzero(~np.isin(feature_names, schema.TELEMETRY_FIELDS)):
-        column = np.ascontiguousarray(matrix[:, j])  # one strided read
-        binary = ((column == 0) | (column == 1)).all()
+def pattern_groups(columns, n_rows) -> np.ndarray:
+    """Group of each of ``n_rows`` rows, equal iff the rows are in every 1-D
+    column, ascending with their values: an int64 mixed-radix key where a 0/1
+    column adds a bit and any other column its value's rank, re-ranked before
+    its span could pass 2**62."""
+    key, span = np.zeros(n_rows, np.int64), 1
+    for column in columns:
+        binary = column.dtype == bool or ((column == 0) | (column == 1)).all()
         digit = column.astype(np.int64) if binary else np.unique(column, return_inverse=True)[1]
-        base = int(digit.max()) + 1
+        base = int(digit.max(initial=0)) + 1
         if span * base > 2**62:
             key = np.unique(key, return_inverse=True)[1]
             span = int(key.max()) + 1
@@ -186,26 +194,41 @@ def pattern_groups(matrix, feature_names) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def encode(rows, weight_positive=100.0, features=None, index=None) -> DesignMatrix:
-    """Encode the stream rows at ``index`` (all rows when None) into a design matrix.
+def pattern_keys(rows, features=None) -> np.ndarray:
+    """Pattern group of every stream row's non-telemetry features.  Groups
+    ascend with the values, so the keys of any subset rank as its own groups."""
+    names = [n for n in _feature_names(features) if n not in schema.TELEMETRY_FIELDS]
+    return pattern_groups([_column(rows, name) for name in names], len(rows))
 
-    Continuous features are z-scored with statistics from these rows only
-    (cross-validation passes each fold's training rows); flags become 0/1
-    and day of week expands to 7 indicators.  Positive rows get
-    ``weight_positive``, negative rows weight 1.  Without telemetry, rows of
-    one group and label merge into one with their summed weight (the grouped
-    binomial form): fewer rows, the same objective.
-    """
+
+def encode(rows, weight_positive=100.0, features=None, index=None, keys=None) -> DesignMatrix:
+    """Encode the stream rows at ``index`` (all rows when None) into a design
+    matrix.  Continuous features are z-scored with these rows' statistics; flags
+    become 0/1 and day of week 7 indicators.  Positive rows get weight_positive,
+    the others 1.  ``keys`` is ``pattern_keys(rows, features)``, computed when
+    None.  Without telemetry, rows of one pattern and label merge into one with
+    their summed weight (the grouped binomial form): the same objective."""
     if not weight_positive > 0:
         raise ValueError("weight_positive must be positive")
-    matrix, labels, names = raw_feature_matrix(rows, features, index)
-    encoding = fit_encoding(matrix, names)
+    names = _feature_names(features)
+    index = np.arange(len(rows)) if index is None else index
+    if not len(index):
+        raise EncodingError("fit rows must be non-empty")
+    keys = pattern_keys(rows, names) if keys is None else keys
+    _, first, groups = np.unique(keys[index], return_index=True, return_inverse=True)
+    in_dense = np.isin(names, schema.TELEMETRY_FIELDS)
+    encoding = fit_encoding({n: _column(rows, n, index).astype(float) for n in names
+                             if n in schema.CONTINUOUS_FEATURES}, names)
+    dense = apply_encoding(_gather(rows, np.compress(in_dense, names), index),
+                           encoding, in_dense)
+    table = apply_encoding(_gather(rows, np.compress(~in_dense, names), index[first]),
+                           encoding, ~in_dense)
+    labels = rows["label"][index]
     weights = np.where(labels, float(weight_positive), 1.0)
-    groups = pattern_groups(matrix, names)
-    if set(names).isdisjoint(schema.TELEMETRY_FIELDS):
-        keys, first, inverse = np.unique(2 * groups + labels, return_index=True,
-                                         return_inverse=True)
-        matrix, labels, weights = matrix[first], labels[first], np.bincount(inverse, weights)
-        groups = keys // 2
-    return DesignMatrix(rows=apply_encoding(matrix, encoding), labels=labels,
-                        sample_weights=weights, encoding=encoding, groups=groups)
+    if not in_dense.any():
+        merged, first, inverse = np.unique(2 * groups + labels, return_index=True,
+                                           return_inverse=True)
+        dense, labels, weights = dense[first], labels[first], np.bincount(inverse, weights)
+        groups = merged // 2
+    return DesignMatrix(labels=labels, sample_weights=weights, encoding=encoding,
+                        dense=dense, table=table, groups=groups)

@@ -108,11 +108,12 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     if not folds:
         raise FoldError("no folds to evaluate")
     logreg.check_threshold(threshold)
+    keys = assemble.pattern_keys(rows, features)
     run_folds = []
     for fold in folds:
         try:
-            train = assemble.encode(rows, weight_positive=weight_positive,
-                                    features=features, index=fold.train_rows)
+            train = assemble.encode(rows, weight_positive=weight_positive, features=features,
+                                    index=fold.train_rows, keys=keys)
             model = logreg.fit(train, fit_config)
         except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc

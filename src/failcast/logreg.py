@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .report import write_json
-from .schema import TELEMETRY_FIELDS, FeatureEncoding
+from .schema import FeatureEncoding
 
 _P_LO = np.finfo(float).tiny
 _P_HI = float(np.nextafter(1.0, 0.0))
@@ -81,13 +81,11 @@ def sigmoid(z):
 def predict_proba(model: LogisticModel, x):
     """Failure probability for one encoded vector or a matrix of them."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     if x.shape[-1] != model.beta.shape[0]:
         raise ValueError(
             f"feature dimension {x.shape[-1]} does not match model ({model.beta.shape[0]})")
-    z = model.alpha + x @ model.beta
-    p = sigmoid(z)
-    return float(p) if single else p
+    p = sigmoid(model.alpha + x @ model.beta)
+    return float(p) if x.ndim == 1 else p
 
 
 def check_threshold(threshold):
@@ -102,50 +100,41 @@ def predict(model: LogisticModel, x, threshold=0.5):
     return predict_proba(model, x) >= threshold
 
 
-def _nll_terms(z, y):
-    # -y log p - (1-y) log(1-p) = log(1 + exp(z)) - y z, computed safely
-    return np.logaddexp(0.0, z) - y * z
-
-
 def objective(params, data, config: FitConfig) -> float:
     """Weighted penalized negative log-likelihood at (alpha, beta)."""
-    alpha, beta = params
-    beta = np.asarray(beta, dtype=float)
-    z = alpha + data.rows @ beta
-    y = data.labels.astype(float)
+    beta = np.asarray(params[1], dtype=float)
+    return _objective_at(params[0] + data.rows @ beta, beta, data, config)
+
+
+def _objective_at(z, beta, data, config):
+    """The objective from the margins z = alpha + x.beta, its terms
+    -y log p - (1-y) log(1-p) computed safely as log(1 + exp(z)) - y z."""
     with np.errstate(over="ignore"):  # _descend rejects a non-finite start
-        value = float(np.dot(data.sample_weights, _nll_terms(z, y)))
+        terms = np.logaddexp(0.0, z) - data.labels.astype(float) * z
+        value = float(np.dot(data.sample_weights, terms))
     return value + 0.5 * config.l2_strength * float(np.dot(beta, beta))
 
 
 def gradient(params, data, config: FitConfig) -> np.ndarray:
     """Analytic gradient, intercept component first (no penalty on it)."""
-    alpha, beta = params
-    beta = np.asarray(beta, dtype=float)
-    residual = data.sample_weights * (sigmoid(alpha + data.rows @ beta) - data.labels)
+    beta = np.asarray(params[1], dtype=float)
+    residual = data.sample_weights * (sigmoid(params[0] + data.rows @ beta) - data.labels)
     g_beta = data.rows.T @ residual + config.l2_strength * beta
     return np.concatenate(([float(residual.sum())], g_beta))
 
 
 class _Factored:
-    """The design X = [1 | rows], its columns permuted to [D | T[g]]: D holds the
-    telemetry columns, T one row per group g with the intercept and the other
-    columns.  margins(theta), transpose_dot(r) and gram(s) give X theta, X^T r
-    and X^T diag(s) X, intercept first, with T's share through per-group sums.
-    Without groups every column is dense and T is the intercept alone."""
+    """The design X = [1 | rows], its columns permuted to [D | T[g]]: D is the
+    design's dense block, T its table with the intercept prepended, one row per
+    group g.  margins(theta), transpose_dot(r) and gram(s) give X theta, X^T r
+    and X^T diag(s) X, intercept first, with T's share through per-group sums."""
 
     def __init__(self, data):
-        rows, grouped = data.rows, data.groups is not None
-        dense = (np.isin(data.encoding.feature_names, TELEMETRY_FIELDS) if grouped
-                 else np.ones(rows.shape[1], bool))
-        self.groups = data.groups if grouped else np.zeros(len(rows), np.intp)
-        self.n_groups, self.k = int(self.groups.max()) + 1, int(dense.sum())
-        self.cols = np.concatenate([1 + np.flatnonzero(dense), [0], 1 + np.flatnonzero(~dense)])
+        self.dense, self.groups, mask = data.dense, data.groups, data.in_dense
+        self.n_groups, self.k = len(data.table), data.dense.shape[1]
+        self.cols = np.concatenate([1 + np.flatnonzero(mask), [0], 1 + np.flatnonzero(~mask)])
         self.back = np.argsort(self.cols)  # [D | T] columns back in [1 | rows] order
-        self.dense = rows if dense.all() else rows[:, dense]
-        member = np.empty(self.n_groups, np.intp)
-        member[self.groups] = np.arange(len(rows))  # any row of a group holds its values
-        self.table = np.column_stack([np.ones(self.n_groups), rows[member][:, ~dense]])
+        self.table = np.column_stack([np.ones(self.n_groups), data.table])
 
     def margins(self, theta):
         theta = theta[self.cols]
@@ -176,13 +165,14 @@ def _descend(data, config, make_step):
     objective, so a step is taken when it is negative and halved otherwise."""
     y, design = data.labels.astype(float), _Factored(data)
     step_fn = make_step(data, design, config)
-    theta = np.zeros(data.rows.shape[1] + 1)
-    obj = objective((0.0, theta[1:]), data, config)
+    theta = np.zeros(len(design.cols))
+    z = design.margins(theta)
+    obj = _objective_at(z, theta[1:], data, config)
     if not np.isfinite(obj):
         raise FitError(f"objective became non-finite ({obj})")
     iterations = 0
     while True:
-        p = sigmoid(design.margins(theta))
+        p = sigmoid(z)
         grad = design.transpose_dot(data.sample_weights * (p - y))
         grad[1:] += config.l2_strength * theta[1:]
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
@@ -206,10 +196,11 @@ def _descend(data, config, make_step):
         else:
             break
         theta = theta - t * direction
+        z = design.margins(theta)
         iterations += 1
     return theta[0], theta[1:], FitMeta(
         iterations=iterations, converged=converged,
-        final_objective=objective((theta[0], theta[1:]), data, config))
+        final_objective=_objective_at(z, theta[1:], data, config))
 
 
 def _newton_direction(data, design, config):
@@ -229,7 +220,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     Requires both classes present.  The converged flag reports whether the
     gradient max-norm reached the tolerance within max_iterations.
     """
-    if data.rows.shape[0] == 0:
+    if len(data.labels) == 0:
         raise FitError("no rows to fit")
     n_pos = int(data.labels.sum())
     if n_pos == 0 or n_pos == len(data.labels):

@@ -28,7 +28,8 @@ def dataset_digest(paths) -> str:
         digest.update(label.encode())
         digest.update(b"\0")
         with open(path, "rb") as handle:
-            digest.update(handle.read())
+            for block in iter(lambda: handle.read(1 << 20), b""):  # 1 MiB at a time
+                digest.update(block)
         digest.update(b"\0")
     return "sha256:" + digest.hexdigest()
 

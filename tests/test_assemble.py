@@ -175,7 +175,7 @@ def test_encode_zscores_at_fit_mean():
 def test_apply_encoding_standardizes_continuous_columns_in_place(small_rows):
     matrix, _, names = assemble.raw_feature_matrix(small_rows)
     raw = matrix.copy()
-    encoding = assemble.fit_encoding(matrix, names)
+    encoding = assemble.fit_encoding(dict(zip(names, matrix.T)), names)
     assert assemble.apply_encoding(matrix, encoding) is matrix
     for j, name in enumerate(names):
         if name in schema.CONTINUOUS_FEATURES:
@@ -242,13 +242,40 @@ def test_encoding_by_index_matches_encoding_the_gathered_rows(small_rows, featur
     assert np.array_equal(got.groups, want.groups)
 
 
+@pytest.mark.parametrize("index", [None, _GATHERS[0]], ids=["all", "index"])
+@pytest.mark.parametrize("features", [None, schema.ERROR_FLAGS + ("age",) + schema.MODEL_FLAGS,
+                                      schema.DOW_FEATURES, ["error_1", "volt", "dow_tue"]],
+                         ids=["full", "paper-reduced", "dow", "mixed"])
+def test_assembled_encoding_is_the_standardized_raw_matrix(small_rows, features, index):
+    # The factored design, assembled, is the raw matrix standardized with its
+    # own statistics, bit for bit.  Without telemetry its rows are the distinct
+    # (x, y) rows with summed weights.  The table holds one row per distinct
+    # non-telemetry row.
+    data = assemble.encode(small_rows, features=features, index=index)
+    matrix, labels, names = assemble.raw_feature_matrix(small_rows, features, index)
+    encoding = assemble.fit_encoding(dict(zip(names, matrix.T)), names)
+    weights = np.where(labels, 100.0, 1.0)
+    telemetry = np.isin(names, schema.TELEMETRY_FIELDS)
+    assert len(data.table) == len(np.unique(matrix[:, ~telemetry], axis=0))
+    if not telemetry.any():
+        _, first, inverse = np.unique(np.column_stack([matrix, labels]), axis=0,
+                                      return_index=True, return_inverse=True)
+        matrix, labels = matrix[first], labels[first]
+        weights = np.bincount(inverse.ravel(), weights)
+    want = assemble.apply_encoding(matrix, encoding)
+    assert data.encoding == encoding
+    assert data.rows.shape == want.shape and data.rows.tobytes() == want.tobytes()
+    assert data.labels.dtype == labels.dtype and np.array_equal(data.labels, labels)
+    assert data.sample_weights.tobytes() == weights.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_pattern_groups_match_a_dict_of_value_tuples(data):
-    # Rows share a group iff their non-telemetry values are equal.  24 columns
-    # of 7 or more values each take the mixed-radix span past 2**62, which
-    # forces a re-rank, and the {0, 0.5, 1} column must be ranked, not read
-    # as bits.  The telemetry column takes no part.
+    # Rows share a group iff their values are equal in every column.  24
+    # columns of 7 or more values each take the mixed-radix span past 2**62,
+    # which forces a re-rank, and the {0, 0.5, 1} column must be ranked, not
+    # read as bits.
     n_patterns = data.draw(st.integers(7, 9))
     extra = data.draw(st.lists(st.integers(0, n_patterns - 1), max_size=40))
     pattern = np.array(data.draw(st.permutations(list(range(n_patterns)) + extra)))
@@ -257,21 +284,23 @@ def test_pattern_groups_match_a_dict_of_value_tuples(data):
     columns = {f"wide_{i}": np.array(data.draw(st.lists(
         finite, min_size=n_patterns, max_size=n_patterns, unique=True)))[pattern]
         for i in range(24)}
-    for name, values in (("volt", finite), ("flag", st.sampled_from([0.0, 1.0])),
+    for name, values in (("flag", st.sampled_from([0.0, 1.0])),
                          ("half", st.sampled_from([0.0, 0.5, 1.0]))):
         columns[name] = data.draw(st.lists(values, min_size=n, max_size=n))
     names = data.draw(st.permutations(list(columns)))
     matrix = np.column_stack([np.asarray(columns[name], dtype=float) for name in names])
-    others = [j for j, name in enumerate(names) if name != "volt"]
-    assert np.prod([float(len(np.unique(matrix[:, j]))) for j in others]) > 2.0**62
+    assert np.prod([float(len(np.unique(column))) for column in matrix.T]) > 2.0**62
 
-    groups = assemble.pattern_groups(matrix, names)
+    groups = assemble.pattern_groups(list(matrix.T), n)
     first = {}
-    for i, values in enumerate(matrix[:, others].tolist()):
+    for i, values in enumerate(matrix.tolist()):
         first.setdefault(tuple(values), i)
     assert sorted(set(groups.tolist())) == list(range(len(first)))
-    for i, values in enumerate(matrix[:, others].tolist()):
+    for i, values in enumerate(matrix.tolist()):
         assert groups[i] == groups[first[tuple(values)]]
+    # Groups ascend with the value tuples, so any subset's np.unique keeps them.
+    order = sorted(first, key=lambda values: groups[first[values]])
+    assert order == sorted(first)
 
 
 def test_pattern_groups_keep_the_first_of_70_bit_columns():
@@ -280,7 +309,7 @@ def test_pattern_groups_keep_the_first_of_70_bit_columns():
     matrix = np.zeros((4, 70))
     matrix[1, 0] = matrix[2, 69] = 1.0
     matrix[3] = 1.0
-    groups = assemble.pattern_groups(matrix, [f"flag_{j}" for j in range(70)])
+    groups = assemble.pattern_groups(list(matrix.T), 4)
     assert groups.tolist() == [0, 2, 1, 3]
 
 

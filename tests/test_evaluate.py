@@ -195,6 +195,24 @@ def test_evaluate_cv_shapes_and_bookkeeping():
     assert json.loads(json.dumps(result)) == result
 
 
+@pytest.mark.parametrize("features", [None, evaluate.PAPER_REDUCED_FEATURES])
+def test_evaluate_cv_builds_no_training_matrix(monkeypatch, features):
+    # A fold's training side goes straight into its factored design; the raw
+    # row-by-feature matrix is built for each fold's test side alone.
+    rows = _cv_rows(4)
+    folds = evaluate.make_folds(rows, k=2, seed=0)
+    raw, asked = assemble.raw_feature_matrix, []
+
+    def recorded(rows, features=None, index=None):
+        asked.append(index)
+        return raw(rows, features, index)
+
+    monkeypatch.setattr(assemble, "raw_feature_matrix", recorded)
+    evaluate.evaluate_cv(rows, folds, features=features)
+    assert len(asked) == len(folds)
+    assert all(index is fold.test_rows for index, fold in zip(asked, folds))
+
+
 def test_evaluate_cv_without_folds_raises_fold_error():
     with pytest.raises(evaluate.FoldError, match="no folds to evaluate"):
         evaluate.evaluate_cv(_cv_rows(4), [])

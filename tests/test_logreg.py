@@ -236,6 +236,21 @@ def test_converged_fit_satisfies_its_own_certificate():
         logreg.objective((model.alpha, model.beta), data, config), rel=1e-15)
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+def test_final_objective_from_factored_margins_matches_the_dense_one(bench_rows, bench_folds, reduced):
+    # The fit takes its final objective from the factored margins; on every
+    # encoded bench fold it agrees with the dense per-row objective.
+    from failcast import evaluate
+
+    features = evaluate.PAPER_REDUCED_FEATURES if reduced else None
+    config = logreg.FitConfig()
+    for fold in bench_folds:
+        data = assemble.encode(bench_rows, features=features, index=fold.train_rows)
+        model = logreg.fit(data, config)
+        want = logreg.objective((model.alpha, model.beta), data, config)
+        assert abs(model.fit_meta.final_objective - want) <= 1e-15 * abs(want)
+
+
 def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
     # Unpenalized, an all-zero column leaves a zero row and column in every
     # Hessian, so np.linalg.solve fails and each Newton step is a lstsq one.

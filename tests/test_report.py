@@ -49,6 +49,17 @@ def test_digest_matches_hand_hash(tmp_path):
     assert got == "sha256:" + expected.hexdigest()
 
 
+@pytest.mark.parametrize("size", [0, 1 << 20, (5 << 19) + 3])
+def test_digest_reads_a_file_of_any_size_whole(tmp_path, size):
+    # Files are hashed block by block; empty, exactly one block and two and a
+    # half blocks hash as one read of the whole file does.
+    path = tmp_path / "telemetry.csv"
+    content = bytes(range(256)) * (size // 256) + b"x" * (size % 256)
+    path.write_bytes(content)
+    expected = hashlib.sha256(b"telemetry\0" + content + b"\0")
+    assert report.dataset_digest({"telemetry": path}) == "sha256:" + expected.hexdigest()
+
+
 def test_digest_is_order_independent_but_content_sensitive(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

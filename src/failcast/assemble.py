@@ -29,17 +29,24 @@ class EncodingError(Exception):
 
 class DesignMatrix:
     """Encoded features with labels and weights; a row may stand for several.
-    Row i is ``dense[i]`` in the telemetry columns and ``table[groups[i]]`` in the
-    others (column-major, a table row per pattern); plain ``rows`` are all dense."""
+    The design X = [1 | rows] is read with its columns permuted to [D | T[g]]:
+    row i is ``dense[i]`` in the telemetry columns (``in_dense``) and
+    ``table[groups[i]]`` in the intercept and the others, a table row per
+    pattern.  Plain ``rows`` are all dense, with one pattern.  margins(theta),
+    transpose_dot(r) and gram(s) give X theta, X^T r and X^T diag(s) X,
+    intercept first, with T's share through per-group sums."""
 
     def __init__(self, labels, sample_weights, encoding, rows=None, *,
-                 dense=None, table=None, groups=None):
+                 dense=None, table=None, groups=None, in_dense=None):
         if rows is not None:
-            dense, table, groups = rows, np.empty((1, 0)), np.zeros(len(rows), np.intp)
+            dense, table, groups = rows, np.ones((1, 1)), np.zeros(len(rows), np.intp)
+            in_dense = np.ones(rows.shape[1], bool)
         self.labels, self.sample_weights, self.encoding = labels, sample_weights, encoding
         self.dense, self.table, self.groups, self._rows = dense, table, groups, rows
-        self.in_dense = (np.isin(encoding.feature_names, schema.TELEMETRY_FIELDS)
-                         if table.shape[1] else np.ones(dense.shape[1], bool))
+        self.in_dense, self.k = in_dense, dense.shape[1]
+        self.cols = np.concatenate([1 + np.flatnonzero(in_dense), [0],
+                                    1 + np.flatnonzero(~in_dense)])
+        self.back = np.argsort(self.cols)  # [D | T] columns back in [1 | rows] order
 
     @property
     def rows(self) -> np.ndarray:
@@ -47,8 +54,24 @@ class DesignMatrix:
         if self._rows is None:
             self._rows = np.empty((len(self.groups), len(self.in_dense)))
             self._rows[:, self.in_dense] = self.dense
-            self._rows[:, ~self.in_dense] = self.table[self.groups]
+            self._rows[:, ~self.in_dense] = self.table[self.groups, 1:]
         return self._rows
+
+    def margins(self, theta):
+        theta = theta[self.cols]
+        return self.dense @ theta[:self.k] + (self.table @ theta[self.k:])[self.groups]
+
+    def transpose_dot(self, r):
+        per_group = np.bincount(self.groups, r)
+        return np.concatenate([self.dense.T @ r, self.table.T @ per_group])[self.back]
+
+    def gram(self, s):
+        sd = s[:, None] * self.dense
+        sums = np.array([np.bincount(self.groups, c) for c in (s, *sd.T)])  # s, then s * D
+        cross = sums[1:] @ self.table
+        block = np.block([[self.dense.T @ sd, cross],
+                          [cross.T, (self.table.T * sums[0]) @ self.table]])
+        return block[np.ix_(self.back, self.back)]
 
 
 def _pairs(machine_ids, datetimes) -> np.ndarray:
@@ -118,14 +141,15 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
 
 
 def _feature_names(features):
-    """The canonical names that ``features`` selects (all when None), in canonical order."""
+    """The canonical names that ``features`` selects (all when None), in canonical
+    order, and the mask of those that are telemetry: the design's dense columns."""
     unknown = [f for f in features or () if f not in schema.FEATURE_NAMES]
     if unknown:
         raise EncodingError(f"unknown feature(s) {unknown}")
     names = tuple(f for f in schema.FEATURE_NAMES if features is None or f in features)
     if not names:
         raise EncodingError("empty feature set")
-    return names
+    return names, np.isin(names, schema.TELEMETRY_FIELDS)
 
 
 def _column(rows, name, at=slice(None)):
@@ -143,10 +167,9 @@ def raw_feature_matrix(rows, features=None, index=None):
     """(matrix, labels, feature_names) of the stream rows at ``index`` (all rows
     when None): the unstandardized columns of the canonical names that
     ``features`` selects, in canonical order."""
-    names = _feature_names(features)
-    take = slice(None) if index is None else index
-    matrix = np.stack([_column(rows, name, take) for name in names], axis=1, dtype=float)
-    return matrix, rows["label"][take], names
+    names = _feature_names(features)[0]
+    index = np.arange(len(rows)) if index is None else index
+    return _gather(rows, names, index), rows["label"][index], names
 
 
 def fit_encoding(columns, feature_names) -> schema.FeatureEncoding:
@@ -177,28 +200,21 @@ def apply_encoding(matrix, encoding: schema.FeatureEncoding, columns=slice(None)
     return matrix
 
 
-def pattern_groups(columns, n_rows) -> np.ndarray:
-    """Group of each of ``n_rows`` rows, equal iff the rows are in every 1-D
-    column, ascending with their values: an int64 mixed-radix key where a 0/1
-    column adds a bit and any other column its value's rank, re-ranked before
-    its span could pass 2**62."""
-    key, span = np.zeros(n_rows, np.int64), 1
-    for column in columns:
-        binary = column.dtype == bool or ((column == 0) | (column == 1)).all()
-        digit = column.astype(np.int64) if binary else np.unique(column, return_inverse=True)[1]
-        base = int(digit.max(initial=0)) + 1
-        if span * base > 2**62:
-            key = np.unique(key, return_inverse=True)[1]
-            span = int(key.max()) + 1
-        key, span = key * base + digit, span * base
-    return np.unique(key, return_inverse=True)[1]
-
-
 def pattern_keys(rows, features=None) -> np.ndarray:
-    """Pattern group of every stream row's non-telemetry features.  Groups
-    ascend with the values, so the keys of any subset rank as its own groups."""
-    names = [n for n in _feature_names(features) if n not in schema.TELEMETRY_FIELDS]
-    return pattern_groups([_column(rows, name) for name in names], len(rows))
+    """Pattern group of every stream row's non-telemetry features, from an int64
+    mixed-radix key where a bool column adds a bit and age its rank.  Groups
+    ascend with the values, so the keys of any subset rank as its own groups.
+    These are at most 24 bool columns and age, so the key stays below 2**24 x rows."""
+    names, in_dense = _feature_names(features)
+    key = np.zeros(len(rows), np.int64)
+    for name in np.compress(~in_dense, names):
+        column = _column(rows, name)
+        if column.dtype == bool:
+            key = 2 * key + column
+        else:
+            rank = np.unique(column, return_inverse=True)[1]
+            key = key * (int(rank.max(initial=0)) + 1) + rank
+    return np.unique(key, return_inverse=True)[1]
 
 
 def encode(rows, weight_positive=100.0, features=None, index=None, keys=None) -> DesignMatrix:
@@ -210,19 +226,18 @@ def encode(rows, weight_positive=100.0, features=None, index=None, keys=None) ->
     their summed weight (the grouped binomial form): the same objective."""
     if not weight_positive > 0:
         raise ValueError("weight_positive must be positive")
-    names = _feature_names(features)
+    names, in_dense = _feature_names(features)
     index = np.arange(len(rows)) if index is None else index
     if not len(index):
         raise EncodingError("fit rows must be non-empty")
     keys = pattern_keys(rows, names) if keys is None else keys
     _, first, groups = np.unique(keys[index], return_index=True, return_inverse=True)
-    in_dense = np.isin(names, schema.TELEMETRY_FIELDS)
     encoding = fit_encoding({n: _column(rows, n, index).astype(float) for n in names
                              if n in schema.CONTINUOUS_FEATURES}, names)
     dense = apply_encoding(_gather(rows, np.compress(in_dense, names), index),
                            encoding, in_dense)
-    table = apply_encoding(_gather(rows, np.compress(~in_dense, names), index[first]),
-                           encoding, ~in_dense)
+    table = np.column_stack([np.ones(len(first)), apply_encoding(
+        _gather(rows, np.compress(~in_dense, names), index[first]), encoding, ~in_dense)])
     labels = rows["label"][index]
     weights = np.where(labels, float(weight_positive), 1.0)
     if not in_dense.any():
@@ -231,4 +246,4 @@ def encode(rows, weight_positive=100.0, features=None, index=None, keys=None) ->
         dense, labels, weights = dense[first], labels[first], np.bincount(inverse, weights)
         groups = merged // 2
     return DesignMatrix(labels=labels, sample_weights=weights, encoding=encoding,
-                        dense=dense, table=table, groups=groups)
+                        dense=dense, table=table, groups=groups, in_dense=in_dense)

@@ -218,7 +218,7 @@ def cmd_train(cfg: dict, rows):
     _warn_unconverged("train", meta.converged, meta.iterations)
     logreg.save_model(model, cfg["out"])
     print(f"fit {len(rows)} rows in {meta.iterations} iterations "
-          f"(objective {meta.final_objective:.6f}); model saved to {cfg['out']}")
+          f"(objective {meta.final_objective:.6g}); model saved to {cfg['out']}")
 
 
 def _run_cv(command: str, cfg: dict, rows, rule: str, rule_threshold: float):

@@ -123,38 +123,8 @@ def gradient(params, data, config: FitConfig) -> np.ndarray:
     return np.concatenate(([float(residual.sum())], g_beta))
 
 
-class _Factored:
-    """The design X = [1 | rows], its columns permuted to [D | T[g]]: D is the
-    design's dense block, T its table with the intercept prepended, one row per
-    group g.  margins(theta), transpose_dot(r) and gram(s) give X theta, X^T r
-    and X^T diag(s) X, intercept first, with T's share through per-group sums."""
-
-    def __init__(self, data):
-        self.dense, self.groups, mask = data.dense, data.groups, data.in_dense
-        self.n_groups, self.k = len(data.table), data.dense.shape[1]
-        self.cols = np.concatenate([1 + np.flatnonzero(mask), [0], 1 + np.flatnonzero(~mask)])
-        self.back = np.argsort(self.cols)  # [D | T] columns back in [1 | rows] order
-        self.table = np.column_stack([np.ones(self.n_groups), data.table])
-
-    def margins(self, theta):
-        theta = theta[self.cols]
-        return self.dense @ theta[:self.k] + (self.table @ theta[self.k:])[self.groups]
-
-    def transpose_dot(self, r):
-        per_group = np.bincount(self.groups, r)
-        return np.concatenate([self.dense.T @ r, self.table.T @ per_group])[self.back]
-
-    def gram(self, s):
-        sd = s[:, None] * self.dense
-        sums = np.array([np.bincount(self.groups, c) for c in (s, *sd.T)])  # s, then s * D
-        cross = sums[1:] @ self.table
-        block = np.block([[self.dense.T @ sd, cross],
-                          [cross.T, (self.table.T * sums[0]) @ self.table]])
-        return block[np.ix_(self.back, self.back)]
-
-
 def _descend(data, config, make_step):
-    """Shared damped-descent loop; make_step(data, design, config) gives a
+    """Shared damped-descent loop; make_step(data, config) gives a
     step_fn(theta, grad, p) that proposes a direction (da, db) from theta =
     (alpha, beta).  Each iterate is evaluated once: p = sigmoid(z) at its
     margins z = alpha + x.beta gives the gradient, which decides convergence,
@@ -163,17 +133,16 @@ def _descend(data, config, make_step):
     objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i)) + y_i*t*u_i) +
     l2*t*(t/2*|db|^2 - beta.db), resolved row by row far below one ulp of the
     objective, so a step is taken when it is negative and halved otherwise."""
-    y, design = data.labels.astype(float), _Factored(data)
-    step_fn = make_step(data, design, config)
-    theta = np.zeros(len(design.cols))
-    z = design.margins(theta)
+    y, step_fn = data.labels.astype(float), make_step(data, config)
+    theta = np.zeros(1 + len(data.in_dense))
+    z = data.margins(theta)
     obj = _objective_at(z, theta[1:], data, config)
     if not np.isfinite(obj):
         raise FitError(f"objective became non-finite ({obj})")
     iterations = 0
     while True:
         p = sigmoid(z)
-        grad = design.transpose_dot(data.sample_weights * (p - y))
+        grad = data.transpose_dot(data.sample_weights * (p - y))
         grad[1:] += config.l2_strength * theta[1:]
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
         if converged or iterations == config.max_iterations:
@@ -183,7 +152,7 @@ def _descend(data, config, make_step):
         if not np.isfinite(direction).all():
             raise FitError(f"step direction became non-finite at iteration {iterations}")
         d_beta = direction[1:]
-        u = design.margins(direction)
+        u = data.margins(direction)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             with np.errstate(over="ignore", invalid="ignore"):  # NaN is no descent
@@ -196,16 +165,16 @@ def _descend(data, config, make_step):
         else:
             break
         theta = theta - t * direction
-        z = design.margins(theta)
+        z = data.margins(theta)
         iterations += 1
     return theta[0], theta[1:], FitMeta(
         iterations=iterations, converged=converged,
         final_objective=_objective_at(z, theta[1:], data, config))
 
 
-def _newton_direction(data, design, config):
+def _newton_direction(data, config):
     def step(theta, grad, p):
-        hess = design.gram(data.sample_weights * p * (1.0 - p))
+        hess = data.gram(data.sample_weights * p * (1.0 - p))
         hess[1:, 1:] += config.l2_strength * np.eye(len(theta) - 1)
         try:
             return np.linalg.solve(hess, grad)
@@ -230,7 +199,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     return LogisticModel(alpha=alpha, beta=beta, encoding=data.encoding, fit_meta=meta)
 
 
-def _gd_step_factory(data, design, config):
+def _gd_step_factory(data, config):
     """Gradient-only directions: no curvature matrix, so this route is
     independent of the Newton solver.  Step length starts at the inverse
     Lipschitz bound and then follows Barzilai-Borwein estimates; the

@@ -271,46 +271,48 @@ def test_assembled_encoding_is_the_standardized_raw_matrix(small_rows, features,
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_pattern_groups_match_a_dict_of_value_tuples(data):
-    # Rows share a group iff their values are equal in every column.  24
-    # columns of 7 or more values each take the mixed-radix span past 2**62,
-    # which forces a re-rank, and the {0, 0.5, 1} column must be ranked, not
-    # read as bits.
-    n_patterns = data.draw(st.integers(7, 9))
-    extra = data.draw(st.lists(st.integers(0, n_patterns - 1), max_size=40))
-    pattern = np.array(data.draw(st.permutations(list(range(n_patterns)) + extra)))
-    n = len(pattern)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    columns = {f"wide_{i}": np.array(data.draw(st.lists(
-        finite, min_size=n_patterns, max_size=n_patterns, unique=True)))[pattern]
-        for i in range(24)}
-    for name, values in (("flag", st.sampled_from([0.0, 1.0])),
-                         ("half", st.sampled_from([0.0, 0.5, 1.0]))):
-        columns[name] = data.draw(st.lists(values, min_size=n, max_size=n))
-    names = data.draw(st.permutations(list(columns)))
-    matrix = np.column_stack([np.asarray(columns[name], dtype=float) for name in names])
-    assert np.prod([float(len(np.unique(column))) for column in matrix.T]) > 2.0**62
+def test_pattern_keys_match_a_dict_of_value_tuples(data):
+    # Rows share a group iff their non-telemetry features are equal, and the
+    # groups ascend with those values in canonical order.  Ages up to 2**60,
+    # exact as floats, must be ranked, not read as digits of the key.
+    flags = schema.ERROR_FLAGS + schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS + schema.MODEL_FLAGS
+    pool = data.draw(st.lists(st.fixed_dictionaries({
+        **dict.fromkeys(flags, st.booleans()), "age": st.integers(0, 2**20).map(lambda a: a << 40),
+        "day_of_week": st.sampled_from(schema.DAY_NAMES)}), min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    stream = np.zeros(len(picks), [(c, schema.column_type(c))
+                                   for c in schema.STREAM_COLUMNS]).view(np.recarray)
+    for column in pool[0]:
+        stream[column] = [pool[i][column] for i in picks]
+    for i, column in enumerate(schema.TELEMETRY_FIELDS):
+        stream[column] = np.arange(len(picks)) * (i + 1.5)
+    features = data.draw(st.none() | st.sets(st.sampled_from(schema.FEATURE_NAMES), min_size=1))
+    names = [f for f in schema.FEATURE_NAMES if (features is None or f in features)
+             and f not in schema.TELEMETRY_FIELDS]
+    values = (list(map(tuple, assemble.raw_feature_matrix(stream, names)[0].tolist()))
+              if names else [()] * len(stream))
 
-    groups = assemble.pattern_groups(list(matrix.T), n)
+    keys = assemble.pattern_keys(stream, features)
     first = {}
-    for i, values in enumerate(matrix.tolist()):
-        first.setdefault(tuple(values), i)
-    assert sorted(set(groups.tolist())) == list(range(len(first)))
-    for i, values in enumerate(matrix.tolist()):
-        assert groups[i] == groups[first[tuple(values)]]
-    # Groups ascend with the value tuples, so any subset's np.unique keeps them.
-    order = sorted(first, key=lambda values: groups[first[values]])
-    assert order == sorted(first)
+    for i, value in enumerate(values):
+        first.setdefault(value, i)
+    assert sorted(set(keys.tolist())) == list(range(len(first)))
+    for i, value in enumerate(values):
+        assert keys[i] == keys[first[value]]
+    assert sorted(first, key=lambda value: keys[first[value]]) == sorted(first)
+    # So the keys of any subset rank as that subset's own groups.
+    subset = np.array(data.draw(st.lists(st.integers(0, len(stream) - 1), min_size=1)))
+    assert np.array_equal(np.unique(keys[subset], return_inverse=True)[1],
+                          assemble.pattern_keys(stream[subset], features))
 
 
-def test_pattern_groups_keep_the_first_of_70_bit_columns():
-    # Unranked, 70 bits would shift column 0 out of the int64 key, and the
-    # first two rows would share a group.
-    matrix = np.zeros((4, 70))
-    matrix[1, 0] = matrix[2, 69] = 1.0
-    matrix[3] = 1.0
-    groups = assemble.pattern_groups(list(matrix.T), 4)
-    assert groups.tolist() == [0, 2, 1, 3]
+def test_pattern_key_columns_are_24_bools_and_age(small_rows):
+    # pattern_keys adds a bit for each bool column and age's rank, which is
+    # below the row count, so its int64 key stays below 2**24 x rows.
+    others = [f for f in schema.FEATURE_NAMES if f not in schema.TELEMETRY_FIELDS + ("age",)]
+    assert len(others) == 24
+    assert all(assemble._column(small_rows, f).dtype == bool for f in others)
+    assert small_rows["age"].dtype == np.int64
 
 
 def test_degenerate_column_error_names_column():

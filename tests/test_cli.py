@@ -6,6 +6,7 @@ import datetime
 import hashlib
 import json
 import random
+import re
 import shutil
 
 import pytest
@@ -557,6 +558,17 @@ def test_extreme_weight_prints_no_numpy_warning(dataset, tmp_path, capsys,
     assert err.startswith(message)
     assert "Warning" not in err
     assert not model.exists()
+
+
+def test_train_summary_stays_short_at_a_huge_objective(dataset, tmp_path, capsys):
+    # At weight 1e300 the final objective is about 1.7e300; the summary prints
+    # it in six significant digits, not as a 300-digit fixed-point number.
+    model = tmp_path / "m.json"
+    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(model),
+                     "--weight", "1e300", "--solver", "gradient_descent"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and re.search(r"\(objective 1\.\d{5}e\+300\);", out)
+    assert len(out.replace(str(model), "")) < 100
 
 
 def test_stream_with_no_rows_exits_1(dataset, tmp_path, capsys):

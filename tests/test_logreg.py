@@ -260,7 +260,7 @@ def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
                                  encoding=None)
     config = logreg.FitConfig(l2_strength=0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(logreg._Factored(data).gram(0.25 * data.sample_weights), np.ones(6))
+        np.linalg.solve(data.gram(0.25 * data.sample_weights), np.ones(6))
     calls, lstsq = [], np.linalg.lstsq
 
     def counted_lstsq(*args, **kwargs):
@@ -342,28 +342,45 @@ def test_grouped_fit_equals_the_row_fit():
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("reduced", [False, True])
-def test_factored_design_matches_the_dense_products(bench_rows, bench_folds, reduced):
-    # X theta, X^T r and X^T diag(s) X through the per-group table equal the
-    # dense products with the intercept column prepended, each entry to 1e-12
-    # of the sum of its terms' magnitudes.
-    from failcast import evaluate
-
-    features = evaluate.PAPER_REDUCED_FEATURES if reduced else None
-    data = assemble.encode(bench_rows, features=features, index=bench_folds[0].train_rows)
-    design = logreg._Factored(data)
-    assert design.k == (0 if reduced else len(schema.TELEMETRY_FIELDS))
-    assert design.n_groups < (len(data.labels) if reduced else len(data.labels) // 10)
+def _assert_dense_products(data):
+    """X theta, X^T r and X^T diag(s) X through the per-group table equal the
+    dense products with the intercept column prepended, each entry to 1e-12
+    of the sum of its terms' magnitudes."""
     x = np.column_stack([np.ones(len(data.labels)), data.rows])
     s = helpers.Stream(17)
     theta, r, w = s.normals(x.shape[1]), s.normals(len(x)), s.uniforms(len(x))
     ax = np.abs(x)
     for got, want, scale in [
-            (design.margins(theta), x @ theta, ax @ np.abs(theta)),
-            (design.transpose_dot(r), x.T @ r, ax.T @ np.abs(r)),
-            (design.gram(w), x.T @ (w[:, None] * x), ax.T @ (w[:, None] * ax))]:
+            (data.margins(theta), x @ theta, ax @ np.abs(theta)),
+            (data.transpose_dot(r), x.T @ r, ax.T @ np.abs(r)),
+            (data.gram(w), x.T @ (w[:, None] * x), ax.T @ (w[:, None] * ax))]:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_factored_design_matches_the_dense_products(bench_rows, bench_folds, reduced):
+    from failcast import evaluate
+
+    features = evaluate.PAPER_REDUCED_FEATURES if reduced else None
+    data = assemble.encode(bench_rows, features=features, index=bench_folds[0].train_rows)
+    assert data.dense.shape[1] == (0 if reduced else len(schema.TELEMETRY_FIELDS))
+    assert len(data.table) < (len(data.labels) if reduced else len(data.labels) // 10)
+    _assert_dense_products(data)
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["telemetry", "rows"])
+def test_factored_design_of_one_pattern_matches_the_dense_products(bench_rows, bench_folds,
+                                                                   plain):
+    # With telemetry features alone, or built from a plain matrix, every
+    # feature column is dense and T is the intercept alone.
+    features = None if plain else schema.TELEMETRY_FIELDS
+    data = assemble.encode(bench_rows, features=features, index=bench_folds[0].train_rows)
+    if plain:
+        data = _design(data.rows, data.labels, data.sample_weights)
+    assert data.dense.shape[1] == len(features or schema.FEATURE_NAMES)
+    assert data.table.tolist() == [[1.0]]
+    _assert_dense_products(data)
 
 
 @pytest.mark.parametrize("solver", logreg.SOLVERS)

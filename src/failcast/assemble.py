@@ -29,33 +29,19 @@ class EncodingError(Exception):
 
 class DesignMatrix:
     """Encoded features with labels and weights; a row may stand for several.
-    The design X = [1 | rows] is read with its columns permuted to [D | T[g]]:
-    row i is ``dense[i]`` in the telemetry columns (``in_dense``) and
-    ``table[groups[i]]`` in the intercept and the others, a table row per
-    pattern.  Plain ``rows`` are all dense, with one pattern.  margins(theta),
-    transpose_dot(r) and gram(s) give X theta, X^T r and X^T diag(s) X,
-    intercept first, with T's share through per-group sums."""
+    The design X = [1 | features] is read with its columns permuted to
+    [D | T[g]]: row i is ``dense[i]`` in the telemetry columns (``in_dense``)
+    and ``table[groups[i]]`` in the intercept and the others, a table row per
+    pattern.  margins(theta), transpose_dot(r) and gram(s) give X theta, X^T r
+    and X^T diag(s) X, intercept first, with T's share through per-group sums."""
 
-    def __init__(self, labels, sample_weights, encoding, rows=None, *,
-                 dense=None, table=None, groups=None, in_dense=None):
-        if rows is not None:
-            dense, table, groups = rows, np.ones((1, 1)), np.zeros(len(rows), np.intp)
-            in_dense = np.ones(rows.shape[1], bool)
+    def __init__(self, labels, sample_weights, encoding, dense, table, groups, in_dense):
         self.labels, self.sample_weights, self.encoding = labels, sample_weights, encoding
-        self.dense, self.table, self.groups, self._rows = dense, table, groups, rows
+        self.dense, self.table, self.groups = dense, table, groups
         self.in_dense, self.k = in_dense, dense.shape[1]
         self.cols = np.concatenate([1 + np.flatnonzero(in_dense), [0],
                                     1 + np.flatnonzero(~in_dense)])
-        self.back = np.argsort(self.cols)  # [D | T] columns back in [1 | rows] order
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The n x m feature matrix in canonical column order, assembled on first read."""
-        if self._rows is None:
-            self._rows = np.empty((len(self.groups), len(self.in_dense)))
-            self._rows[:, self.in_dense] = self.dense
-            self._rows[:, ~self.in_dense] = self.table[self.groups, 1:]
-        return self._rows
+        self.back = np.argsort(self.cols)  # [D | T] columns back in [1 | features] order
 
     def margins(self, theta):
         theta = theta[self.cols]

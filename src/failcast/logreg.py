@@ -102,8 +102,8 @@ def predict(model: LogisticModel, x, threshold=0.5):
 
 def objective(params, data, config: FitConfig) -> float:
     """Weighted penalized negative log-likelihood at (alpha, beta)."""
-    beta = np.asarray(params[1], dtype=float)
-    return _objective_at(params[0] + data.rows @ beta, beta, data, config)
+    theta = np.hstack(params).astype(float)  # alpha, then beta
+    return _objective_at(data.margins(theta), theta[1:], data, config)
 
 
 def _objective_at(z, beta, data, config):
@@ -117,10 +117,11 @@ def _objective_at(z, beta, data, config):
 
 def gradient(params, data, config: FitConfig) -> np.ndarray:
     """Analytic gradient, intercept component first (no penalty on it)."""
-    beta = np.asarray(params[1], dtype=float)
-    residual = data.sample_weights * (sigmoid(params[0] + data.rows @ beta) - data.labels)
-    g_beta = data.rows.T @ residual + config.l2_strength * beta
-    return np.concatenate(([float(residual.sum())], g_beta))
+    theta = np.hstack(params).astype(float)  # alpha, then beta
+    residual = data.sample_weights * (sigmoid(data.margins(theta)) - data.labels)
+    grad = data.transpose_dot(residual)
+    grad[1:] += config.l2_strength * theta[1:]
+    return grad
 
 
 def _descend(data, config, make_step):
@@ -204,10 +205,10 @@ def _gd_step_factory(data, config):
     independent of the Newton solver.  Step length starts at the inverse
     Lipschitz bound and then follows Barzilai-Borwein estimates; the
     shared step-halving loop still decides which steps are taken."""
-    # Lipschitz bound for the weighted logistic loss with intercept column
-    aug_sq = 1.0 + np.einsum("ij,ij->i", data.rows, data.rows)
-    with np.errstate(over="ignore"):  # rejected just below
-        lipschitz = 0.25 * float(np.dot(data.sample_weights, aug_sq)) + config.l2_strength
+    # Lipschitz bound for the weighted logistic loss, 0.25 * sum_i w_i*(1 + |x_i|^2):
+    # the trace of X^T W X, whose intercept column supplies the 1.
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        lipschitz = 0.25 * float(np.trace(data.gram(data.sample_weights))) + config.l2_strength
     if not np.isfinite(lipschitz):
         raise FitError(f"gradient-descent step bound became non-finite ({lipschitz})")
     base = 1.0 / max(lipschitz, 1e-12)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from failcast import ingest, schema
+from failcast import assemble, ingest, schema
 from failcast.rng import Stream
 
 T0 = dt.datetime(2015, 1, 1)
@@ -158,10 +158,20 @@ def two_branch_sigmoid(z):
     return np.clip(out, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
-def random_instance(seed, n_rows, n_features, weighted=True):
-    """Small random design matrix with both classes guaranteed."""
-    from failcast import assemble
+def dense_design(x, labels, weights=None):
+    """The one-pattern design of the plain matrix ``x``: every feature column
+    dense, one pattern, and the table the intercept alone.  Unit weights when
+    None."""
+    x = np.asarray(x, dtype=float)
+    weights = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float)
+    return assemble.DesignMatrix(
+        labels=np.asarray(labels, dtype=bool), sample_weights=weights, encoding=None,
+        dense=x, table=np.ones((1, 1)), groups=np.zeros(len(x), np.intp),
+        in_dense=np.ones(x.shape[1], bool))
 
+
+def random_instance(seed, n_rows, n_features, weighted=True):
+    """Small random dense design with both classes guaranteed."""
     s = Stream(seed)
     x = s.normals(n_rows * n_features).reshape(n_rows, n_features)
     beta = s.normals(n_features)
@@ -173,16 +183,31 @@ def random_instance(seed, n_rows, n_features, weighted=True):
     if not y.any():
         y[0] = True
     weights = 0.5 + 3.0 * s.uniforms(n_rows) if weighted else np.ones(n_rows)
-    return assemble.DesignMatrix(rows=x, labels=y, sample_weights=weights,
-                                 encoding=None)
+    return dense_design(x, y, weights)
+
+
+def design_features(data):
+    """A design's n x m feature matrix in canonical column order: its dense
+    columns where ``in_dense``, its pattern's table row past the intercept
+    elsewhere."""
+    out = np.empty((len(data.groups), len(data.in_dense)))
+    out[:, data.in_dense] = data.dense
+    out[:, ~data.in_dense] = data.table[data.groups, 1:]
+    return out
+
+
+def augmented(data):
+    """[1 | X]: a design's features with the intercept column prepended."""
+    x = design_features(data)
+    return np.hstack([np.ones((len(x), 1)), x])
 
 
 def naive_objective(alpha, beta, data, l2):
     """Direct per-row summation of the weighted penalized objective."""
+    x = design_features(data).tolist()
     total = 0.0
     for i in range(len(data.labels)):
-        z = alpha + sum(float(data.rows[i, j]) * float(beta[j])
-                        for j in range(data.rows.shape[1]))
+        z = alpha + sum(x[i][j] * float(beta[j]) for j in range(len(beta)))
         p = 1.0 / (1.0 + math.exp(-z))
         y = 1.0 if data.labels[i] else 0.0
         total += float(data.sample_weights[i]) * (
@@ -190,19 +215,47 @@ def naive_objective(alpha, beta, data, l2):
     return total + 0.5 * l2 * sum(float(b) * float(b) for b in beta)
 
 
-def central_fd_gradient(params, data, config, step=1e-5):
-    """Central finite differences of logreg.objective."""
-    from failcast import logreg
+def dense_objective(params, data, l2):
+    """The weighted penalized objective from [1 | X]: each row's term
+    -y log p - (1-y) log(1-p) written as log(1 + e^z) - y z, which stays exact
+    where p rounds to 0 or 1."""
+    alpha, beta = params
+    theta = np.concatenate([[alpha], beta])
+    z = augmented(data) @ theta
+    y = np.where(data.labels, 1.0, 0.0)
+    terms = np.logaddexp(0.0, z) - y * z
+    return float(np.sum(data.sample_weights * terms)) + 0.5 * l2 * float(np.sum(beta * beta))
 
+
+def dense_gradient(params, data, l2):
+    """The objective's gradient from [1 | X]: X^T (w * (p - y)), plus l2 * beta
+    past the intercept."""
+    alpha, beta = params
+    x = augmented(data)
+    p = two_branch_sigmoid(x @ np.concatenate([[alpha], beta]))
+    y = np.where(data.labels, 1.0, 0.0)
+    return x.T @ (data.sample_weights * (p - y)) + l2 * np.concatenate([[0.0], beta])
+
+
+def dense_step_bound(data, l2):
+    """The gradient-descent Lipschitz bound from [1 | X]:
+    0.25 * sum_i w_i * |[1, x_i]|^2 + l2."""
+    x = augmented(data)
+    return 0.25 * float(np.sum(data.sample_weights * np.sum(x * x, axis=1))) + l2
+
+
+def central_fd_gradient(params, data, config, step=1e-5):
+    """Central finite differences of naive_objective."""
     alpha, beta = params
     beta = np.asarray(beta, dtype=float)
+    l2 = config.l2_strength
     out = np.empty(beta.size + 1)
-    out[0] = (logreg.objective((alpha + step, beta), data, config)
-              - logreg.objective((alpha - step, beta), data, config)) / (2 * step)
+    out[0] = (naive_objective(alpha + step, beta, data, l2)
+              - naive_objective(alpha - step, beta, data, l2)) / (2 * step)
     for j in range(beta.size):
         up, dn = beta.copy(), beta.copy()
         up[j] += step
         dn[j] -= step
-        out[j + 1] = (logreg.objective((alpha, up), data, config)
-                      - logreg.objective((alpha, dn), data, config)) / (2 * step)
+        out[j + 1] = (naive_objective(alpha, up, data, l2)
+                      - naive_objective(alpha, dn, data, l2)) / (2 * step)
     return out

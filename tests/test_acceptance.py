@@ -41,8 +41,8 @@ def test_newton_and_descent_solvers_agree_on_probabilities():
     newton = logreg.fit(data, logreg.FitConfig(solver="newton"))
     descent = logreg.fit(data, logreg.FitConfig(solver="gradient_descent",
                                                 max_iterations=5000))
-    gap = np.max(np.abs(logreg.predict_proba(newton, data.rows)
-                        - logreg.predict_proba(descent, data.rows)))
+    gap = np.max(np.abs(logreg.predict_proba(newton, data.dense)
+                        - logreg.predict_proba(descent, data.dense)))
     elapsed = time.perf_counter() - start
     assert newton.fit_meta.converged and descent.fit_meta.converged
     assert gap < 1e-4, f"probability gap between solvers {gap:.3e}"
@@ -54,13 +54,9 @@ def test_sample_weight_two_equals_row_duplication():
                                    weighted=False)
     weights = np.ones(40)
     weights[7] = 2.0
-    reweighted = assemble.DesignMatrix(
-        rows=data.rows, labels=data.labels, sample_weights=weights,
-        encoding=None)
-    duplicated = assemble.DesignMatrix(
-        rows=np.vstack([data.rows, data.rows[7:8]]),
-        labels=np.concatenate([data.labels, data.labels[7:8]]),
-        sample_weights=np.ones(41), encoding=None)
+    reweighted = helpers.dense_design(data.dense, data.labels, weights)
+    duplicated = helpers.dense_design(np.vstack([data.dense, data.dense[7:8]]),
+                                      np.concatenate([data.labels, data.labels[7:8]]))
     a = logreg.fit(reweighted)
     b = logreg.fit(duplicated)
     gap = max(abs(a.alpha - b.alpha), float(np.max(np.abs(a.beta - b.beta))))

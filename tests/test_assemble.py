@@ -164,10 +164,10 @@ def test_encode_zscores_at_fit_mean():
     data = assemble.encode(rows)
     j = data.encoding.feature_names.index("volt")
     volts = np.array([r.volt for r in rows])
+    col = helpers.design_features(data)[:, j]
     at_mean = np.flatnonzero(np.isclose(volts, volts.mean()))
     for i in at_mean:
-        assert abs(data.rows[i, j]) < 1e-12
-    col = data.rows[:, j]
+        assert abs(col[i]) < 1e-12
     assert abs(col.mean()) < 1e-12
     assert abs(col.std() - 1.0) < 1e-12
 
@@ -199,11 +199,12 @@ def test_exactly_one_day_indicator_set(small_rows):
     data = assemble.encode(rows)
     dow_cols = [data.encoding.feature_names.index(f)
                 for f in schema.DOW_FEATURES]
-    sums = data.rows[:, dow_cols].sum(axis=1)
+    x = helpers.design_features(data)
+    sums = x[:, dow_cols].sum(axis=1)
     assert np.all(sums == 1.0)
     wednesday = [i for i, r in enumerate(rows) if r.day_of_week == "Wed"]
     j = data.encoding.feature_names.index("dow_wed")
-    assert np.all(data.rows[wednesday, j] == 1.0)
+    assert np.all(x[wednesday, j] == 1.0)
 
 
 def test_feature_order_is_canonical_and_stable(small_rows):
@@ -235,7 +236,8 @@ def test_encoding_by_index_matches_encoding_the_gathered_rows(small_rows, featur
     index = _GATHERS[0]
     got = assemble.encode(small_rows, features=features, index=index)
     want = assemble.encode(small_rows[index], features=features)
-    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.dense.tobytes() == want.dense.tobytes()
+    assert got.table.tobytes() == want.table.tobytes()
     assert np.array_equal(got.labels, want.labels)
     assert got.sample_weights.tobytes() == want.sample_weights.tobytes()
     assert got.encoding == want.encoding
@@ -264,7 +266,8 @@ def test_assembled_encoding_is_the_standardized_raw_matrix(small_rows, features,
         weights = np.bincount(inverse.ravel(), weights)
     want = assemble.apply_encoding(matrix, encoding)
     assert data.encoding == encoding
-    assert data.rows.shape == want.shape and data.rows.tobytes() == want.tobytes()
+    got = helpers.design_features(data)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert data.labels.dtype == labels.dtype and np.array_equal(data.labels, labels)
     assert data.sample_weights.tobytes() == weights.tobytes()
 

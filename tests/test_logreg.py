@@ -12,14 +12,7 @@ from failcast import assemble, logreg, schema
 import helpers
 
 
-def _design(rows, labels, weights=None):
-    rows = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels, dtype=bool)
-    if weights is None:
-        weights = np.ones(len(labels))
-    return assemble.DesignMatrix(
-        rows=rows, labels=labels, sample_weights=np.asarray(weights, float),
-        encoding=None)
+_design = helpers.dense_design
 
 
 # --- sigmoid and prediction --------------------------------------------------
@@ -95,8 +88,8 @@ def test_predict_threshold_semantics():
 def test_raising_the_threshold_only_removes_positives():
     data = helpers.random_instance(seed=3, n_rows=40, n_features=3)
     model = logreg.fit(data)
-    lo = logreg.predict(model, data.rows, threshold=0.2)
-    hi = logreg.predict(model, data.rows, threshold=0.8)
+    lo = logreg.predict(model, data.dense, threshold=0.2)
+    hi = logreg.predict(model, data.dense, threshold=0.8)
     assert np.all(lo[hi])  # every high-threshold positive is a low one too
 
 
@@ -137,7 +130,7 @@ def test_gradient_matches_central_finite_differences():
 
 def test_zero_weight_rows_contribute_nothing():
     data = helpers.random_instance(seed=6, n_rows=20, n_features=3)
-    dead = _design(data.rows, data.labels, weights=np.zeros(20))
+    dead = _design(data.dense, data.labels, weights=np.zeros(20))
     beta = np.array([0.4, -1.1, 2.0])
     config = logreg.FitConfig(l2_strength=3.0)
     assert logreg.objective((0.7, beta), dead, config) == \
@@ -191,8 +184,8 @@ def test_sign_flip_symmetry_zeroes_the_intercept_only():
 def test_integer_weights_equal_row_duplication():
     data = helpers.random_instance(seed=8, n_rows=30, n_features=3,
                                    weighted=False)
-    doubled = _design(data.rows, data.labels, weights=2.0 * np.ones(30))
-    stacked = _design(np.vstack([data.rows, data.rows]),
+    doubled = _design(data.dense, data.labels, weights=2.0 * np.ones(30))
+    stacked = _design(np.vstack([data.dense, data.dense]),
                       np.concatenate([data.labels, data.labels]))
     a = logreg.fit(doubled)
     b = logreg.fit(stacked)
@@ -205,8 +198,8 @@ def test_newton_and_gradient_descent_agree():
     newton = logreg.fit(data, logreg.FitConfig(solver="newton"))
     gd = logreg.fit(data, logreg.FitConfig(solver="gradient_descent",
                                            max_iterations=5000))
-    p_newton = logreg.predict_proba(newton, data.rows)
-    p_gd = logreg.predict_proba(gd, data.rows)
+    p_newton = logreg.predict_proba(newton, data.dense)
+    p_gd = logreg.predict_proba(gd, data.dense)
     assert newton.fit_meta.converged and gd.fit_meta.converged
     assert np.max(np.abs(p_newton - p_gd)) < 1e-4
 
@@ -230,10 +223,11 @@ def test_converged_fit_satisfies_its_own_certificate():
     config = logreg.FitConfig()
     model = logreg.fit(data, config)
     assert model.fit_meta.converged
-    grad = logreg.gradient((model.alpha, model.beta), data, config)
+    params = (model.alpha, model.beta)
+    grad = helpers.dense_gradient(params, data, config.l2_strength)
     assert np.max(np.abs(grad)) <= config.tolerance
     assert model.fit_meta.final_objective == pytest.approx(
-        logreg.objective((model.alpha, model.beta), data, config), rel=1e-15)
+        helpers.dense_objective(params, data, config.l2_strength), rel=1e-15)
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -247,7 +241,7 @@ def test_final_objective_from_factored_margins_matches_the_dense_one(bench_rows,
     for fold in bench_folds:
         data = assemble.encode(bench_rows, features=features, index=fold.train_rows)
         model = logreg.fit(data, config)
-        want = logreg.objective((model.alpha, model.beta), data, config)
+        want = helpers.dense_objective((model.alpha, model.beta), data, config.l2_strength)
         assert abs(model.fit_meta.final_objective - want) <= 1e-15 * abs(want)
 
 
@@ -255,9 +249,8 @@ def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
     # Unpenalized, an all-zero column leaves a zero row and column in every
     # Hessian, so np.linalg.solve fails and each Newton step is a lstsq one.
     base = helpers.random_instance(seed=3, n_rows=200, n_features=4)
-    data = assemble.DesignMatrix(rows=np.column_stack([base.rows, np.zeros(200)]),
-                                 labels=base.labels, sample_weights=base.sample_weights,
-                                 encoding=None)
+    data = _design(np.column_stack([base.dense, np.zeros(200)]), base.labels,
+                   base.sample_weights)
     config = logreg.FitConfig(l2_strength=0.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(data.gram(0.25 * data.sample_weights), np.ones(6))
@@ -346,7 +339,7 @@ def _assert_dense_products(data):
     """X theta, X^T r and X^T diag(s) X through the per-group table equal the
     dense products with the intercept column prepended, each entry to 1e-12
     of the sum of its terms' magnitudes."""
-    x = np.column_stack([np.ones(len(data.labels)), data.rows])
+    x = helpers.augmented(data)
     s = helpers.Stream(17)
     theta, r, w = s.normals(x.shape[1]), s.normals(len(x)), s.uniforms(len(x))
     ax = np.abs(x)
@@ -377,10 +370,25 @@ def test_factored_design_of_one_pattern_matches_the_dense_products(bench_rows, b
     features = None if plain else schema.TELEMETRY_FIELDS
     data = assemble.encode(bench_rows, features=features, index=bench_folds[0].train_rows)
     if plain:
-        data = _design(data.rows, data.labels, data.sample_weights)
+        data = _design(helpers.design_features(data), data.labels, data.sample_weights)
     assert data.dense.shape[1] == len(features or schema.FEATURE_NAMES)
     assert data.table.tolist() == [[1.0]]
     _assert_dense_products(data)
+
+
+@pytest.mark.parametrize("features", [None, schema.ERROR_FLAGS + ("age",) + schema.MODEL_FLAGS,
+                                      schema.DOW_FEATURES, ["error_1", "volt", "dow_tue"]],
+                         ids=["full", "paper-reduced", "dow", "mixed"])
+def test_factored_gd_step_bound_matches_the_dense_one(small_rows, features):
+    # The first gradient-descent step is the gradient over the Lipschitz bound,
+    # taken as the trace of the factored Gram matrix; it must agree with the
+    # bound summed row by row over [1 | X], merged rows included.
+    data = assemble.encode(small_rows, features=features)
+    config = logreg.FitConfig(solver="gradient_descent", l2_strength=0.5)
+    ones = np.ones(1 + len(data.in_dense))
+    step = logreg._gd_step_factory(data, config)(0.0 * ones, ones, None)
+    want = helpers.dense_step_bound(data, config.l2_strength)
+    assert np.all(np.abs(1.0 / step - want) <= 1e-12 * want)
 
 
 @pytest.mark.parametrize("solver", logreg.SOLVERS)
@@ -413,7 +421,7 @@ def test_more_iterations_never_raise_the_objective():
 def test_single_class_data_is_rejected():
     data = helpers.random_instance(seed=7, n_rows=10, n_features=2)
     for forced in (np.zeros(10, bool), np.ones(10, bool)):
-        bad = _design(data.rows, forced)
+        bad = _design(data.dense, forced)
         with pytest.raises(logreg.FitError, match="single class"):
             logreg.fit(bad)
     empty = _design(np.empty((0, 2)), np.empty(0, bool))
@@ -433,7 +441,7 @@ def _heavy_design():
     # Weights summing to 1e307 keep the start objective (log 2 times that)
     # finite, but with features scaled by 10 every curvature sum overflows.
     base = helpers.random_instance(seed=5, n_rows=40, n_features=3)
-    data = _design(10.0 * base.rows, base.labels,
+    data = _design(10.0 * base.dense, base.labels,
                    base.sample_weights * (1e307 / base.sample_weights.sum()))
     assert np.isfinite(logreg.objective((0.0, np.zeros(3)), data, logreg.FitConfig()))
     return data

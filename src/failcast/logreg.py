@@ -109,7 +109,7 @@ def objective(params, data, config: FitConfig) -> float:
 def _objective_at(z, beta, data, config):
     """The objective from the margins z = alpha + x.beta, its terms
     -y log p - (1-y) log(1-p) computed safely as log(1 + exp(z)) - y z."""
-    with np.errstate(over="ignore"):  # _descend rejects a non-finite start
+    with np.errstate(over="ignore"):  # fit rejects a non-finite start
         terms = np.logaddexp(0.0, z) - data.labels.astype(float) * z
         value = float(np.dot(data.sample_weights, terms))
     return value + 0.5 * config.l2_strength * float(np.dot(beta, beta))
@@ -124,23 +124,49 @@ def gradient(params, data, config: FitConfig) -> np.ndarray:
     return grad
 
 
-def _descend(data, config, make_step):
-    """Shared damped-descent loop; make_step(data, config) gives a
-    step_fn(theta, grad, p) that proposes a direction (da, db) from theta =
-    (alpha, beta).  Each iterate is evaluated once: p = sigmoid(z) at its
-    margins z = alpha + x.beta gives the gradient, which decides convergence,
-    and the line search, so n steps take n + 1 evaluations.  A step of length
-    t moves each margin to z - t*u, with u = da + x.db, and changes the
-    objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i)) + y_i*t*u_i) +
-    l2*t*(t/2*|db|^2 - beta.db), resolved row by row far below one ulp of the
-    objective, so a step is taken when it is negative and halved otherwise."""
-    y, step_fn = data.labels.astype(float), make_step(data, config)
+def _lipschitz_bound(data, config):
+    """The gradient-descent step bound: the Lipschitz constant of the weighted
+    logistic loss, 0.25 * sum_i w_i*(1 + |x_i|^2), is the trace of X^T W X,
+    whose intercept column supplies the 1; plus l2."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        lipschitz = 0.25 * float(np.trace(data.gram(data.sample_weights))) + config.l2_strength
+    if not np.isfinite(lipschitz):
+        raise FitError(f"gradient-descent step bound became non-finite ({lipschitz})")
+    return lipschitz
+
+
+def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
+    """Fit the model from zero parameters; deterministic for fixed data and config.
+
+    Requires both classes present.  The converged flag reports whether the
+    gradient max-norm reached the tolerance within max_iterations.
+
+    Both solvers run one damped-descent loop and differ only in the direction
+    (da, db) they propose from theta = (alpha, beta): Newton's solve, or
+    gradient descent's step, which starts at the inverse Lipschitz bound and
+    then follows Barzilai-Borwein estimates, using no curvature matrix so it
+    stays independent of Newton.  Each iterate is evaluated once: p = sigmoid(z)
+    at its margins z = alpha + x.beta gives the gradient, which decides
+    convergence, and the line search, so n steps take n + 1 evaluations.  A
+    step of length t moves each margin to z - t*u, with u = da + x.db, and
+    changes the objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i)) +
+    y_i*t*u_i) + l2*t*(t/2*|db|^2 - beta.db), resolved row by row far below one
+    ulp of the objective, so a step is taken when it is negative and halved
+    otherwise.
+    """
+    if len(data.labels) == 0:
+        raise FitError("no rows to fit")
+    n_pos = int(data.labels.sum())
+    if n_pos == 0 or n_pos == len(data.labels):
+        raise FitError("labels contain a single class; both classes are required")
+    newton, y = config.solver == "newton", data.labels.astype(float)
     theta = np.zeros(1 + len(data.in_dense))
     z = data.margins(theta)
     obj = _objective_at(z, theta[1:], data, config)
     if not np.isfinite(obj):
         raise FitError(f"objective became non-finite ({obj})")
-    iterations = 0
+    base = None if newton else 1.0 / max(_lipschitz_bound(data, config), 1e-12)
+    previous, iterations = None, 0  # previous: gradient descent's last (theta, grad)
     while True:
         p = sigmoid(z)
         grad = data.transpose_dot(data.sample_weights * (p - y))
@@ -149,7 +175,25 @@ def _descend(data, config, make_step):
         if converged or iterations == config.max_iterations:
             break
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            direction = step_fn(theta, grad, p)
+            if newton:
+                hess = data.gram(data.sample_weights * p * (1.0 - p))
+                hess[1:, 1:] += config.l2_strength * np.eye(len(theta) - 1)
+                try:
+                    direction = np.linalg.solve(hess, grad)
+                except np.linalg.LinAlgError:
+                    direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
+            else:
+                size = base
+                if previous is not None:
+                    d_params = theta - previous[0]
+                    d_grad = grad - previous[1]
+                    denom = float(d_grad @ d_grad)
+                    if denom > 0.0:
+                        bb = float(d_params @ d_grad) / denom
+                        if np.isfinite(bb) and bb > 0.0:
+                            size = bb
+                previous = theta, grad
+                direction = size * grad
         if not np.isfinite(direction).all():
             raise FitError(f"step direction became non-finite at iteration {iterations}")
         d_beta = direction[1:]
@@ -168,65 +212,9 @@ def _descend(data, config, make_step):
         theta = theta - t * direction
         z = data.margins(theta)
         iterations += 1
-    return theta[0], theta[1:], FitMeta(
-        iterations=iterations, converged=converged,
-        final_objective=_objective_at(z, theta[1:], data, config))
-
-
-def _newton_direction(data, config):
-    def step(theta, grad, p):
-        hess = data.gram(data.sample_weights * p * (1.0 - p))
-        hess[1:, 1:] += config.l2_strength * np.eye(len(theta) - 1)
-        try:
-            return np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(hess, grad, rcond=None)[0]
-    return step
-
-
-def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
-    """Fit the model; deterministic for fixed data and config.
-
-    Requires both classes present.  The converged flag reports whether the
-    gradient max-norm reached the tolerance within max_iterations.
-    """
-    if len(data.labels) == 0:
-        raise FitError("no rows to fit")
-    n_pos = int(data.labels.sum())
-    if n_pos == 0 or n_pos == len(data.labels):
-        raise FitError("labels contain a single class; both classes are required")
-    make_step = _newton_direction if config.solver == "newton" else _gd_step_factory
-    alpha, beta, meta = _descend(data, config, make_step)
-    return LogisticModel(alpha=alpha, beta=beta, encoding=data.encoding, fit_meta=meta)
-
-
-def _gd_step_factory(data, config):
-    """Gradient-only directions: no curvature matrix, so this route is
-    independent of the Newton solver.  Step length starts at the inverse
-    Lipschitz bound and then follows Barzilai-Borwein estimates; the
-    shared step-halving loop still decides which steps are taken."""
-    # Lipschitz bound for the weighted logistic loss, 0.25 * sum_i w_i*(1 + |x_i|^2):
-    # the trace of X^T W X, whose intercept column supplies the 1.
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        lipschitz = 0.25 * float(np.trace(data.gram(data.sample_weights))) + config.l2_strength
-    if not np.isfinite(lipschitz):
-        raise FitError(f"gradient-descent step bound became non-finite ({lipschitz})")
-    base = 1.0 / max(lipschitz, 1e-12)
-    state = {}
-
-    def step(theta, grad, p):
-        size = base
-        if "params" in state:
-            d_params = theta - state["params"]
-            d_grad = grad - state["grad"]
-            denom = float(d_grad @ d_grad)
-            if denom > 0.0:
-                bb = float(d_params @ d_grad) / denom
-                if np.isfinite(bb) and bb > 0.0:
-                    size = bb
-        state["params"], state["grad"] = theta, grad
-        return size * grad
-    return step
+    meta = FitMeta(iterations=iterations, converged=converged,
+                   final_objective=_objective_at(z, theta[1:], data, config))
+    return LogisticModel(alpha=theta[0], beta=theta[1:], encoding=data.encoding, fit_meta=meta)
 
 
 # --- model file format -------------------------------------------------------

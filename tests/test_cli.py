@@ -162,15 +162,22 @@ FULL_RUN_SHA256 = "bfede273df0d021055a187fbea0625315fb26c7b795daeed62acfc82643cc
 REDUCED_RUN_SHA256 = "9c090236c093837bc1ae3648daf989bffbb038403e5ef09417646c9a5a64edf7"
 
 
-# The model file that `train` writes on the module's dataset.  A change that
-# moves any byte of it, format or fit, must update this digest and say why.
+# The model file that `train` writes on the module's dataset, by solver (the
+# gradient-descent fit stops unconverged at 100 iterations, which still exits
+# 0).  A change that moves any byte of one, format or fit, must update its
+# digest and say why.
 MODEL_FILE_SHA256 = "219fe4fe9afabe375f74a29feabb9fa74a62118739a060a4fae3af91871acd1b"
+GD_MODEL_FILE_SHA256 = "d12b0b7e4f6c15ddcba3e102adbcb77a0dc076265048912b2583ff98f03a7782"
 
 
-def test_train_writes_its_golden_model_file(dataset, tmp_path):
+@pytest.mark.parametrize("solver, digest", [("newton", MODEL_FILE_SHA256),
+                                            ("gradient_descent", GD_MODEL_FILE_SHA256)],
+                         ids=["newton", "gradient_descent"])
+def test_train_writes_its_golden_model_file(dataset, tmp_path, solver, digest):
     model = tmp_path / "model.json"
-    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(model)]) == cli.EXIT_OK
-    assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_FILE_SHA256
+    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(model),
+                     "--solver", solver]) == cli.EXIT_OK
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
@@ -548,6 +555,9 @@ def test_impossible_folds_exit_3(tmp_path, capsys):
     # the Lipschitz bound overflows, so the base step would be 0: the fit is refused
     ("1.5e306", cli.EXIT_FIT, "error: gradient-descent step bound became non-finite (inf)\n",
      "gradient_descent"),
+    # the start objective overflows before the bound is taken: the fit is
+    # refused with the same message as Newton's
+    ("1e308", cli.EXIT_FIT, "error: objective became non-finite (inf)\n", "gradient_descent"),
 ])
 def test_extreme_weight_prints_no_numpy_warning(dataset, tmp_path, capsys,
                                                 weight, rc, message, solver):

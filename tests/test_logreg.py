@@ -380,15 +380,14 @@ def test_factored_design_of_one_pattern_matches_the_dense_products(bench_rows, b
                                       schema.DOW_FEATURES, ["error_1", "volt", "dow_tue"]],
                          ids=["full", "paper-reduced", "dow", "mixed"])
 def test_factored_gd_step_bound_matches_the_dense_one(small_rows, features):
-    # The first gradient-descent step is the gradient over the Lipschitz bound,
-    # taken as the trace of the factored Gram matrix; it must agree with the
-    # bound summed row by row over [1 | X], merged rows included.
+    # The gradient-descent Lipschitz bound is taken as the trace of the
+    # factored Gram matrix; it must agree with the bound summed row by row
+    # over [1 | X], merged rows included.
     data = assemble.encode(small_rows, features=features)
     config = logreg.FitConfig(solver="gradient_descent", l2_strength=0.5)
-    ones = np.ones(1 + len(data.in_dense))
-    step = logreg._gd_step_factory(data, config)(0.0 * ones, ones, None)
+    bound = logreg._lipschitz_bound(data, config)
     want = helpers.dense_step_bound(data, config.l2_strength)
-    assert np.all(np.abs(1.0 / step - want) <= 1e-12 * want)
+    assert abs(bound - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("solver", logreg.SOLVERS)

@@ -13,6 +13,7 @@ included), 2 data-validation violations (outputs are still written),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,10 +45,10 @@ _HORIZON = {
 
 _FIT = {
     "weight": (float, 100.0, "sample weight for failure rows (non-failures get 1)"),
-    "l2": (float, 1.0, "L2 penalty strength on slopes"),
-    "tolerance": (float, 1e-8, "gradient max-norm stopping tolerance"),
-    "max_iterations": (int, 100, None),
-    "solver": (logreg.SOLVERS, "newton", None),
+    "l2": (float, logreg.FitConfig.l2, "L2 penalty strength on slopes"),
+    "tolerance": (float, logreg.FitConfig.tolerance, "gradient max-norm stopping tolerance"),
+    "max_iterations": (int, logreg.FitConfig.max_iterations, None),
+    "solver": (logreg.SOLVERS, logreg.FitConfig.solver, None),
 }
 
 _EVAL = {
@@ -181,10 +182,8 @@ def _load_stream(cfg: dict):
             violations)
 
 
-def _fit_config(cfg: dict) -> logreg.FitConfig:
-    return logreg.FitConfig(l2_strength=cfg["l2"], tolerance=cfg["tolerance"],
-                            max_iterations=cfg["max_iterations"],
-                            solver=cfg["solver"])
+def _config(config_class, cfg: dict):
+    return config_class(**{f.name: cfg[f.name] for f in dataclasses.fields(config_class)})
 
 
 def _warn_unconverged(what: str, converged: bool, iterations: int):
@@ -194,12 +193,7 @@ def _warn_unconverged(what: str, converged: bool, iterations: int):
 
 
 def cmd_generate(cfg: dict, rows):
-    bundle = synth.generate(synth.SynthConfig(
-        n_machines=cfg["machines"], n_days=cfg["days"], seed=cfg["seed"],
-        target_failure_rate=cfg["failure_rate"], signal_strength=cfg["signal"],
-        per_flag_error_rate=cfg["error_rate"],
-        scheduled_maintenance_rate=cfg["maintenance_rate"],
-        telemetry_drift=cfg["drift"]))
+    bundle = synth.generate(_config(synth.SynthConfig, cfg))
     ingest.write_bundle(bundle, cfg["out_dir"])
     print(f"wrote {cfg['machines']} machines x {cfg['days']} days "
           f"({len(bundle.failures)} failures) to {cfg['out_dir']}")
@@ -213,7 +207,7 @@ def cmd_assemble(cfg: dict, rows):
 
 def cmd_train(cfg: dict, rows):
     data = assemble.encode(rows, weight_positive=cfg["weight"])
-    model = logreg.fit(data, _fit_config(cfg))
+    model = logreg.fit(data, _config(logreg.FitConfig, cfg))
     meta = model.fit_meta
     _warn_unconverged("train", meta.converged, meta.iterations)
     logreg.save_model(model, cfg["out"])
@@ -225,7 +219,7 @@ def _run_cv(command: str, cfg: dict, rows, rule: str, rule_threshold: float):
     if rule == "relative":
         evaluate.check_prune_threshold(rule_threshold)
     folds = evaluate.make_folds(rows, k=cfg["folds"], seed=cfg["seed"])
-    fit_config = _fit_config(cfg)
+    fit_config = _config(logreg.FitConfig, cfg)
     full = evaluate.evaluate_cv(rows, folds, fit_config, cfg["weight"],
                                 cfg["threshold"])
     reduced_names = evaluate.prune_features(full["weights"], rule=rule,
@@ -266,14 +260,19 @@ def cmd_report(cfg: dict, rows):
 _COMMANDS = {
     "generate": ("write a seeded synthetic five-CSV dataset", {
         "out_dir": (str, None, "output directory"),
-        "machines": (int, 100, "number of machines"),
-        "days": (int, 365, "number of simulated days"),
-        "seed": (int, 0, "generator seed"),
-        "failure_rate": (float, 0.017, "target per-hour failure probability"),
-        "signal": (float, 50.0, "odds ratio of error-driven to background failures"),
-        "error_rate": (float, 0.005, "per-flag per-hour error probability"),
-        "maintenance_rate": (float, 0.002, "per-hour scheduled maintenance probability"),
-        "drift": (bool, False, "add a telemetry ramp in the day before failures"),
+        "machines": (int, synth.SynthConfig.machines, "number of machines"),
+        "days": (int, synth.SynthConfig.days, "number of simulated days"),
+        "seed": (int, synth.SynthConfig.seed, "generator seed"),
+        "failure_rate": (float, synth.SynthConfig.failure_rate,
+                         "target per-hour failure probability"),
+        "signal": (float, synth.SynthConfig.signal,
+                   "odds ratio of error-driven to background failures"),
+        "error_rate": (float, synth.SynthConfig.error_rate,
+                       "per-flag per-hour error probability"),
+        "maintenance_rate": (float, synth.SynthConfig.maintenance_rate,
+                             "per-hour scheduled maintenance probability"),
+        "drift": (bool, synth.SynthConfig.drift,
+                  "add a telemetry ramp in the day before failures"),
     }, cmd_generate),
     "assemble": ("join the five CSVs into a labeled hourly stream", {
         **_INPUT, "out": (str, None, "output stream CSV path"), **_HORIZON},

@@ -39,14 +39,14 @@ class FitError(Exception):
 
 @dataclass(frozen=True)
 class FitConfig:
-    l2_strength: float = 1.0
+    l2: float = 1.0
     tolerance: float = 1e-8        # on the gradient max-norm
     max_iterations: int = 100
     solver: str = "newton"
 
     def __post_init__(self):
-        if not self.l2_strength >= 0:
-            raise ValueError("l2_strength must be non-negative")
+        if not self.l2 >= 0:
+            raise ValueError("l2 must be non-negative")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
@@ -112,7 +112,7 @@ def _objective_at(z, beta, data, config):
     with np.errstate(over="ignore"):  # fit rejects a non-finite start
         terms = np.logaddexp(0.0, z) - data.labels.astype(float) * z
         value = float(np.dot(data.sample_weights, terms))
-    return value + 0.5 * config.l2_strength * float(np.dot(beta, beta))
+    return value + 0.5 * config.l2 * float(np.dot(beta, beta))
 
 
 def gradient(params, data, config: FitConfig) -> np.ndarray:
@@ -120,7 +120,7 @@ def gradient(params, data, config: FitConfig) -> np.ndarray:
     theta = np.hstack(params).astype(float)  # alpha, then beta
     residual = data.sample_weights * (sigmoid(data.margins(theta)) - data.labels)
     grad = data.transpose_dot(residual)
-    grad[1:] += config.l2_strength * theta[1:]
+    grad[1:] += config.l2 * theta[1:]
     return grad
 
 
@@ -129,7 +129,7 @@ def _lipschitz_bound(data, config):
     logistic loss, 0.25 * sum_i w_i*(1 + |x_i|^2), is the trace of X^T W X,
     whose intercept column supplies the 1; plus l2."""
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        lipschitz = 0.25 * float(np.trace(data.gram(data.sample_weights))) + config.l2_strength
+        lipschitz = 0.25 * float(np.trace(data.gram(data.sample_weights))) + config.l2
     if not np.isfinite(lipschitz):
         raise FitError(f"gradient-descent step bound became non-finite ({lipschitz})")
     return lipschitz
@@ -170,14 +170,14 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     while True:
         p = sigmoid(z)
         grad = data.transpose_dot(data.sample_weights * (p - y))
-        grad[1:] += config.l2_strength * theta[1:]
+        grad[1:] += config.l2 * theta[1:]
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
         if converged or iterations == config.max_iterations:
             break
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             if newton:
                 hess = data.gram(data.sample_weights * p * (1.0 - p))
-                hess[1:, 1:] += config.l2_strength * np.eye(len(theta) - 1)
+                hess[1:, 1:] += config.l2 * np.eye(len(theta) - 1)
                 try:
                     direction = np.linalg.solve(hess, grad)
                 except np.linalg.LinAlgError:
@@ -202,7 +202,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
         for _ in range(_MAX_HALVINGS):
             with np.errstate(over="ignore", invalid="ignore"):  # NaN is no descent
                 per_row = np.log1p(p * np.expm1(-t * u)) + y * t * u
-                change = np.dot(data.sample_weights, per_row) + config.l2_strength * t * (
+                change = np.dot(data.sample_weights, per_row) + config.l2 * t * (
                     t / 2 * (d_beta @ d_beta) - theta[1:] @ d_beta)
             if change < 0:
                 break

@@ -16,13 +16,14 @@ an error event (any flag set).  Failures split into two channels:
 
 Since 1 - (1 - h_bg) * (1 - p_event * q) = r, the per-hour failure
 probability is exactly r, so the 24-hour-ahead positive-label rate is
-calibrated to ``target_failure_rate`` by construction.  With s = 0 all
+calibrated to ``failure_rate`` by construction.  With s = 0 all
 failures are background noise; as s grows, errors 24 hours earlier
 explain an ever larger share of failures.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,53 +58,53 @@ _DRIFT_AMPLITUDE = 1.5   # pre-failure ramp peak, in telemetry sd units
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_machines: int = 100
-    n_days: int = 365
+    machines: int = 100
+    days: int = 365
     seed: int = 0
-    target_failure_rate: float = 0.017
-    signal_strength: float = 50.0
-    per_flag_error_rate: float = 0.005
-    scheduled_maintenance_rate: float = 0.002
-    telemetry_drift: bool = False
+    failure_rate: float = 0.017
+    signal: float = 50.0
+    error_rate: float = 0.005
+    maintenance_rate: float = 0.002
+    drift: bool = False
 
     def __post_init__(self):
-        if self.n_machines < 1:
-            raise ValueError("n_machines must be positive")
-        if self.n_days < 3:
-            raise ValueError("n_days must be at least 3 so the horizon fits")
-        if not 0.0 < self.target_failure_rate < 0.5:
-            raise ValueError("target_failure_rate must lie in (0, 0.5)")
-        if not self.signal_strength >= 0.0:
-            raise ValueError("signal_strength must be non-negative")
-        if not 0.0 < self.per_flag_error_rate < 1.0:
-            raise ValueError("per_flag_error_rate must lie in (0, 1)")
-        if not 0.0 <= self.scheduled_maintenance_rate < 1.0:
-            raise ValueError("scheduled_maintenance_rate must lie in [0, 1)")
+        if self.machines < 1:
+            raise ValueError("machines must be positive")
+        if self.days < 3:
+            raise ValueError("days must be at least 3 so the horizon fits")
+        if not 0.0 < self.failure_rate < 0.5:
+            raise ValueError("failure_rate must lie in (0, 0.5)")
+        if not self.signal >= 0.0:
+            raise ValueError("signal must be non-negative")
+        if not 0.0 < self.error_rate < 1.0:
+            raise ValueError("error_rate must lie in (0, 1)")
+        if not 0.0 <= self.maintenance_rate < 1.0:
+            raise ValueError("maintenance_rate must lie in [0, 1)")
         if not self.triggered_failure_prob <= 1.0:
-            raise ValueError(
-                "infeasible calibration: target_failure_rate * signal fraction exceeds "
-                "the error-event rate; lower signal_strength or raise per_flag_error_rate")
+            raise ValueError("infeasible calibration: failure_rate * signal fraction "
+                             "exceeds the error-event rate; lower signal or raise error_rate")
 
     @property
     def n_hours(self) -> int:
-        return self.n_days * 24
+        return self.days * 24
 
     @property
     def event_rate(self) -> float:
-        return 1.0 - (1.0 - self.per_flag_error_rate) ** len(schema.ERROR_FLAGS)
+        # 1 - (1 - p)**5 without the rounding that makes it 0 for tiny p.
+        return -math.expm1(len(schema.ERROR_FLAGS) * math.log1p(-self.error_rate))
 
     @property
     def signal_fraction(self) -> float:
-        return self.signal_strength / (1.0 + self.signal_strength)
+        return self.signal / (1.0 + self.signal)
 
     @property
     def triggered_failure_prob(self) -> float:
-        return self.target_failure_rate * self.signal_fraction / self.event_rate
+        return self.failure_rate * self.signal_fraction / self.event_rate
 
     @property
     def background_hazard(self) -> float:
         sigma = self.signal_fraction
-        return self.target_failure_rate * (1.0 - sigma) / (1.0 - self.target_failure_rate * sigma)
+        return self.failure_rate * (1.0 - sigma) / (1.0 - self.failure_rate * sigma)
 
 
 def _machine_stream(config, machine_id, channel):
@@ -127,7 +128,7 @@ def _generate_machine(config: SynthConfig, machine_id: int):
                   **{name: [i == model_index] for i, name in enumerate(schema.MODEL_FLAGS)}}
 
     error_draws = _machine_stream(config, machine_id, _CH_ERRORS).uniforms(n * 5)
-    error_flags = (error_draws < config.per_flag_error_rate).reshape(n, 5)
+    error_flags = (error_draws < config.error_rate).reshape(n, 5)
     error_any = error_flags.any(axis=1)
 
     background = (_machine_stream(config, machine_id, _CH_BACKGROUND).uniforms(n)
@@ -141,12 +142,12 @@ def _generate_machine(config: SynthConfig, machine_id: int):
     fail_comp = _machine_stream(config, machine_id, _CH_FAIL_COMP).below(n, 4)
 
     scheduled = (_machine_stream(config, machine_id, _CH_SCHED).uniforms(n)
-                 < config.scheduled_maintenance_rate)
+                 < config.maintenance_rate)
     sched_comp = _machine_stream(config, machine_id, _CH_SCHED_COMP).below(n, 4)
 
     noise = _machine_stream(config, machine_id, _CH_TELEMETRY).normals(n * 4).reshape(n, 4)
     telemetry_values = _TELEMETRY_MEANS[model_index] + noise * _TELEMETRY_SDS
-    if config.telemetry_drift:
+    if config.drift:
         ramp = np.zeros(n)
         for u in np.flatnonzero(failure):
             lo = max(0, u - lead)
@@ -176,7 +177,7 @@ def _generate_machine(config: SynthConfig, machine_id: int):
 def generate(config: SynthConfig) -> DatasetBundle:
     """Generate a schema-valid bundle with a complete hourly telemetry grid."""
     parts = [_generate_machine(config, machine_id)
-             for machine_id in range(1, config.n_machines + 1)]
+             for machine_id in range(1, config.machines + 1)]
     return DatasetBundle(**{
         name: schema.table(name, {column: np.concatenate([p[name][column] for p in parts])
                                   for column in columns})

@@ -6,7 +6,7 @@ from failcast import assemble, evaluate, synth
 @pytest.fixture(scope="session")
 def bench_bundle():
     """The fixed benchmark dataset: seed 7, 20 machines, 180 days."""
-    return synth.generate(synth.SynthConfig(n_machines=20, n_days=180, seed=7))
+    return synth.generate(synth.SynthConfig(machines=20, days=180, seed=7))
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def bench_cv(bench_rows, bench_folds):
 @pytest.fixture(scope="session")
 def small_bundle():
     """A cheap bundle for tests that only need plausible data."""
-    return synth.generate(synth.SynthConfig(n_machines=6, n_days=30, seed=11))
+    return synth.generate(synth.SynthConfig(machines=6, days=30, seed=11))
 
 
 @pytest.fixture(scope="session")

@@ -60,7 +60,7 @@ def table(dataset, records):
                                   for c in schema.CSV_COLUMNS[dataset]})
 
 
-def micro_bundle(n_machines=2, n_hours=48, failures_at=(), errors_at=(),
+def micro_bundle(machines=2, n_hours=48, failures_at=(), errors_at=(),
                  maintenance_at=()):
     """Small bundle on a complete grid.
 
@@ -70,7 +70,7 @@ def micro_bundle(n_machines=2, n_hours=48, failures_at=(), errors_at=(),
     comp_index) triples for scheduled replacements.
     """
     tel = [telemetry(m, i)
-           for m in range(1, n_machines + 1) for i in range(n_hours)]
+           for m in range(1, machines + 1) for i in range(n_hours)]
     fails = [failure(m, i, comp=(m + i) % 4 + 1) for m, i in failures_at]
     # Coinciding entries are folded into one record per machine-hour here;
     # test_assemble's unmerged bundles cover several rows at one hour.
@@ -88,7 +88,7 @@ def micro_bundle(n_machines=2, n_hours=48, failures_at=(), errors_at=(),
     return ingest.DatasetBundle(
         telemetry=table("telemetry", tel), errors=table("errors", errs),
         maintenance=table("maintenance", mnt), failures=table("failures", fails),
-        machines=table("machines", [descriptor(m) for m in range(1, n_machines + 1)]))
+        machines=table("machines", [descriptor(m) for m in range(1, machines + 1)]))
 
 
 def brute_force_stream(bundle, horizon_hours=24, window=False):
@@ -248,7 +248,7 @@ def central_fd_gradient(params, data, config, step=1e-5):
     """Central finite differences of naive_objective."""
     alpha, beta = params
     beta = np.asarray(beta, dtype=float)
-    l2 = config.l2_strength
+    l2 = config.l2
     out = np.empty(beta.size + 1)
     out[0] = (naive_objective(alpha + step, beta, data, l2)
               - naive_objective(alpha - step, beta, data, l2)) / (2 * step)

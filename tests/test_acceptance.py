@@ -26,7 +26,7 @@ def test_analytic_gradient_matches_finite_differences():
                                        n_features=n_features)
         s = helpers.Stream(seed + 1000)
         params = (0.3 * float(s.normals(1)[0]), 0.3 * s.normals(n_features))
-        config = logreg.FitConfig(l2_strength=2.0)
+        config = logreg.FitConfig(l2=2.0)
         got = logreg.gradient(params, data, config)
         want = helpers.central_fd_gradient(params, data, config)
         rel = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
@@ -73,7 +73,7 @@ def test_probability_unit_values_and_overflow_safety():
 
 def test_folds_are_machine_disjoint_and_temporally_ordered_everywhere():
     for seed in range(10):
-        bundle = synth.generate(synth.SynthConfig(n_machines=9, n_days=60,
+        bundle = synth.generate(synth.SynthConfig(machines=9, days=60,
                                                   seed=seed))
         rows = assemble.build_event_stream(bundle)
         folds = evaluate.make_folds(rows, k=3, seed=seed)
@@ -90,14 +90,14 @@ def test_folds_are_machine_disjoint_and_temporally_ordered_everywhere():
 
 def test_assembled_stream_equals_brute_force_join():
     cases = [
-        helpers.micro_bundle(n_machines=3, n_hours=72,
+        helpers.micro_bundle(machines=3, n_hours=72,
                              failures_at=((1, 30), (2, 50), (3, 71)),
                              errors_at=((1, 6, 2), (2, 0, 1), (3, 47, 5)),
                              maintenance_at=((2, 10, 3),)),
-        helpers.micro_bundle(n_machines=2, n_hours=48,
+        helpers.micro_bundle(machines=2, n_hours=48,
                              failures_at=((1, 26), (2, 47)),
                              errors_at=((1, 2, 1), (1, 2, 3))),
-        helpers.micro_bundle(n_machines=1, n_hours=30),
+        helpers.micro_bundle(machines=1, n_hours=30),
     ]
     for i, bundle in enumerate(cases):
         assert helpers.table_rows(assemble.build_event_stream(bundle)) == \
@@ -108,7 +108,7 @@ def test_default_generator_hits_target_prevalence():
     start = time.perf_counter()
     rates = []
     for seed in range(30):
-        bundle = synth.generate(synth.SynthConfig(n_machines=20, n_days=120,
+        bundle = synth.generate(synth.SynthConfig(machines=20, days=120,
                                                   seed=seed))
         rows = assemble.build_event_stream(bundle)
         rates.append(int(rows["label"].sum()) / len(rows))

@@ -13,7 +13,7 @@ from helpers import hour
 
 
 def test_hour_with_no_events_has_all_flags_false():
-    bundle = helpers.micro_bundle(n_machines=1, n_hours=26)
+    bundle = helpers.micro_bundle(machines=1, n_hours=26)
     rows = assemble.build_event_stream(bundle)
     flags = schema.ERROR_FLAGS + schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS
     assert len(flags) == 13
@@ -22,7 +22,7 @@ def test_hour_with_no_events_has_all_flags_false():
 
 
 def test_label_placed_24_hours_before_failure():
-    bundle = helpers.micro_bundle(n_machines=3, n_hours=80,
+    bundle = helpers.micro_bundle(machines=3, n_hours=80,
                                   failures_at=((3, 34),))
     rows = assemble.build_event_stream(bundle)
     positives = rows[rows.label][["machine_id", "datetime"]].tolist()
@@ -31,7 +31,7 @@ def test_label_placed_24_hours_before_failure():
 
 def test_matches_brute_force_join_oracle():
     bundle = helpers.micro_bundle(
-        n_machines=3, n_hours=72,
+        machines=3, n_hours=72,
         failures_at=((1, 30), (2, 50), (3, 71)),
         errors_at=((1, 6, 2), (1, 6, 4), (2, 0, 1), (3, 47, 5)),
         maintenance_at=((2, 10, 3),))
@@ -44,12 +44,12 @@ def unmerged_bundles(draw):
     """A bundle built from tables as ``load_bundle`` leaves them: telemetry
     with gaps and in any row order, and event rows that may share a
     machine-hour, each a separate row."""
-    n_machines = draw(st.integers(1, 3))
+    machines = draw(st.integers(1, 3))
     n_hours = draw(st.integers(1, 96))
     gaps = st.sets(st.integers(0, n_hours - 1), max_size=6)
-    tel = [helpers.telemetry(m, i) for m in range(1, n_machines + 1)
+    tel = [helpers.telemetry(m, i) for m in range(1, machines + 1)
            for i in sorted(set(range(n_hours)) - draw(gaps))]
-    keys = st.tuples(st.integers(1, n_machines), st.integers(0, n_hours - 1))
+    keys = st.tuples(st.integers(1, machines), st.integers(0, n_hours - 1))
 
     def rows(make, values, max_size):
         drawn = draw(st.lists(st.tuples(keys, values), max_size=max_size))
@@ -63,7 +63,7 @@ def unmerged_bundles(draw):
                             st.tuples(st.sets(st.integers(1, 4), min_size=1),
                                       st.sets(st.integers(1, 4))), 6),
         "failures": rows(lambda m, i, v: helpers.failure(m, i, v), st.integers(1, 4), 8),
-        "machines": [helpers.descriptor(m) for m in range(1, n_machines + 1)],
+        "machines": [helpers.descriptor(m) for m in range(1, machines + 1)],
     }
     return ingest.DatasetBundle(**{name: helpers.table(name, records)
                                    for name, records in tables.items()})
@@ -78,14 +78,14 @@ def test_unmerged_bundle_matches_brute_force_join_oracle(bundle, horizon, window
 
 def test_window_variant_matches_oracle():
     bundle = helpers.micro_bundle(
-        n_machines=2, n_hours=60, failures_at=((1, 40), (2, 12)),
+        machines=2, n_hours=60, failures_at=((1, 40), (2, 12)),
         errors_at=((2, 3, 1),))
     assert helpers.table_rows(assemble.build_event_stream(bundle, 24, window=True)) == \
         helpers.brute_force_stream(bundle, window=True)
 
 
 def test_window_labels_cover_the_whole_horizon():
-    bundle = helpers.micro_bundle(n_machines=1, n_hours=80,
+    bundle = helpers.micro_bundle(machines=1, n_hours=80,
                                   failures_at=((1, 40),))
     rows = assemble.build_event_stream(bundle, 24, window=True)
     positive_hours = rows.datetime[rows.label].tolist()
@@ -94,19 +94,19 @@ def test_window_labels_cover_the_whole_horizon():
 
 def test_row_count_arithmetic():
     for n_hours, horizon in ((30, 24), (48, 12), (25, 24)):
-        bundle = helpers.micro_bundle(n_machines=2, n_hours=n_hours)
+        bundle = helpers.micro_bundle(machines=2, n_hours=n_hours)
         rows = assemble.build_event_stream(bundle, horizon_hours=horizon)
         assert len(rows) == 2 * (n_hours - horizon)
 
 
 def test_short_grid_yields_no_rows():
-    bundle = helpers.micro_bundle(n_machines=1, n_hours=10)
+    bundle = helpers.micro_bundle(machines=1, n_hours=10)
     assert len(assemble.build_event_stream(bundle)) == 0
 
 
 def test_stream_columns_have_the_types_the_schema_declares(small_rows):
     declared = np.dtype([(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
-    empty = assemble.build_event_stream(helpers.micro_bundle(n_machines=1, n_hours=10))
+    empty = assemble.build_event_stream(helpers.micro_bundle(machines=1, n_hours=10))
     assert small_rows.dtype == declared
     assert empty.dtype == declared
 
@@ -114,7 +114,7 @@ def test_stream_columns_have_the_types_the_schema_declares(small_rows):
 def test_horizon_past_int64_seconds_yields_no_rows():
     """Leads are compared in whole hours: t + horizon in datetime64[s]
     wraps round once the horizon's seconds pass int64."""
-    bundle = helpers.micro_bundle(n_machines=2, n_hours=30, failures_at=((1, 20),))
+    bundle = helpers.micro_bundle(machines=2, n_hours=30, failures_at=((1, 20),))
     for horizon in (10**16, 2**63, 10**30):
         for window in (False, True):
             assert len(assemble.build_event_stream(bundle, horizon, window)) == 0
@@ -122,9 +122,9 @@ def test_horizon_past_int64_seconds_yields_no_rows():
 
 def test_window_horizon_past_every_timeline_builds_no_shifts():
     cases = [
-        (helpers.micro_bundle(n_machines=2, n_hours=30, failures_at=((1, 20),)), 10**6, 0),
+        (helpers.micro_bundle(machines=2, n_hours=30, failures_at=((1, 20),)), 10**6, 0),
         # Every row of this year is within 8000 hours of a failure.
-        (synth.generate(synth.SynthConfig(n_machines=2, n_days=365, seed=0)), 8000, 1520),
+        (synth.generate(synth.SynthConfig(machines=2, days=365, seed=0)), 8000, 1520),
     ]
     for bundle, horizon, n_rows in cases:
         start = time.perf_counter()
@@ -140,7 +140,7 @@ def test_rows_in_canonical_order(small_rows):
 
 
 def test_missing_descriptor_aborts_with_machine_id():
-    bundle = helpers.micro_bundle(n_machines=2, n_hours=30)
+    bundle = helpers.micro_bundle(machines=2, n_hours=30)
     broken = assemble.DatasetBundle(
         telemetry=bundle.telemetry, errors=bundle.errors,
         maintenance=bundle.maintenance, failures=bundle.failures,
@@ -154,12 +154,12 @@ def test_day_of_week_derived_from_datetime(small_rows):
     days = [t.weekday() for t in rows.datetime.tolist()]
     assert rows.day_of_week.tolist() == [helpers.DOW[d] for d in days]
     # 2015-01-01, the first hour of every micro bundle, was a Thursday.
-    first = assemble.build_event_stream(helpers.micro_bundle(n_machines=1, n_hours=25))
+    first = assemble.build_event_stream(helpers.micro_bundle(machines=1, n_hours=25))
     assert first.day_of_week.tolist() == ["Thu"]
 
 
 def test_encode_zscores_at_fit_mean():
-    bundle = helpers.micro_bundle(n_machines=2, n_hours=26)
+    bundle = helpers.micro_bundle(machines=2, n_hours=26)
     rows = assemble.build_event_stream(bundle)
     data = assemble.encode(rows)
     j = data.encoding.feature_names.index("volt")
@@ -186,7 +186,7 @@ def test_apply_encoding_standardizes_continuous_columns_in_place(small_rows):
 
 
 def test_positive_rows_get_weight_100():
-    bundle = helpers.micro_bundle(n_machines=2, n_hours=40,
+    bundle = helpers.micro_bundle(machines=2, n_hours=40,
                                   failures_at=((1, 30),))
     rows = assemble.build_event_stream(bundle)
     data = assemble.encode(rows, weight_positive=100.0)
@@ -319,7 +319,7 @@ def test_pattern_key_columns_are_24_bools_and_age(small_rows):
 
 
 def test_degenerate_column_error_names_column():
-    bundle = helpers.micro_bundle(n_machines=1, n_hours=26)
+    bundle = helpers.micro_bundle(machines=1, n_hours=26)
     rows = assemble.build_event_stream(bundle)
     rows.pressure = 5.0
     with pytest.raises(assemble.EncodingError, match="pressure"):
@@ -343,7 +343,7 @@ def test_unknown_feature_rejected(small_rows):
 
 
 def test_horizon_config_validation():
-    bundle = helpers.micro_bundle(n_machines=1, n_hours=30)
+    bundle = helpers.micro_bundle(machines=1, n_hours=30)
     for window in (False, True):
         with pytest.raises(ValueError, match="horizon_hours must be at least 1"):
             assemble.build_event_stream(bundle, horizon_hours=0, window=window)
@@ -362,7 +362,7 @@ STREAM_CSV_SHA256 = {
 @pytest.mark.parametrize("labels", ["point", "window"])
 def test_assemble_command_writes_pinned_stream_bytes(tmp_path, labels):
     bundle = helpers.micro_bundle(
-        n_machines=3, n_hours=60,
+        machines=3, n_hours=60,
         failures_at=((1, 40), (2, 30), (3, 59)),
         errors_at=((1, 6, 2), (1, 6, 4), (2, 0, 1), (2, 33, 3), (3, 47, 5)),
         maintenance_at=((1, 40, 2), (2, 10, 3)))

@@ -4,6 +4,7 @@ artifact layout and byte-for-byte rerun determinism."""
 import collections
 import datetime
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -12,7 +13,7 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from failcast import __version__, cli, evaluate, ingest, logreg, report, schema
+from failcast import __version__, assemble, cli, evaluate, ingest, logreg, report, schema
 
 
 @pytest.fixture(scope="module")
@@ -545,6 +546,43 @@ def test_impossible_folds_exit_3(tmp_path, capsys):
     assert "at least 5 machines" in capsys.readouterr().err
 
 
+_INFEASIBLE = ("error: infeasible calibration: failure_rate * signal fraction exceeds the "
+               "error-event rate; lower signal or raise error_rate\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--machines", "0"], "error: machines must be positive\n"),
+    (["--days", "2"], "error: days must be at least 3 so the horizon fits\n"),
+    (["--failure-rate", "0.5"], "error: failure_rate must lie in (0, 0.5)\n"),
+    (["--signal", "-1"], "error: signal must be non-negative\n"),
+    (["--error-rate", "1"], "error: error_rate must lie in (0, 1)\n"),
+    (["--maintenance-rate", "1"], "error: maintenance_rate must lie in [0, 1)\n"),
+    (["--error-rate", "0.0001"], _INFEASIBLE),
+    # (1 - p)**5 rounds to 1 here, so an event rate taken from it would be 0
+    # and its division a traceback
+    (["--error-rate", "1e-17"], _INFEASIBLE),
+], ids=["machines", "days", "failure_rate", "signal", "error_rate", "maintenance_rate",
+        "infeasible", "tiny_error_rate"])
+def test_rejected_generator_setting_exits_1_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--out-dir", str(out)] + argv) == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--l2", "-1"], "error: l2 must be non-negative\n"),
+    (["--tolerance", "0"], "error: tolerance must be positive\n"),
+    (["--max-iterations", "0"], "error: max_iterations must be positive\n"),
+], ids=["l2", "tolerance", "max_iterations"])
+def test_rejected_fit_setting_exits_1_naming_it(dataset, tmp_path, capsys, argv, message):
+    model = tmp_path / "model.txt"
+    assert cli.main(["train", "--in-dir", str(dataset), "--out", str(model)] + argv) \
+        == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == message
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("weight, rc, message, solver", [
     # the objective at the start overflows: the fit is refused
     ("1e307", cli.EXIT_FIT, "error: objective became non-finite (inf)\n", "newton"),
@@ -789,6 +827,25 @@ def test_run_config_records_every_resolved_key(dataset, tmp_path):
     assert set(resolved) == set(cli.DEFAULTS["evaluate"])
     assert resolved["threshold"] == 0.4
     assert resolved["folds"] == 3
+
+
+@pytest.mark.parametrize("subcommand, key, function, parameter", [
+    ("train", "weight", assemble.encode, "weight_positive"),
+    ("evaluate", "weight", evaluate.evaluate_cv, "weight_positive"),
+    ("evaluate", "threshold", evaluate.evaluate_cv, "threshold"),
+    ("evaluate", "folds", evaluate.make_folds, "k"),
+    ("evaluate", "seed", evaluate.make_folds, "seed"),
+    ("assemble", "horizon", assemble.build_event_stream, "horizon_hours"),
+    ("assemble", "label_window", assemble.build_event_stream, "window"),
+    ("prune", "rule", evaluate.prune_features, "rule"),
+    ("prune", "prune_threshold", evaluate.prune_features, "threshold"),
+], ids=lambda value: getattr(value, "__name__", value))
+def test_option_default_is_the_library_parameter_default(subcommand, key, function,
+                                                          parameter):
+    """Options that feed a function parameter of another name keep its default;
+    repr tells 100 from 100.0, which run_config.json would record differently."""
+    want = inspect.signature(function).parameters[parameter].default
+    assert repr(cli.DEFAULTS[subcommand][key]) == repr(want)
 
 
 # --- the config-file contract, for every key of every subcommand -------------

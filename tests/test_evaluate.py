@@ -14,19 +14,19 @@ import helpers
 FOLD_CHANNEL = 0x0F01D
 
 
-def _cv_rows(n_machines, n_hours=96, train_failures=True, test_failures=True):
+def _cv_rows(machines, n_hours=96, train_failures=True, test_failures=True):
     """Event-stream rows whose folds have both classes on both sides.
 
     With the default 96-hour grid the cutoff lands at hour 36; failures
     at hour 30 label a training row, failures at hour 70 a test row.
     """
     failures = []
-    for m in range(1, n_machines + 1):
+    for m in range(1, machines + 1):
         if train_failures:
             failures.append((m, 30))
         if test_failures:
             failures.append((m, 70))
-    bundle = helpers.micro_bundle(n_machines=n_machines, n_hours=n_hours,
+    bundle = helpers.micro_bundle(machines=machines, n_hours=n_hours,
                                   failures_at=tuple(failures))
     return assemble.build_event_stream(bundle)
 
@@ -127,7 +127,7 @@ def test_fold_missing_a_class_names_the_fold():
     # Only machines 1 and 2 fail late, so whichever fold tests on
     # machine 3 has an all-negative test side.
     bundle = helpers.micro_bundle(
-        n_machines=3, n_hours=96,
+        machines=3, n_hours=96,
         failures_at=((1, 30), (2, 30), (3, 30), (1, 70), (2, 70)))
     rows = assemble.build_event_stream(bundle)
     with pytest.raises(evaluate.FoldError,

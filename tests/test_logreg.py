@@ -97,7 +97,7 @@ def test_raising_the_threshold_only_removes_positives():
 
 def test_objective_at_zero_parameters_is_weighted_log2():
     data = helpers.random_instance(seed=1, n_rows=25, n_features=4)
-    config = logreg.FitConfig(l2_strength=7.0)
+    config = logreg.FitConfig(l2=7.0)
     expected = math.log(2.0) * float(data.sample_weights.sum())
     got = logreg.objective((0.0, np.zeros(4)), data, config)
     assert abs(got - expected) < 1e-12 * abs(expected)
@@ -110,8 +110,8 @@ def test_objective_matches_naive_per_row_summation():
         alpha = float(s.normals(1)[0])
         beta = s.normals(3)
         for l2 in (0.0, 1.0, 4.5):
-            config = logreg.FitConfig(l2_strength=l2) if l2 > 0 else \
-                logreg.FitConfig(l2_strength=0.0)
+            config = logreg.FitConfig(l2=l2) if l2 > 0 else \
+                logreg.FitConfig(l2=0.0)
             got = logreg.objective((alpha, beta), data, config)
             want = helpers.naive_objective(alpha, beta, data, l2)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
@@ -122,7 +122,7 @@ def test_gradient_matches_central_finite_differences():
         data = helpers.random_instance(seed=seed, n_rows=35, n_features=4)
         s = helpers.Stream(seed + 7)
         params = (float(s.normals(1)[0]) * 0.3, 0.3 * s.normals(4))
-        config = logreg.FitConfig(l2_strength=2.0)
+        config = logreg.FitConfig(l2=2.0)
         got = logreg.gradient(params, data, config)
         want = helpers.central_fd_gradient(params, data, config)
         assert np.max(np.abs(got - want)) < 1e-5 * max(1.0, np.max(np.abs(want)))
@@ -132,7 +132,7 @@ def test_zero_weight_rows_contribute_nothing():
     data = helpers.random_instance(seed=6, n_rows=20, n_features=3)
     dead = _design(data.dense, data.labels, weights=np.zeros(20))
     beta = np.array([0.4, -1.1, 2.0])
-    config = logreg.FitConfig(l2_strength=3.0)
+    config = logreg.FitConfig(l2=3.0)
     assert logreg.objective((0.7, beta), dead, config) == \
         pytest.approx(0.5 * 3.0 * float(beta @ beta), rel=1e-15)
     grad = logreg.gradient((0.7, beta), dead, config)
@@ -142,7 +142,7 @@ def test_zero_weight_rows_contribute_nothing():
 
 def test_objective_is_convex_along_random_chords():
     data = helpers.random_instance(seed=2, n_rows=25, n_features=3)
-    config = logreg.FitConfig(l2_strength=0.5)
+    config = logreg.FitConfig(l2=0.5)
     s = helpers.Stream(99)
     for _ in range(20):
         a1, a2 = s.normals(2)
@@ -224,10 +224,10 @@ def test_converged_fit_satisfies_its_own_certificate():
     model = logreg.fit(data, config)
     assert model.fit_meta.converged
     params = (model.alpha, model.beta)
-    grad = helpers.dense_gradient(params, data, config.l2_strength)
+    grad = helpers.dense_gradient(params, data, config.l2)
     assert np.max(np.abs(grad)) <= config.tolerance
     assert model.fit_meta.final_objective == pytest.approx(
-        helpers.dense_objective(params, data, config.l2_strength), rel=1e-15)
+        helpers.dense_objective(params, data, config.l2), rel=1e-15)
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -241,7 +241,7 @@ def test_final_objective_from_factored_margins_matches_the_dense_one(bench_rows,
     for fold in bench_folds:
         data = assemble.encode(bench_rows, features=features, index=fold.train_rows)
         model = logreg.fit(data, config)
-        want = helpers.dense_objective((model.alpha, model.beta), data, config.l2_strength)
+        want = helpers.dense_objective((model.alpha, model.beta), data, config.l2)
         assert abs(model.fit_meta.final_objective - want) <= 1e-15 * abs(want)
 
 
@@ -251,7 +251,7 @@ def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
     base = helpers.random_instance(seed=3, n_rows=200, n_features=4)
     data = _design(np.column_stack([base.dense, np.zeros(200)]), base.labels,
                    base.sample_weights)
-    config = logreg.FitConfig(l2_strength=0.0)
+    config = logreg.FitConfig(l2=0.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(data.gram(0.25 * data.sample_weights), np.ones(6))
     calls, lstsq = [], np.linalg.lstsq
@@ -291,7 +291,7 @@ def test_newton_converges_on_weighted_one_hot_stream_fold():
     # ulps, so acceptance must not rest on comparing two objective values.
     from failcast import evaluate, synth
 
-    bundle = synth.generate(synth.SynthConfig(n_machines=10, n_days=365, seed=0))
+    bundle = synth.generate(synth.SynthConfig(machines=10, days=365, seed=0))
     rows = assemble.build_event_stream(bundle)
     fold = evaluate.make_folds(rows, 3, 0)[2]
     data = assemble.encode(rows[fold.train_rows],
@@ -308,7 +308,7 @@ def test_grouped_fit_equals_the_row_fit():
     # weights; the merged fold must fit and score as its ungrouped rows do.
     from failcast import evaluate, synth
 
-    bundle = synth.generate(synth.SynthConfig(n_machines=10, n_days=365, seed=0))
+    bundle = synth.generate(synth.SynthConfig(machines=10, days=365, seed=0))
     rows = assemble.build_event_stream(bundle)
     fold = evaluate.make_folds(rows, 3, 0)[2]
     features = evaluate.PAPER_REDUCED_FEATURES
@@ -331,7 +331,7 @@ def test_grouped_fit_equals_the_row_fit():
     for _ in range(3):
         alpha, beta = float(s.normals(1)[0]), s.normals(len(features))
         got = logreg.objective((alpha, beta), grouped, config)
-        want = helpers.naive_objective(alpha, beta, ungrouped, config.l2_strength)
+        want = helpers.naive_objective(alpha, beta, ungrouped, config.l2)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -384,9 +384,9 @@ def test_factored_gd_step_bound_matches_the_dense_one(small_rows, features):
     # factored Gram matrix; it must agree with the bound summed row by row
     # over [1 | X], merged rows included.
     data = assemble.encode(small_rows, features=features)
-    config = logreg.FitConfig(solver="gradient_descent", l2_strength=0.5)
+    config = logreg.FitConfig(solver="gradient_descent", l2=0.5)
     bound = logreg._lipschitz_bound(data, config)
-    want = helpers.dense_step_bound(data, config.l2_strength)
+    want = helpers.dense_step_bound(data, config.l2)
     assert abs(bound - want) <= 1e-12 * want
 
 
@@ -466,8 +466,8 @@ def test_overflowing_step_bound_stops_gradient_descent():
 
 def test_fit_config_validation():
     for l2 in (-0.1, float("nan")):
-        with pytest.raises(ValueError, match="l2_strength"):
-            logreg.FitConfig(l2_strength=l2)
+        with pytest.raises(ValueError, match="^l2 must be non-negative$"):
+            logreg.FitConfig(l2=l2)
     for tolerance in (0.0, float("nan")):
         with pytest.raises(ValueError, match="tolerance"):
             logreg.FitConfig(tolerance=tolerance)
@@ -475,13 +475,13 @@ def test_fit_config_validation():
         logreg.FitConfig(max_iterations=0)
     with pytest.raises(ValueError, match="solver"):
         logreg.FitConfig(solver="lbfgs")
-    logreg.FitConfig(l2_strength=0.0)  # ridge-free fits are allowed
+    logreg.FitConfig(l2=0.0)  # ridge-free fits are allowed
 
 
 # --- persistence -------------------------------------------------------------
 
 def test_model_file_round_trip_is_exact(tmp_path):
-    bundle = helpers.micro_bundle(n_machines=3, n_hours=60,
+    bundle = helpers.micro_bundle(machines=3, n_hours=60,
                                   failures_at=((1, 30), (2, 40), (3, 50)))
     rows = assemble.build_event_stream(bundle)
     data = assemble.encode(rows, features=["error_1", "volt", "age",

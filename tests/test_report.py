@@ -14,7 +14,7 @@ import helpers
 @pytest.fixture(scope="module")
 def micro_cv():
     failures = tuple((m, h) for m in (1, 2, 3, 4) for h in (30, 70))
-    bundle = helpers.micro_bundle(n_machines=4, n_hours=96,
+    bundle = helpers.micro_bundle(machines=4, n_hours=96,
                                   failures_at=failures)
     rows = assemble.build_event_stream(bundle)
     folds = evaluate.make_folds(rows, k=2, seed=0)

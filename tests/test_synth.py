@@ -12,7 +12,7 @@ import helpers
 
 
 def test_same_seed_gives_byte_identical_csvs(tmp_path):
-    config = synth.SynthConfig(n_machines=4, n_days=20, seed=1)
+    config = synth.SynthConfig(machines=4, days=20, seed=1)
     ingest.write_bundle(synth.generate(config), tmp_path / "a")
     ingest.write_bundle(synth.generate(config), tmp_path / "b")
     for name in ingest.BUNDLE_FILENAMES.values():
@@ -42,14 +42,14 @@ def test_generate_writes_pinned_csv_bytes(tmp_path):
 
 
 def test_different_seeds_differ():
-    a = synth.generate(synth.SynthConfig(n_machines=2, n_days=10, seed=1))
-    b = synth.generate(synth.SynthConfig(n_machines=2, n_days=10, seed=2))
+    a = synth.generate(synth.SynthConfig(machines=2, days=10, seed=1))
+    b = synth.generate(synth.SynthConfig(machines=2, days=10, seed=2))
     assert helpers.bundle_rows(a) != helpers.bundle_rows(b)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 9])
 def test_every_dataset_is_schema_valid(seed):
-    bundle = synth.generate(synth.SynthConfig(n_machines=5, n_days=15, seed=seed))
+    bundle = synth.generate(synth.SynthConfig(machines=5, days=15, seed=seed))
     for name in ("telemetry", "errors", "maintenance", "failures", "machines"):
         assert schema.validate_dataset(getattr(bundle, name), name) == []
 
@@ -90,7 +90,7 @@ def test_machine_ids_are_one_based_and_ordered(small_bundle):
 
 def test_triggered_failures_follow_errors_at_lead():
     """P(failure at t+24 | error at t) should match the hazard calibration."""
-    config = synth.SynthConfig(n_machines=20, n_days=120, seed=13)
+    config = synth.SynthConfig(machines=20, days=120, seed=13)
     bundle = synth.generate(config)
     n = config.n_hours
     failure_hours = {(f["machine_id"], f["datetime"])
@@ -109,26 +109,37 @@ def test_triggered_failures_follow_errors_at_lead():
 
 
 def test_failure_rate_near_target_single_seed():
-    config = synth.SynthConfig(n_machines=20, n_days=120, seed=3)
+    config = synth.SynthConfig(machines=20, days=120, seed=3)
     bundle = synth.generate(config)
-    rate = len(bundle.failures) / (config.n_machines * config.n_hours)
-    assert abs(rate - config.target_failure_rate) < 0.004
+    rate = len(bundle.failures) / (config.machines * config.n_hours)
+    assert abs(rate - config.failure_rate) < 0.004
 
 
 def test_infeasible_calibration_rejected():
     with pytest.raises(ValueError, match="infeasible"):
-        synth.SynthConfig(per_flag_error_rate=0.001, target_failure_rate=0.1,
-                          signal_strength=50.0)
+        synth.SynthConfig(error_rate=0.001, failure_rate=0.1, signal=50.0)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        synth.SynthConfig(n_days=1)
+        synth.SynthConfig(days=1)
     with pytest.raises(ValueError):
-        synth.SynthConfig(target_failure_rate=0.6)
+        synth.SynthConfig(failure_rate=0.6)
     for signal in (-1.0, float("nan")):
         with pytest.raises(ValueError):
-            synth.SynthConfig(signal_strength=signal)
+            synth.SynthConfig(signal=signal)
+    # (1 - p)**5 rounds to 1 below about 1.1e-16; the event rate must stay above 0.
+    for error_rate in (1e-17, 5e-324):
+        with pytest.raises(ValueError, match="^infeasible calibration"):
+            synth.SynthConfig(error_rate=error_rate)
+    assert synth.SynthConfig(error_rate=1e-17, signal=0.0).triggered_failure_prob == 0.0
+
+
+def test_event_rate_is_one_minus_the_no_flag_probability():
+    assert synth.SynthConfig(error_rate=0.005).event_rate == \
+        pytest.approx(1.0 - 0.995 ** 5, rel=1e-14)
+    assert synth.SynthConfig(error_rate=1e-17, signal=0.0).event_rate == \
+        pytest.approx(5e-17, rel=1e-14)
 
 
 def _mutual_information(a, b):
@@ -150,8 +161,8 @@ def _error_any_and_labels(rows):
 
 
 def test_zero_signal_severs_error_label_dependence():
-    config = synth.SynthConfig(n_machines=12, n_days=90, seed=5,
-                               signal_strength=0.0)
+    config = synth.SynthConfig(machines=12, days=90, seed=5,
+                               signal=0.0)
     rows = assemble.build_event_stream(synth.generate(config))
     err, lab = _error_any_and_labels(rows)
     # measured noise floor ~3e-5 bits; planted-signal default is ~0.095
@@ -169,16 +180,16 @@ def test_zero_signal_severs_error_label_dependence():
 
 
 def test_default_signal_is_learnable():
-    config = synth.SynthConfig(n_machines=12, n_days=90, seed=5)
+    config = synth.SynthConfig(machines=12, days=90, seed=5)
     rows = assemble.build_event_stream(synth.generate(config))
     err, lab = _error_any_and_labels(rows)
     assert _mutual_information(err, lab) > 0.05
 
 
 def test_drift_ramps_pressure_before_failures():
-    base = synth.SynthConfig(n_machines=4, n_days=40, seed=2)
-    drifted = synth.SynthConfig(n_machines=4, n_days=40, seed=2,
-                                telemetry_drift=True)
+    base = synth.SynthConfig(machines=4, days=40, seed=2)
+    drifted = synth.SynthConfig(machines=4, days=40, seed=2,
+                                drift=True)
     plain = synth.generate(base)
     ramped = synth.generate(drifted)
     # same event skeleton

@@ -6,9 +6,13 @@ import datetime
 import hashlib
 import inspect
 import json
+import os
+import pathlib
 import random
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -154,6 +158,27 @@ def test_rerun_with_identical_flags_is_byte_identical(dataset, tmp_path):
     first = _read_all(out)
     assert cli.main(argv) == cli.EXIT_OK
     assert _read_all(out) == first
+
+
+# OpenBLAS reads the first of these that is set; numpy must not be loaded yet.
+@pytest.mark.parametrize("setting, expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, "None"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+], ids=["unset", "openblas-2", "goto-2", "omp-2"])
+def test_importing_failcast_sets_one_openblas_thread_unless_a_count_is_set(
+        tmp_path, setting, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(setting, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    probe = ("import os, sys, failcast; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [expected, "False"]
 
 
 # The full and reduced runs of `evaluate` on `generate --machines 8 --days 45

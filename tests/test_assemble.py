@@ -342,6 +342,13 @@ def test_unknown_feature_rejected(small_rows):
         assemble.encode(small_rows[:50], features=["volt", "bogus"])
 
 
+def test_empty_feature_set_rejected(small_rows):
+    with pytest.raises(assemble.EncodingError, match="empty feature set"):
+        assemble.encode(small_rows[:50], features=[])
+    with pytest.raises(assemble.EncodingError, match="empty feature set"):
+        assemble.raw_feature_matrix(small_rows[:50], features=[])
+
+
 def test_horizon_config_validation():
     bundle = helpers.micro_bundle(machines=1, n_hours=30)
     for window in (False, True):

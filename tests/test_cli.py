@@ -530,6 +530,21 @@ def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{", "config file {path}: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    ("[1,2]", "config file {path} must hold a JSON object"),
+], ids=["not_json", "array"])
+def test_config_file_that_is_no_json_object_exits_1(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--config", str(config), "--out-dir", str(out)]) \
+        == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == "error: " + message.format(path=config) + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("generate", "machines", "x"),
     ("evaluate", "folds", 2.5),
@@ -550,13 +565,16 @@ def test_mistyped_config_value_exits_1(dataset, tmp_path, capsys, command, key,
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
-@pytest.mark.parametrize("payload", [[], {"runs": {"full": {}}}],
-                         ids=["list", "empty_run"])
-def test_malformed_report_json_exits_1(tmp_path, capsys, payload):
+@pytest.mark.parametrize("text, reason", [
+    ("[]", "not a report payload "),
+    ('{"runs": {"full": {}}}', "not a report payload "),
+    ("not json", "Expecting value: line 1 column 1 (char 0)\n"),
+], ids=["list", "empty_run", "not_json"])
+def test_malformed_report_json_exits_1(tmp_path, capsys, text, reason):
     path = tmp_path / "report.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(text)
     assert cli.main(["report", "--bundle", str(tmp_path)]) == cli.EXIT_FAILURE
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 

@@ -59,6 +59,12 @@ def test_empty_table_has_empty_report(dataset):
     assert schema.validate_dataset(helpers.table(dataset, []), dataset) == []
 
 
+def test_stream_has_no_validator(small_rows):
+    # The stream is built from validated datasets, never read back and checked.
+    with pytest.raises(ValueError, match="no validator for dataset 'stream'"):
+        schema.validate_dataset(small_rows, "stream")
+
+
 def test_duplicate_telemetry_key_is_violation():
     records = [helpers.telemetry(1, 0), helpers.telemetry(1, 0)]
     report = schema.validate_dataset(helpers.table("telemetry", records),

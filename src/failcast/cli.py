@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -104,11 +103,7 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> dict:
     config_path = explicit.pop("config", None)
     cfg = dict(DEFAULTS[subcommand])
     if config_path is not None:
-        with open(config_path) as handle:
-            try:
-                file_cfg = json.load(handle)
-            except ValueError as exc:
-                raise ValueError(f"config file {config_path}: {exc}") from None
+        file_cfg = report.read_json(config_path)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(options))

@@ -16,12 +16,11 @@ start from zero parameters and are fully deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .report import write_json
+from .report import read_json, write_json
 from .schema import FeatureEncoding
 
 _P_LO = np.finfo(float).tiny
@@ -219,8 +218,8 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
 
 # --- model file format -------------------------------------------------------
 #
-# One JSON object, written by report.write_json.  json writes each float with
-# repr, so reloading is exact.
+# One JSON object, written by report.write_json and read by report.read_json.
+# json writes each float with repr, so reloading is exact.
 
 _FORMAT = "failcast logistic model v2"
 
@@ -237,8 +236,7 @@ def save_model(model: LogisticModel, path):
 
 def load_model(path) -> LogisticModel:
     try:
-        with open(path) as handle:
-            record = json.load(handle)
+        record = read_json(path)
         if record["format"] == _FORMAT:
             encoding = FeatureEncoding(**{k: tuple(v) for k, v in record["encoding"].items()})
             beta = np.array([record["beta"][name] for name in encoding.feature_names])

@@ -41,6 +41,15 @@ def write_json(path, payload: dict):
         handle.write("\n")
 
 
+def read_json(path):
+    """The JSON value in ``path``; ValueError names a file that is not JSON."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def write_bundle(out_dir, payload: dict):
     """Write report.json plus every rendered artifact."""
     os.makedirs(out_dir, exist_ok=True)
@@ -65,12 +74,7 @@ def render(out_dir, payload: dict):
 
 
 def load_bundle_payload(bundle_dir) -> dict:
-    path = os.path.join(bundle_dir, REPORT_JSON)
-    with open(path) as handle:
-        try:
-            return json.load(handle)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    return read_json(os.path.join(bundle_dir, REPORT_JSON))
 
 
 def _class_rows(matrix, spec):

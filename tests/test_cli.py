@@ -531,7 +531,7 @@ def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("{", "config file {path}: Expecting property name enclosed in double quotes: "
+    ("{", "{path}: Expecting property name enclosed in double quotes: "
           "line 1 column 2 (char 1)"),
     ("[1,2]", "config file {path} must hold a JSON object"),
 ], ids=["not_json", "array"])

@@ -310,7 +310,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except (ingest.IngestError, assemble.AssembleError, assemble.EncodingError,
-            evaluate.PruneError, ValueError, OSError) as exc:
+            evaluate.PruneError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -613,6 +613,17 @@ def test_rejected_generator_setting_exits_1_naming_it(tmp_path, capsys, argv, me
     assert not out.exists()
 
 
+def test_generator_request_beyond_memory_exits_1(tmp_path, capsys):
+    # 10^14 days of hourly readings ask numpy for 85 PiB, more than any 64-bit
+    # address space holds, so the first allocation fails at once.
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--out-dir", str(out), "--machines", "1",
+                     "--days", "100000000000000"]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--l2", "-1"], "error: l2 must be non-negative\n"),
     (["--tolerance", "0"], "error: tolerance must be positive\n"),

@@ -160,6 +160,16 @@ def test_rerun_with_identical_flags_is_byte_identical(dataset, tmp_path):
     assert _read_all(out) == first
 
 
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def test_python_m_failcast_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "failcast", "--version"], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"failcast {__version__}\n"), done.stderr
+
+
 # OpenBLAS reads the first of these that is set; numpy must not be loaded yet.
 @pytest.mark.parametrize("setting, expected", [
     ({}, "1"),
@@ -171,8 +181,7 @@ def test_importing_failcast_sets_one_openblas_thread_unless_a_count_is_set(
         tmp_path, setting, expected):
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env.update(setting, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
+    env.update(setting, PYTHONPATH=_SRC, PYTHONDONTWRITEBYTECODE="1")
     probe = ("import os, sys, failcast; "
              "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,

@@ -417,6 +417,18 @@ def test_more_iterations_never_raise_the_objective():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_fit_stops_unconverged_when_no_halving_lowers_the_objective():
+    # Below float resolution no halved step lowers the objective, so the fit
+    # stops there, short of its iteration cap (after 18 of 100 here).
+    from failcast import synth
+
+    bundle = synth.generate(synth.SynthConfig(machines=8, days=120, seed=7))
+    data = assemble.encode(assemble.build_event_stream(bundle))
+    config = logreg.FitConfig(tolerance=1e-14)
+    meta = logreg.fit(data, config).fit_meta
+    assert not meta.converged and meta.iterations < config.max_iterations
+
+
 def test_single_class_data_is_rejected():
     data = helpers.random_instance(seed=7, n_rows=10, n_features=2)
     for forced in (np.zeros(10, bool), np.ones(10, bool)):

@@ -42,11 +42,12 @@ def write_json(path, payload: dict):
 
 
 def read_json(path):
-    """The JSON value in ``path``; ValueError names a file that is not JSON."""
+    """The JSON value in ``path``; ValueError names a file that is not JSON
+    or nests too deep to parse."""
     with open(path) as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

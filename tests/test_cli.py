@@ -578,7 +578,8 @@ def test_mistyped_config_value_exits_1(dataset, tmp_path, capsys, command, key,
     ("[]", "not a report payload "),
     ('{"runs": {"full": {}}}', "not a report payload "),
     ("not json", "Expecting value: line 1 column 1 (char 0)\n"),
-], ids=["list", "empty_run", "not_json"])
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["list", "empty_run", "not_json", "too_deep"])
 def test_malformed_report_json_exits_1(tmp_path, capsys, text, reason):
     path = tmp_path / "report.json"
     path.write_text(text)

@@ -544,6 +544,7 @@ def test_load_rejects_files_that_are_not_models(tmp_path):
     # test_cli also rejects a real report.json and a config record
     for name, content in [("junk.txt", b"hello\nworld\n"), ("v1.txt", V1_MODEL_FILE.encode()),
                           ("list.json", b"[1, 2]\n"), ("binary", b"\xff\xfe\x00"),
+                          ("deep.json", b"[" * 100_000 + b"]" * 100_000),
                           ("partial.json", b'{"format": "failcast logistic model v2", "alpha": 0.0}')]:
         path = tmp_path / name
         path.write_bytes(content)

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -541,6 +542,84 @@ def test_c_reader_takes_only_ascii_files(tmp_path):
                   + "\n1,2015-01-01 00:00:00,\uff11\uff17\uff10.\uff15,450,100,40\n")
     assert ingest._read_canonical(path, schema.CSV_COLUMNS["telemetry"]) is None
     assert ingest.parse_csv(path, "telemetry").volt.tolist() == [170.5]
+
+
+_TELEMETRY_HEADER = ",".join(schema.CSV_COLUMNS["telemetry"]) + "\n"  # 51 bytes
+
+
+@pytest.fixture
+def half():
+    """A csv field limit of 256 for the test, so the C reader checks the
+    file in chunks of half that, 128 bytes."""
+    old = csv.field_size_limit(256)
+    yield 128
+    csv.field_size_limit(old)
+
+
+def _row(h, width):
+    """A telemetry line at hour ``h``, ``width`` bytes before its newline,
+    its volt cell padded with zeros."""
+    row = f"1,2015-01-{1 + h // 24:02d} {h % 24:02d}:00:00,170.,450,100,40"
+    return row.replace("170.", "170." + "0" * (width - len(row))) + "\n"
+
+
+def _by_blocks(path, dataset):
+    """``parse_csv``'s outcome with the C reader turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_read_canonical", lambda path, columns: None)
+        return _outcome(lambda: ingest.parse_csv(path, dataset))
+
+
+@pytest.mark.parametrize("width, start, canonical", [
+    (-1, -2, True), (-1, -1, True), (-1, 0, True),
+    (0, -1, True), (0, 0, False),
+    (1, -2, True), (1, -1, False), (1, 0, False),
+], ids=["short_before", "short_across", "short_at", "half_across", "half_at",
+        "long_ends_in_chunk", "long_covers_chunk", "long_at"])
+def test_c_reader_checks_lines_across_a_chunk_boundary(tmp_path, half, width, start,
+                                                       canonical):
+    """A line of ``half + width`` bytes before its newline that starts at
+    byte ``half + start``, across or at the end of the first chunk: the file
+    goes to the block parser exactly when the line holds a whole aligned
+    chunk, and the table is the same either way."""
+    start += half
+    lead = start - len(_TELEMETRY_HEADER) - 1  # a first row that ends where the line starts
+    text = (_TELEMETRY_HEADER + _row(0, lead) + _row(1, half + width)
+            + "".join(_row(h, 40) for h in range(2, 6)))
+    assert text.index(_row(1, half + width)) == start and len(text) > 3 * half
+    path = _write(tmp_path / "telemetry.csv", text)
+    columns = schema.CSV_COLUMNS["telemetry"]
+    assert (ingest._read_canonical(path, columns) is not None) == canonical
+    assert _outcome(lambda: ingest.parse_csv(path, "telemetry")) == \
+        _by_blocks(path, "telemetry")
+
+
+@pytest.mark.parametrize("cell", ["170\x00", "１７０.5"], ids=["nul", "non_ascii"])
+def test_c_reader_finds_a_nul_or_non_ascii_byte_in_a_later_chunk(tmp_path, half, cell):
+    rows = [_row(h, 39) for h in range(8)]
+    rows[2] = rows[2].replace("170.00", cell)
+    path = tmp_path / "telemetry.csv"
+    path.write_bytes((_TELEMETRY_HEADER + "".join(rows)).encode())
+    data = path.read_bytes()
+    odd = next(i for i, byte in enumerate(data) if byte == 0 or byte > 127)
+    assert half <= odd < 2 * half
+    assert ingest._read_canonical(path, schema.CSV_COLUMNS["telemetry"]) is None
+    outcome = _outcome(lambda: ingest.parse_csv(path, "telemetry"))
+    assert outcome == _by_blocks(path, "telemetry")
+    assert isinstance(outcome, bytes) == (cell != "170\x00")
+
+
+def test_c_reader_reads_a_canonical_file_of_many_chunks(tmp_path, monkeypatch, half):
+    path = _write(tmp_path / "telemetry.csv",
+                  _TELEMETRY_HEADER + "".join(_row(h, 40 + h % 50) for h in range(48)))
+    assert path.stat().st_size > 3 * half
+    by_blocks = _by_blocks(path, "telemetry")
+
+    def block_parser(path, columns):
+        raise AssertionError(f"{path} went to the block parser")
+
+    monkeypatch.setattr(ingest, "_read_blocks", block_parser)
+    assert _outcome(lambda: ingest.parse_csv(path, "telemetry")) == by_blocks
 
 
 def _outcome(parse):

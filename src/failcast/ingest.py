@@ -109,16 +109,16 @@ def _read_canonical(path, columns):
     comment or line past the csv field limit (where the block parser stops),
     and flags and datetimes exactly as ``write_csv`` writes them.  The C
     reader reads every number there as Python does."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
     header = ",".join(columns).encode()
     half = csv.field_size_limit() // 2  # a longer line holds a whole chunk this long
-    if not (raw.isascii() and b"\0" not in raw
-            and raw.startswith((header + b"\n", header + b"\r\n"))
-            and all(raw.find(b"\n", i, i + half) >= 0
-                    for i in range(0, len(raw) - half + 1, half))):
-        return None
-    del raw
+    with open(path, "rb") as handle:  # checked one aligned chunk at a time
+        chunk = handle.read(half)
+        if not chunk.startswith((header + b"\n", header + b"\r\n")):
+            return None
+        while chunk:
+            if not chunk.isascii() or b"\0" in chunk or (len(chunk) == half and b"\n" not in chunk):
+                return None
+            chunk = handle.read(half)
     types = {name: schema.column_type(name) for name in columns}
     read_as = [(name, _TEXT_CELLS[t.kind][0] if t.kind in _TEXT_CELLS else t)
                for name, t in types.items()]
@@ -133,7 +133,8 @@ def _read_canonical(path, columns):
                 if t.kind in _TEXT_CELLS:
                     low, high = (np.frombuffer(b, np.uint8) for b in _TEXT_CELLS[t.kind][1:])
                     chars = cells[name][:, None].view(np.uint8)  # a row of bytes per cell
-                    if not ((chars >= low) & (chars <= high)).all():
+                    blocks = np.split(chars, range(_BLOCK_ROWS, len(chars), _BLOCK_ROWS))
+                    if not all(((block >= low) & (block <= high)).all() for block in blocks):
                         return None
                     # numpy rejects a date or time out of range, as strptime does.
                     parsed[name] = cells[name] == b"1" if t.kind == "b" else \
@@ -223,9 +224,9 @@ def _reference_violations(raw, known_ids) -> list:
 
 
 def _kept(table, violations, name):
-    """Rows of ``table`` that no violation of dataset ``name`` names."""
-    return np.delete(table, [v.row_index for v in violations
-                             if v.dataset == name and v.row_index is not None])
+    """Rows of ``table`` that no violation of dataset ``name`` names: the table itself if none."""
+    dropped = [v.row_index for v in violations if v.dataset == name and v.row_index is not None]
+    return np.delete(table, dropped) if dropped else table
 
 
 def load_bundle(telemetry, errors, maintenance, failures, machines):

@@ -93,9 +93,9 @@ def table(dataset: str, columns) -> np.recarray:
 
 def first_rows(*columns) -> np.ndarray:
     """For each row, the index of the first row equal to it in every column."""
-    _, first, inverse = np.unique(np.rec.fromarrays(columns), return_index=True,
-                                  return_inverse=True)
-    return first[inverse]
+    order = np.lexsort(columns[::-1])  # stable: a run of equal rows starts at its first
+    same = np.r_[False, np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in columns])]
+    return order[np.maximum.accumulate(np.where(same, 0, np.arange(len(order))))][np.argsort(order)]
 
 
 # Each validator returns its checks in report order as (mask of violating

@@ -452,6 +452,23 @@ def test_written_bundle_is_read_by_the_c_reader_alone(tmp_path, monkeypatch, sma
     assert helpers.bundle_rows(loaded) == helpers.bundle_rows(small_bundle)
 
 
+def test_bundle_without_violations_holds_the_parsed_tables(tmp_path, monkeypatch,
+                                                           small_bundle):
+    """No row to drop means no copy: each table is the one parsed."""
+    ingest.write_bundle(small_bundle, tmp_path)
+    parse, parsed = ingest.parse_csv, {}
+
+    def recorded(path, dataset):
+        parsed[dataset] = parse(path, dataset)
+        return parsed[dataset]
+
+    monkeypatch.setattr(ingest, "parse_csv", recorded)
+    loaded, violations = ingest.load_bundle(
+        **{key: tmp_path / name for key, name in ingest.BUNDLE_FILENAMES.items()})
+    assert violations == []
+    assert all(getattr(loaded, name) is table for name, table in parsed.items())
+
+
 _INT64 = np.iinfo(np.int64)
 _CANONICAL_CELLS = {
     "i": st.integers(_INT64.min, _INT64.max).map(str),

@@ -70,7 +70,32 @@ def _rows_in(keys, lo, hi) -> np.ndarray:
     marks = np.zeros(len(keys) + 1, dtype=np.int64)
     np.add.at(marks, np.searchsorted(keys, lo, side="left"), 1)
     np.add.at(marks, np.searchsorted(keys, hi, side="right"), -1)
-    return np.cumsum(marks[:-1]) > 0
+    return np.cumsum(marks, out=marks)[:-1] > 0
+
+
+def _labelable(telemetry, horizon_hours) -> np.ndarray:
+    """In canonical order, the rows at least ``horizon_hours`` before their machine's last hour."""
+    order = np.lexsort((telemetry.datetime, telemetry.machine_id))
+    ids, times = telemetry.machine_id[order], telemetry.datetime[order]
+    last_hour = times[np.searchsorted(ids, ids, side="right") - 1]
+    # Leads in whole hours: t + horizon in datetime64 wraps for a huge horizon.
+    return order[(last_hour - times) // np.timedelta64(1, "h") >= horizon_hours]
+
+
+def _join_events(stream, bundle, horizon_hours, window):
+    """Set the stream's event flags and label from the bundle's events at its keys."""
+    keys = _pairs(stream.machine_id, stream.datetime)
+    for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
+                          (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
+        event_keys = _pairs(events.machine_id, events.datetime)
+        for f in flags:
+            flagged = event_keys[events[f]]
+            stream[f] = _rows_in(keys, flagged, flagged)
+    # Failure f labels [f - horizon, f - first].  The horizon is at most a
+    # surviving row's lead; with no row it may pass datetime64's range.
+    ahead = (horizon_hours, 1 if window else horizon_hours) if len(stream) else (0, 0)
+    stream["label"] = _rows_in(keys, *(_pairs(bundle.failures.machine_id, bundle.failures.datetime
+                                              - np.timedelta64(k, "h")) for k in ahead))
 
 
 def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
@@ -85,44 +110,24 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     """
     if horizon_hours < 1:
         raise ValueError("horizon_hours must be at least 1")
-    telemetry, machines, failures = bundle.telemetry, bundle.machines, bundle.failures
-    machine_id, when = telemetry.machine_id, telemetry.datetime
-    missing = machine_id[~np.isin(machine_id, machines.machine_id)]
+    telemetry, machines = bundle.telemetry, bundle.machines
+    missing = telemetry.machine_id[~np.isin(telemetry.machine_id, machines.machine_id)]
     if len(missing):
         raise AssembleError(f"telemetry references machine_id {missing.min()} "
                             "absent from the machines dataset")
 
-    order = np.lexsort((when, machine_id))
-    ids, times = machine_id[order], when[order]
-    last_hour = times[np.searchsorted(ids, ids, side="right") - 1]
-    # Leads in whole hours: t + horizon in datetime64 wraps for a huge horizon.
-    rows = order[(last_hour - times) // np.timedelta64(1, "h") >= horizon_hours]
-    machine_id, when = machine_id[rows], when[rows]
-
+    rows = _labelable(telemetry, horizon_hours)
     stream = np.recarray(len(rows), [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
-    stream["machine_id"], stream["datetime"] = machine_id, when
-    keys = _pairs(machine_id, when)
-    for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
-                          (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
-        event_keys = _pairs(events.machine_id, events.datetime)
-        for f in flags:
-            flagged = event_keys[events[f]]
-            stream[f] = _rows_in(keys, flagged, flagged)
-    for f in schema.TELEMETRY_FIELDS:
+    for f in telemetry.dtype.names:
         stream[f] = telemetry[f][rows]
+    _join_events(stream, bundle, horizon_hours, window)
     by_id = np.argsort(machines.machine_id)
-    descriptor = by_id[np.searchsorted(machines.machine_id, machine_id, sorter=by_id)]
+    descriptor = by_id[np.searchsorted(machines.machine_id, stream.machine_id, sorter=by_id)]
     for f in ("age",) + schema.MODEL_FLAGS:
         stream[f] = machines[f][descriptor]
-    # 1970-01-01, day 0 of datetime64, was a Thursday.
-    days = when.astype("datetime64[D]").astype(np.int64)
-    stream["day_of_week"] = np.array(schema.DAY_NAMES)[(days + 3) % 7]
-
-    # Failure f labels [f - horizon, f - first].  The horizon is at most a
-    # surviving row's lead; with no row it may pass datetime64's range.
-    ahead = (horizon_hours, 1 if window else horizon_hours) if len(rows) else (0, 0)
-    stream["label"] = _rows_in(keys, *(
-        _pairs(failures.machine_id, failures.datetime - np.timedelta64(k, "h")) for k in ahead))
+    days = stream.datetime.astype("datetime64[D]").view(np.int64)
+    for day, name in enumerate(schema.DAY_NAMES):  # day 0 of datetime64 was a Thursday
+        np.copyto(stream.day_of_week, name, where=days % 7 == (day - 3) % 7)
     return stream
 
 

@@ -1,6 +1,7 @@
 import datetime as dt
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,24 @@ def test_stream_columns_have_the_types_the_schema_declares(small_rows):
     empty = assemble.build_event_stream(helpers.micro_bundle(machines=1, n_hours=10))
     assert small_rows.dtype == declared
     assert empty.dtype == declared
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+def test_join_holds_the_stream_and_little_more(window):
+    """tracemalloc counts numpy's allocations exactly, so this bound does not
+    flake.  Above the bundle, the join peaked at 2.27 times the stream's
+    bytes when it held the sort order, a copy of the key columns and the day
+    names beside the stream, and at 1.40 once it holds the row index, the
+    join keys and one column-sized temporary (8 x 120, seed 7, numpy 2.4)."""
+    bundle = synth.generate(synth.SynthConfig(machines=8, days=120, seed=7))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stream = assemble.build_event_stream(bundle, window=window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / stream.nbytes < 1.6
 
 
 def test_horizon_past_int64_seconds_yields_no_rows():

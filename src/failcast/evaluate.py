@@ -16,6 +16,7 @@ import numpy as np
 from . import assemble, logreg, rng, schema
 
 _FOLD_CHANNEL = 0x0F01D
+_SCORE_ROWS = 4096  # test rows gathered, standardized and predicted at a time
 
 
 class FoldError(Exception):
@@ -62,21 +63,24 @@ def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
     """
     if k < 2:
         raise FoldError("need at least 2 folds")
-    machine_ids, times, labels = rows["machine_id"], rows["datetime"], rows["label"]
-    machines = np.unique(machine_ids).tolist()
+    times, labels = rows["datetime"], rows["label"]
+    machines, rank = np.unique(rows["machine_id"], return_inverse=True)
     if len(machines) < k:
         raise FoldError(f"need at least {k} machines for {k} folds, have {len(machines)}")
-    distinct_times = np.unique(times)
+    distinct_times = np.unique(times, return_index=True)[0]  # a plain one imports numpy.ma
     if len(distinct_times) < 2:
         raise FoldError("timeline must span at least 2 distinct hours")
     cutoff = distinct_times[len(distinct_times) // 2]
     before_cutoff = times < cutoff
 
-    rng.Stream(rng.derive(seed, _FOLD_CHANNEL)).shuffle(machines)
+    shuffled = list(range(len(machines)))  # machine ranks, in test-group order
+    rng.Stream(rng.derive(seed, _FOLD_CHANNEL)).shuffle(shuffled)
+    sizes = [len(group) for group in np.array_split(shuffled, k)]
+    fold_of_row = np.repeat(np.arange(k), sizes)[np.argsort(shuffled)][rank]
 
     folds = []
-    for fold_index, group in enumerate(np.array_split(machines, k)):
-        in_test = np.isin(machine_ids, group)
+    for fold_index in range(k):
+        in_test = fold_of_row == fold_index
         train_idx = np.flatnonzero(~in_test & before_cutoff)
         test_idx = np.flatnonzero(in_test & ~before_cutoff)
         for name, idx in (("train", train_idx), ("test", test_idx)):
@@ -111,16 +115,17 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     keys = assemble.pattern_keys(rows, features)
     run_folds = []
     for fold in folds:
-        try:
-            train = assemble.encode(rows, weight_positive=weight_positive, features=features,
-                                    index=fold.train_rows, keys=keys)
-            model = logreg.fit(train, fit_config)
+        try:  # the training design is an argument alone, so it dies with the fit
+            model = logreg.fit(assemble.encode(rows, weight_positive=weight_positive,
+                                               features=features, index=fold.train_rows,
+                                               keys=keys), fit_config)
         except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
-        x_test, y_test, _ = assemble.raw_feature_matrix(rows, features, fold.test_rows)
-        predicted = logreg.predict(model, assemble.apply_encoding(x_test, model.encoding),
-                                   threshold=threshold)
-        counts = confusion_counts(y_test, predicted)
+        blocks = np.split(fold.test_rows, range(_SCORE_ROWS, len(fold.test_rows), _SCORE_ROWS))
+        predicted = np.concatenate([logreg.predict(model, assemble.apply_encoding(
+            assemble.raw_feature_matrix(rows, features, block)[0], model.encoding),
+            threshold=threshold) for block in blocks])
+        counts = confusion_counts(rows["label"][fold.test_rows], predicted)
         names = model.encoding.feature_names
         run_folds.append({
             "fold_index": fold.fold_index,
@@ -133,7 +138,6 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
             "alpha": model.alpha,
             "beta": {name: float(b) for name, b in zip(names, model.beta)},
         })
-        del train, x_test  # free this fold's matrices before the next encode
 
     values = {"constant": [f["alpha"] for f in run_folds],
               **{name: [f["beta"][name] for f in run_folds] for name in names}}

@@ -190,6 +190,19 @@ def test_importing_failcast_sets_one_openblas_thread_unless_a_count_is_set(
     assert done.stdout.split() == [expected, "False"]
 
 
+def test_evaluate_leaves_numpy_ma_unimported(tmp_path, dataset):
+    """numpy.ma costs a megabyte and milliseconds to import, and nothing on
+    the evaluate path needs it; a plain np.unique would import it."""
+    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONDONTWRITEBYTECODE="1")
+    probe = ("import sys; from failcast import cli; "
+             f"code = cli.main(['evaluate', '--in-dir', {str(dataset)!r}, '--out-dir', 'out']); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
+
+
 # The full and reduced runs of `evaluate` on `generate --machines 8 --days 45
 # --seed 7`, each as json.dumps(runs[name], sort_keys=True).  A change that
 # moves any digit of either run must update its digest and say why.

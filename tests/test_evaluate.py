@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from failcast import assemble, evaluate, logreg, rng, schema
+from failcast import assemble, evaluate, logreg, rng, schema, synth
 
 import helpers
 
@@ -201,16 +201,37 @@ def test_evaluate_cv_builds_no_training_matrix(monkeypatch, features):
     # row-by-feature matrix is built for each fold's test side alone.
     rows = _cv_rows(4)
     folds = evaluate.make_folds(rows, k=2, seed=0)
-    raw, asked = assemble.raw_feature_matrix, []
+    fit, raw, asked = logreg.fit, assemble.raw_feature_matrix, []
+
+    def fitted(data, config):
+        asked.append([])  # each fold's fit comes before its scoring
+        return fit(data, config)
 
     def recorded(rows, features=None, index=None):
-        asked.append(index)
+        asked[-1].append(index)
         return raw(rows, features, index)
 
+    monkeypatch.setattr(logreg, "fit", fitted)
     monkeypatch.setattr(assemble, "raw_feature_matrix", recorded)
     evaluate.evaluate_cv(rows, folds, features=features)
     assert len(asked) == len(folds)
-    assert all(index is fold.test_rows for index, fold in zip(asked, folds))
+    for indices, fold in zip(asked, folds):
+        assert np.concatenate(indices).tolist() == fold.test_rows.tolist()
+        assert not np.isin(np.concatenate(indices), fold.train_rows).any()
+
+
+def test_evaluate_cv_scores_in_blocks_as_on_the_whole_test_side(monkeypatch):
+    """Scoring three test rows at a time gives the run objects that scoring
+    each test side at once gives, full and paper-reduced."""
+    rows = assemble.build_event_stream(synth.generate(synth.SynthConfig(machines=8, days=45,
+                                                                        seed=7)))
+    folds = evaluate.make_folds(rows)
+    runs = {}
+    for block_rows in (len(rows), 3):
+        monkeypatch.setattr(evaluate, "_SCORE_ROWS", block_rows)
+        runs[block_rows] = [evaluate.evaluate_cv(rows, folds, features=features)
+                            for features in (None, evaluate.PAPER_REDUCED_FEATURES)]
+    assert runs[3] == runs[len(rows)]
 
 
 def test_evaluate_cv_without_folds_raises_fold_error():

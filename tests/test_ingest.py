@@ -465,7 +465,7 @@ def test_bundle_without_violations_holds_the_parsed_tables(tmp_path, monkeypatch
     monkeypatch.setattr(ingest, "parse_csv", recorded)
     loaded, violations = ingest.load_bundle(
         **{key: tmp_path / name for key, name in ingest.BUNDLE_FILENAMES.items()})
-    assert violations == []
+    assert violations == [] and parsed.keys() == ingest.BUNDLE_FILENAMES.keys()
     assert all(getattr(loaded, name) is table for name, table in parsed.items())
 
 

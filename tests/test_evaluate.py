@@ -135,6 +135,56 @@ def test_fold_missing_a_class_names_the_fold():
         evaluate.make_folds(rows, k=3, seed=0)
 
 
+def _labeled_rows(early, late):
+    """Hand-built rows of machines 1-3 over hours 0-3, which make_folds cuts
+    at hour 2: machine m's labels are ``early[m]`` at hours 0-1 and ``late[m]``
+    at hours 2-3.  make_folds reads no other column."""
+    cells = [(m, hour, label) for m in (1, 2, 3)
+             for hour, label in enumerate(early[m] + late[m])]
+    machine_id, hours, label = zip(*cells)
+    return np.rec.fromarrays([np.array(machine_id, np.int64),
+                              np.datetime64("2015-01-01T00", "h") + np.array(hours),
+                              np.array(label, bool)], names="machine_id,datetime,label")
+
+
+def _test_machine_of_fold():
+    """Machine tested by each fold of ``make_folds(k=3, seed=0)`` on three machines."""
+    mixed = {m: (True, False) for m in (1, 2, 3)}
+    rows = _labeled_rows(mixed, mixed)
+    return [int(rows.machine_id[f.test_rows][0]) for f in evaluate.make_folds(rows, k=3, seed=0)]
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_fold_side_lacking_negatives_names_the_side(side):
+    # Every row on the named side of the cutoff is positive; the other side has both classes.
+    mixed = {m: (True, False) for m in (1, 2, 3)}
+    positive = {m: (True, True) for m in (1, 2, 3)}
+    rows = _labeled_rows(*((positive, mixed) if side == "train" else (mixed, positive)))
+    with pytest.raises(evaluate.FoldError, match=rf"^fold 0: {side} side lacks negatives$"):
+        evaluate.make_folds(rows, k=3, seed=0)
+
+
+def test_fold_errors_name_the_first_fold_and_train_before_test():
+    a, b, c = _test_machine_of_fold()  # the test machines of folds 0, 1 and 2
+    mixed, positive, negative = (True, False), (True, True), (False, False)
+    # Every fold lacks a class on both sides: fold 0's train side is named.
+    everything = {m: positive for m in (1, 2, 3)}
+    with pytest.raises(evaluate.FoldError, match=r"^fold 0: train side lacks negatives$"):
+        evaluate.make_folds(_labeled_rows(everything, everything), k=3, seed=0)
+    # Fold 0's test side (a late) and fold 1's train side (a and c early) lack a class.
+    rows = _labeled_rows({a: positive, b: mixed, c: positive}, {a: negative, b: mixed, c: mixed})
+    with pytest.raises(evaluate.FoldError, match=r"^fold 0: test side lacks positives$"):
+        evaluate.make_folds(rows, k=3, seed=0)
+    # Both sides of fold 1 lack a class, and fold 0 has both on both sides.
+    rows = _labeled_rows({a: positive, b: mixed, c: positive}, {a: mixed, b: negative, c: mixed})
+    with pytest.raises(evaluate.FoldError, match=r"^fold 1: train side lacks negatives$"):
+        evaluate.make_folds(rows, k=3, seed=0)
+    # Folds 1 and 2 lack test positives; fold 0 has both classes.
+    rows = _labeled_rows({m: mixed for m in (1, 2, 3)}, {a: mixed, b: negative, c: negative})
+    with pytest.raises(evaluate.FoldError, match=r"^fold 1: test side lacks positives$"):
+        evaluate.make_folds(rows, k=3, seed=0)
+
+
 # --- confusion arithmetic ----------------------------------------------------
 
 def test_confusion_matrix_counts_by_hand():

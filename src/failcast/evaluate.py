@@ -27,14 +27,23 @@ class PruneError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldSplit:
     """One fold: ascending stream row indices for each side, its test machines'
-    rows from the time cutoff on and the other machines' rows before it."""
+    rows from the time cutoff on and the other machines' rows before it, derived
+    on access from each row's fold and the before-cutoff mask that its split shares."""
 
     fold_index: int
-    train_rows: np.ndarray
-    test_rows: np.ndarray
+    fold_of_row: np.ndarray
+    before_cutoff: np.ndarray
+
+    @property
+    def train_rows(self) -> np.ndarray:
+        return np.flatnonzero((self.fold_of_row != self.fold_index) & self.before_cutoff)
+
+    @property
+    def test_rows(self) -> np.ndarray:
+        return np.flatnonzero((self.fold_of_row == self.fold_index) & ~self.before_cutoff)
 
 
 def confusion_counts(y_true, y_pred) -> list[list[int]]:
@@ -76,21 +85,20 @@ def make_folds(rows, k: int = 3, seed: int = 0) -> list[FoldSplit]:
     shuffled = list(range(len(machines)))  # machine ranks, in test-group order
     rng.Stream(rng.derive(seed, _FOLD_CHANNEL)).shuffle(shuffled)
     sizes = [len(group) for group in np.array_split(shuffled, k)]
-    fold_of_row = np.repeat(np.arange(k), sizes)[np.argsort(shuffled)][rank]
+    fold_of_row = np.repeat(np.arange(k, dtype=np.min_scalar_type(k)), sizes)[
+        np.argsort(shuffled)][rank]
 
-    folds = []
+    # [fold][before cutoff][label] row counts; a fold trains on the others' early rows.
+    tally = np.bincount(4 * fold_of_row.astype(np.intp) + 2 * before_cutoff + labels,
+                        minlength=4 * k).reshape(k, 2, 2)
     for fold_index in range(k):
-        in_test = fold_of_row == fold_index
-        train_idx = np.flatnonzero(~in_test & before_cutoff)
-        test_idx = np.flatnonzero(in_test & ~before_cutoff)
-        for name, idx in (("train", train_idx), ("test", test_idx)):
-            side = labels[idx]
-            if not side.any() or side.all():
+        for name, counts in (("train", tally[:, 1].sum(axis=0) - tally[fold_index, 1]),
+                             ("test", tally[fold_index, 0])):
+            if not counts.all():  # counts is [negatives, positives]
                 raise FoldError(
                     f"fold {fold_index}: {name} side lacks "
-                    f"{'negatives' if side.any() else 'positives'}")
-        folds.append(FoldSplit(fold_index, train_idx, test_idx))
-    return folds
+                    f"{'negatives' if counts[1] else 'positives'}")
+    return [FoldSplit(fold_index, fold_of_row, before_cutoff) for fold_index in range(k)]
 
 
 def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
@@ -115,22 +123,23 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     keys = assemble.pattern_keys(rows, features)
     run_folds = []
     for fold in folds:
+        train_rows, test_rows = fold.train_rows, fold.test_rows  # derived once per fold
         try:  # the training design is an argument alone, so it dies with the fit
             model = logreg.fit(assemble.encode(rows, weight_positive=weight_positive,
-                                               features=features, index=fold.train_rows,
+                                               features=features, index=train_rows,
                                                keys=keys), fit_config)
         except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
-        blocks = np.split(fold.test_rows, range(_SCORE_ROWS, len(fold.test_rows), _SCORE_ROWS))
+        blocks = np.split(test_rows, range(_SCORE_ROWS, len(test_rows), _SCORE_ROWS))
         predicted = np.concatenate([logreg.predict(model, assemble.apply_encoding(
             assemble.raw_feature_matrix(rows, features, block)[0], model.encoding),
             threshold=threshold) for block in blocks])
-        counts = confusion_counts(rows["label"][fold.test_rows], predicted)
+        counts = confusion_counts(rows["label"][test_rows], predicted)
         names = model.encoding.feature_names
         run_folds.append({
             "fold_index": fold.fold_index,
-            "n_train": len(fold.train_rows),
-            "n_test": len(fold.test_rows),
+            "n_train": len(train_rows),
+            "n_test": len(test_rows),
             "iterations": model.fit_meta.iterations,
             "converged": model.fit_meta.converged,
             "counts": counts,
@@ -138,6 +147,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
             "alpha": model.alpha,
             "beta": {name: float(b) for name, b in zip(names, model.beta)},
         })
+        del train_rows, test_rows, blocks  # so the next fold's sides are the only ones held
 
     values = {"constant": [f["alpha"] for f in run_folds],
               **{name: [f["beta"][name] for f in run_folds] for name in names}}

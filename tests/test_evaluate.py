@@ -1,6 +1,7 @@
 """Fold construction, confusion arithmetic, leakage freedom and pruning."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,14 @@ def test_fold_errors_name_the_first_fold_and_train_before_test():
     rows = _labeled_rows({m: mixed for m in (1, 2, 3)}, {a: mixed, b: negative, c: negative})
     with pytest.raises(evaluate.FoldError, match=r"^fold 1: test side lacks positives$"):
         evaluate.make_folds(rows, k=3, seed=0)
+
+
+def test_folds_compare_by_identity():
+    rows = _cv_rows(3)
+    a, b = evaluate.make_folds(rows, k=3, seed=0), evaluate.make_folds(rows, k=3, seed=0)
+    assert a[0] == a[0] and a[0] != b[0] and a[0] != a[1]
+    assert a[1] in a and b[1] not in a
+    assert len({*a, *b}) == 6
 
 
 # --- confusion arithmetic ----------------------------------------------------
@@ -404,6 +413,35 @@ def test_prune_error_paths():
 
 
 # --- behaviour on the benchmark dataset --------------------------------------
+
+def _numpy_bytes_kept_by_folds(rows, k):
+    """The folds of ``make_folds(rows, k)`` and the bytes of numpy data
+    allocated in the call that are still held once it returns."""
+    tracemalloc.start()
+    try:
+        folds = evaluate.make_folds(rows, k=k, seed=42)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return folds, sum(t.size for t in snapshot.filter_traces([numpy_data]).traces)
+
+
+def test_fold_memory_does_not_grow_with_the_fold_count(bench_rows):
+    # Folds share each row's fold and the before-cutoff mask and derive their
+    # sides on access: 2 bytes a row for any k below 256.  Folds that held
+    # both index arrays kept 12 bytes a row at k = 3 and 80 at k = 20.
+    kept = {k: _numpy_bytes_kept_by_folds(bench_rows, k) for k in (3, 20)}
+    assert kept[3][1] == kept[20][1] < 4 * len(bench_rows)
+    folds = kept[20][0]
+    machines = sorted(set(bench_rows.machine_id.tolist()))
+    order = list(machines)
+    rng.Stream(rng.derive(42, FOLD_CHANNEL)).shuffle(order)
+    late = bench_rows.datetime >= _cutoff(bench_rows)
+    for fold, group in zip(folds, np.array_split(order, 20)):
+        in_test = np.isin(bench_rows.machine_id, group)
+        assert np.array_equal(fold.train_rows, np.flatnonzero(~in_test & ~late))
+        assert np.array_equal(fold.test_rows, np.flatnonzero(in_test & late))
 
 def test_benchmark_error_flags_dominate_telemetry(bench_cv):
     means = {w["feature"]: w["mean"] for w in bench_cv["weights"]}

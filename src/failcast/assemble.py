@@ -73,13 +73,15 @@ def _rows_in(keys, lo, hi) -> np.ndarray:
     return np.cumsum(marks, out=marks)[:-1] > 0
 
 
-def _labelable(telemetry, horizon_hours) -> np.ndarray:
-    """In canonical order, the rows at least ``horizon_hours`` before their machine's last hour."""
+def _labelable(telemetry, horizon_hours):
+    """In canonical order, the rows at least ``horizon_hours`` before their machine's
+    last hour; and every telemetry machine id once, ascending."""
     order = np.lexsort((telemetry.datetime, telemetry.machine_id))
     ids, times = telemetry.machine_id[order], telemetry.datetime[order]
+    distinct_ids = np.concatenate([ids[:1], ids[1:][ids[1:] != ids[:-1]]])
     last_hour = times[np.searchsorted(ids, ids, side="right") - 1]
     # Leads in whole hours: t + horizon in datetime64 wraps for a huge horizon.
-    return order[(last_hour - times) // np.timedelta64(1, "h") >= horizon_hours]
+    return order[(last_hour - times) // np.timedelta64(1, "h") >= horizon_hours], distinct_ids
 
 
 def _join_events(stream, bundle, horizon_hours, window):
@@ -111,12 +113,12 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     if horizon_hours < 1:
         raise ValueError("horizon_hours must be at least 1")
     telemetry, machines = bundle.telemetry, bundle.machines
-    missing = telemetry.machine_id[~np.isin(telemetry.machine_id, machines.machine_id)]
+    rows, telemetry_ids = _labelable(telemetry, horizon_hours)
+    missing = telemetry_ids[~np.isin(telemetry_ids, machines.machine_id)]
     if len(missing):
         raise AssembleError(f"telemetry references machine_id {missing.min()} "
                             "absent from the machines dataset")
 
-    rows = _labelable(telemetry, horizon_hours)
     stream = np.recarray(len(rows), [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
     for f in telemetry.dtype.names:
         stream[f] = telemetry[f][rows]

@@ -168,6 +168,21 @@ def test_missing_descriptor_aborts_with_machine_id():
         assemble.build_event_stream(broken)
 
 
+def test_missing_descriptor_of_a_machine_without_labelable_rows_is_named():
+    # Machine 1 has 10 hours of telemetry, too few for any row to be labelable
+    # at the 24-hour horizon; machines 1 and 3 lack descriptors, and the rows
+    # are reversed so the smallest missing id is not the first one read.
+    bundle = helpers.micro_bundle(machines=3, n_hours=30)
+    telemetry = bundle.telemetry
+    short = telemetry[(telemetry.machine_id != 1) | (telemetry.datetime < helpers.hour(10))]
+    broken = assemble.DatasetBundle(
+        telemetry=short[::-1], errors=bundle.errors, maintenance=bundle.maintenance,
+        failures=bundle.failures, machines=bundle.machines[1:2])
+    with pytest.raises(assemble.AssembleError,
+                       match=r"^telemetry references machine_id 1 absent from the machines dataset$"):
+        assemble.build_event_stream(broken)
+
+
 def test_day_of_week_derived_from_datetime(small_rows):
     rows = small_rows[::501]
     days = [t.weekday() for t in rows.datetime.tolist()]

@@ -123,7 +123,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     keys = assemble.pattern_keys(rows, features)
     run_folds = []
     for fold in folds:
-        train_rows, test_rows = fold.train_rows, fold.test_rows  # derived once per fold
+        train_rows, test_rows = fold.train_rows, fold.test_rows  # each read derives them anew
         try:  # the training design is an argument alone, so it dies with the fit
             model = logreg.fit(assemble.encode(rows, weight_positive=weight_positive,
                                                features=features, index=train_rows,

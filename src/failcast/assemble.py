@@ -60,44 +60,12 @@ class DesignMatrix:
         return block[np.ix_(self.back, self.back)]
 
 
-def _pairs(machine_ids, datetimes) -> np.ndarray:
-    """(machine_id, datetime) join keys; they sort machine first."""
-    return np.rec.fromarrays([machine_ids, datetimes], names="machine_id,datetime")
-
-
 def _rows_in(keys, lo, hi) -> np.ndarray:
     """Mask of the rows of the sorted ``keys`` that lie in some ``[lo[j], hi[j]]``."""
     marks = np.zeros(len(keys) + 1, dtype=np.int64)
     np.add.at(marks, np.searchsorted(keys, lo, side="left"), 1)
     np.add.at(marks, np.searchsorted(keys, hi, side="right"), -1)
     return np.cumsum(marks, out=marks)[:-1] > 0
-
-
-def _labelable(telemetry, horizon_hours):
-    """In canonical order, the rows at least ``horizon_hours`` before their machine's
-    last hour; and every telemetry machine id once, ascending."""
-    order = np.lexsort((telemetry.datetime, telemetry.machine_id))
-    ids, times = telemetry.machine_id[order], telemetry.datetime[order]
-    distinct_ids = np.concatenate([ids[:1], ids[1:][ids[1:] != ids[:-1]]])
-    last_hour = times[np.searchsorted(ids, ids, side="right") - 1]
-    # Leads in whole hours: t + horizon in datetime64 wraps for a huge horizon.
-    return order[(last_hour - times) // np.timedelta64(1, "h") >= horizon_hours], distinct_ids
-
-
-def _join_events(stream, bundle, horizon_hours, window):
-    """Set the stream's event flags and label from the bundle's events at its keys."""
-    keys = _pairs(stream.machine_id, stream.datetime)
-    for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
-                          (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
-        event_keys = _pairs(events.machine_id, events.datetime)
-        for f in flags:
-            flagged = event_keys[events[f]]
-            stream[f] = _rows_in(keys, flagged, flagged)
-    # Failure f labels [f - horizon, f - first].  The horizon is at most a
-    # surviving row's lead; with no row it may pass datetime64's range.
-    ahead = (horizon_hours, 1 if window else horizon_hours) if len(stream) else (0, 0)
-    stream["label"] = _rows_in(keys, *(_pairs(bundle.failures.machine_id, bundle.failures.datetime
-                                              - np.timedelta64(k, "h")) for k in ahead))
 
 
 def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
@@ -108,23 +76,55 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     A row is labeled with the failure state at exactly t + horizon_hours,
     or with ``window=True`` by any failure within the next horizon_hours.
     A horizon below 1 raises ValueError, and a telemetry machine missing
-    from the machines dataset aborts with AssembleError.
+    from the machines dataset aborts with AssembleError, as does telemetry
+    too long for the join's keys.
     """
     if horizon_hours < 1:
         raise ValueError("horizon_hours must be at least 1")
     telemetry, machines = bundle.telemetry, bundle.machines
-    rows, telemetry_ids = _labelable(telemetry, horizon_hours)
-    missing = telemetry_ids[~np.isin(telemetry_ids, machines.machine_id)]
+    by_id = np.argsort(machines.machine_id, kind="stable")
+    ids, seconds = machines.machine_id[by_id], telemetry.datetime.view(np.int64)
+    # A row's join key is its machine's rank in ids x radix, plus the seconds after
+    # one second before the first telemetry time, its time shifted back and clipped
+    # to one second outside the telemetry span; an id that ids lacks gets -1.  Keys
+    # sort as (machine_id, datetime), to the second, and none wraps while
+    # len(ids) x radix < 2**63: ingest's years 1-9999 leave room for 2.9e7 machines.
+    first, last = (int(seconds.min()), int(seconds.max())) if len(seconds) else (0, 0)
+    radix = last - first + 3
+    if max(len(ids), 1) * radix >= 2**63:
+        raise AssembleError(f"telemetry spans {radix - 3} s: too long to key {len(ids)} machines")
+
+    def key(table, shift=0):
+        rank, lo = np.searchsorted(ids, table.machine_id), first - 1 + shift
+        offset = np.clip(table.datetime.view(np.int64), lo, min(lo + radix - 1, 2**63 - 1)) - lo
+        return np.where(np.searchsorted(ids, table.machine_id, side="right") > rank,
+                        rank * radix + offset, -1)
+
+    keys = key(telemetry)
+    missing = telemetry.machine_id[keys < 0]
     if len(missing):
         raise AssembleError(f"telemetry references machine_id {missing.min()} "
                             "absent from the machines dataset")
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    ends = keys[np.searchsorted(keys, (keys // radix + 1) * radix) - 1]  # machines' last keys
+    keep = (ends - keys) // 3600 >= horizon_hours  # leads in whole hours: t + horizon wraps
+    order, keys = order[keep], keys[keep]
 
-    stream = np.recarray(len(rows), [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
+    stream = np.recarray(len(order), [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
     for f in telemetry.dtype.names:
-        stream[f] = telemetry[f][rows]
-    _join_events(stream, bundle, horizon_hours, window)
-    by_id = np.argsort(machines.machine_id)
-    descriptor = by_id[np.searchsorted(machines.machine_id, stream.machine_id, sorter=by_id)]
+        stream[f] = telemetry[f][order]
+    del order, keep, ends
+    for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
+                          (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
+        event_keys = key(events)
+        for f in flags:
+            stream[f] = _rows_in(keys, event_keys[events[f]], event_keys[events[f]])
+    # Failure f labels [f - horizon, f - first].  The horizon is at most a
+    # surviving row's lead; with no row it may pass int64 seconds.
+    ahead = (horizon_hours, 1 if window else horizon_hours) if len(stream) else (0, 0)
+    stream["label"] = _rows_in(keys, *(key(bundle.failures, 3600 * k) for k in ahead))
+    descriptor = by_id[keys // radix]
     for f in ("age",) + schema.MODEL_FLAGS:
         stream[f] = machines[f][descriptor]
     days = stream.datetime.astype("datetime64[D]").view(np.int64)

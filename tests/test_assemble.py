@@ -40,17 +40,16 @@ def test_matches_brute_force_join_oracle():
         helpers.brute_force_stream(bundle)
 
 
-@st.composite
-def unmerged_bundles(draw):
-    """A bundle built from tables as ``load_bundle`` leaves them: telemetry
-    with gaps and in any row order, and event rows that may share a
-    machine-hour, each a separate row."""
-    machines = draw(st.integers(1, 3))
-    n_hours = draw(st.integers(1, 96))
+def _unmerged_bundle(draw, machines, logged, n_hours, event_machines, outside=0):
+    """A bundle of the ``machines`` built from tables as ``load_bundle`` leaves
+    them: telemetry of the ``logged`` machines over ``n_hours`` with gaps and in
+    any row order, and event rows that may share a machine-hour, each a separate
+    row, at machines drawn from ``event_machines`` and hours up to ``outside``
+    hours outside the grid."""
     gaps = st.sets(st.integers(0, n_hours - 1), max_size=6)
-    tel = [helpers.telemetry(m, i) for m in range(1, machines + 1)
+    tel = [helpers.telemetry(m, i) for m in logged
            for i in sorted(set(range(n_hours)) - draw(gaps))]
-    keys = st.tuples(st.integers(1, machines), st.integers(0, n_hours - 1))
+    keys = st.tuples(event_machines, st.integers(-outside, n_hours - 1 + outside))
 
     def rows(make, values, max_size):
         drawn = draw(st.lists(st.tuples(keys, values), max_size=max_size))
@@ -64,15 +63,49 @@ def unmerged_bundles(draw):
                             st.tuples(st.sets(st.integers(1, 4), min_size=1),
                                       st.sets(st.integers(1, 4))), 6),
         "failures": rows(lambda m, i, v: helpers.failure(m, i, v), st.integers(1, 4), 8),
-        "machines": [helpers.descriptor(m) for m in range(1, machines + 1)],
+        # The default age m + 2 for small ids, and no int64 overflow for large ones.
+        "machines": [helpers.descriptor(m, age=m % 1000 + 2) for m in machines],
     }
     return ingest.DatasetBundle(**{name: helpers.table(name, records)
                                    for name, records in tables.items()})
 
 
+@st.composite
+def unmerged_bundles(draw):
+    """Machines 1-3 over up to 96 hours, each with telemetry."""
+    machines = range(1, draw(st.integers(1, 3)) + 1)
+    n_hours = draw(st.integers(1, 96))
+    return _unmerged_bundle(draw, machines, machines, n_hours,
+                            st.integers(1, len(machines)))
+
+
+# Sparse and extreme machine ids: the ends of int64, zero, negatives and 2**40.
+EXTREME_IDS = (-2**63, -2**40, -7, -1, 0, 1, 2**40, 2**63 - 1)
+
+
+@st.composite
+def sparse_bundles(draw):
+    """Up to four sparse or extreme machine ids, any of them without telemetry;
+    event rows may name a machine in no table and lie up to 40 hours outside
+    the telemetry span, on either side."""
+    ids = st.sampled_from(EXTREME_IDS) | st.integers(-2**63, 2**63 - 1)
+    machines = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    logged = draw(st.lists(st.sampled_from(machines), max_size=3, unique=True))
+    n_hours = draw(st.integers(1, 72))
+    return _unmerged_bundle(draw, machines, logged, n_hours,
+                            st.sampled_from(machines) | ids, outside=40)
+
+
 @settings(max_examples=200, deadline=None)
 @given(bundle=unmerged_bundles(), horizon=st.integers(1, 48), window=st.booleans())
 def test_unmerged_bundle_matches_brute_force_join_oracle(bundle, horizon, window):
+    assert helpers.table_rows(assemble.build_event_stream(bundle, horizon, window)) == \
+        helpers.brute_force_stream(bundle, horizon, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle=sparse_bundles(), horizon=st.integers(1, 48), window=st.booleans())
+def test_sparse_bundle_matches_brute_force_join_oracle(bundle, horizon, window):
     assert helpers.table_rows(assemble.build_event_stream(bundle, horizon, window)) == \
         helpers.brute_force_stream(bundle, horizon, window)
 
@@ -117,8 +150,11 @@ def test_join_holds_the_stream_and_little_more(window):
     """tracemalloc counts numpy's allocations exactly, so this bound does not
     flake.  Above the bundle, the join peaked at 2.27 times the stream's
     bytes when it held the sort order, a copy of the key columns and the day
-    names beside the stream, and at 1.40 once it holds the row index, the
-    join keys and one column-sized temporary (8 x 120, seed 7, numpy 2.4)."""
+    names beside the stream, at 1.40 once it held the row index, the
+    (machine_id, datetime) join keys and one column-sized temporary, and at
+    1.39 (point and window) with one int64 key per row, the row index, the
+    machines' last keys and one column-sized temporary (8 x 120, seed 7,
+    numpy 2.4)."""
     bundle = synth.generate(synth.SynthConfig(machines=8, days=120, seed=7))
     tracemalloc.start()
     try:
@@ -151,6 +187,77 @@ def test_window_horizon_past_every_timeline_builds_no_shifts():
         elapsed = time.perf_counter() - start
         assert len(rows) == n_rows and rows.label.all()
         assert elapsed < 1.0, f"took {elapsed:.1f}s; one shifted key set per hour?"
+
+
+def _bundle(telemetry, errors=(), maintenance=(), failures=(), machines=()):
+    """The bundle of these records, a list for each dataset."""
+    return ingest.DatasetBundle(
+        telemetry=helpers.table("telemetry", telemetry), errors=helpers.table("errors", errors),
+        maintenance=helpers.table("maintenance", maintenance),
+        failures=helpers.table("failures", failures), machines=helpers.table("machines", machines))
+
+
+def _at(record, when):
+    return dict(record, datetime=when)
+
+
+def test_telemetry_from_year_1_to_9999_matches_the_oracle():
+    # Ingest's widest span: two machines logged in the first and last hours
+    # that ingest accepts, with events and failures near both ends.
+    early = [dt.datetime(1, 1, 1) + dt.timedelta(hours=i) for i in range(30)]
+    late = [dt.datetime(9999, 12, 30) - dt.timedelta(hours=i) for i in range(30)][::-1]
+    bundle = _bundle(
+        telemetry=[_at(helpers.telemetry(m, i), t) for m in (3, 8)
+                   for i, t in enumerate(early + late)],
+        errors=[_at(helpers.error(3, 0, 2), early[5]), _at(helpers.error(8, 0, 4), late[3])],
+        maintenance=[_at(helpers.maintenance(8, 0, comps=(1,)), late[0])],
+        failures=[_at(helpers.failure(3, 0), early[29]), _at(helpers.failure(8, 0), late[29])],
+        machines=[helpers.descriptor(3), helpers.descriptor(8)])
+    for window, positives in ((False, 2), (True, 25)):
+        rows = assemble.build_event_stream(bundle, window=window)
+        # Every early hour and the six late ones a day before the last.
+        assert len(rows) == 72 and rows.label.sum() == positives
+        assert helpers.table_rows(rows) == helpers.brute_force_stream(bundle, window=window)
+
+
+@pytest.mark.parametrize("machines, span, joins", [
+    (1, 2**63 - 4, True), (1, 2**63 - 3, False), (2, 2**62 - 4, True), (2, 2**62 - 3, False)])
+def test_join_keys_never_wrap(machines, span, joins):
+    # A key is a machine rank x radix + seconds, the radix the telemetry span
+    # plus 3 seconds, so len(machines) x radix must stay below 2**63.  A bundle
+    # past that bound is refused; at it, events one second outside the span
+    # flag nothing and a failure labels its machine's first hour.
+    start, ids = -2**62, (5, 9)[:machines]
+    first, last, outside = (np.datetime64(start + s, "s") for s in (0, span, -1))
+    bundle = _bundle(
+        telemetry=[_at(helpers.telemetry(m, 0), t) for m in ids for t in (first, last)],
+        errors=[_at(helpers.error(m, 0, 1), t) for m in ids
+                for t in (outside, np.datetime64(start + span + 1, "s"))],
+        failures=[_at(helpers.failure(ids[-1], 0), first + np.timedelta64(24, "h"))],
+        machines=[helpers.descriptor(m) for m in ids])
+    if not joins:
+        with pytest.raises(assemble.AssembleError, match=r"^telemetry spans .* too long"):
+            assemble.build_event_stream(bundle)
+        return
+    rows = assemble.build_event_stream(bundle)
+    assert rows.machine_id.tolist() == list(ids) and (rows.datetime == first).all()
+    assert not rows.error_1.any() and rows.label.tolist() == [m == ids[-1] for m in ids]
+
+
+def test_events_outside_the_span_flag_no_other_machine():
+    # Two machines over hours 0-29: the radix is 29 hours and 3 seconds.
+    # Unclipped, an event of machine 2 one radix before hour 5 would take the
+    # key of machine 1's hour 5, and one of machine 1 a radix after hour 5
+    # the key of machine 2's hour 5.
+    bundle = helpers.micro_bundle(machines=2, n_hours=30)
+    radix = dt.timedelta(hours=29, seconds=3)
+    bundle = _bundle(helpers.table_rows(bundle.telemetry),
+                     errors=[_at(helpers.error(2, 0, 1), helpers.hour(5) - radix),
+                             _at(helpers.error(1, 0, 2), helpers.hour(5) + radix)],
+                     machines=helpers.table_rows(bundle.machines))
+    rows = assemble.build_event_stream(bundle)
+    assert not rows.error_1.any() and not rows.error_2.any()
+    assert helpers.table_rows(rows) == helpers.brute_force_stream(bundle)
 
 
 def test_rows_in_canonical_order(small_rows):
@@ -356,7 +463,12 @@ def test_degenerate_column_error_names_column():
     bundle = helpers.micro_bundle(machines=1, n_hours=26)
     rows = assemble.build_event_stream(bundle)
     rows.pressure = 5.0
-    with pytest.raises(assemble.EncodingError, match="pressure"):
+    with pytest.raises(assemble.EncodingError, match="'pressure' is constant"):
+        assemble.encode(rows)
+    # Alternating +-1e308: a finite mean, but the squares overflow the std.
+    rows = assemble.build_event_stream(bundle)
+    rows.volt = [1e308, -1e308]
+    with pytest.raises(assemble.EncodingError, match="'volt' has a non-finite mean or std"):
         assemble.encode(rows)
 
 

@@ -120,6 +120,24 @@ def test_single_hour_timeline_rejected():
         evaluate.make_folds(squashed, k=2)
 
 
+def test_two_hour_timeline_is_folded():
+    # Two distinct hours are enough: the cutoff is the second, so each fold
+    # trains on the other machines' first hour and tests on its own second.
+    cells = [(m, hour, label) for m in (1, 2, 3) for hour in (0, 1) for label in (True, False)]
+    machine_id, hours, label = zip(*cells)
+    second = np.datetime64("2015-01-01T01", "h")
+    rows = np.rec.fromarrays([np.array(machine_id, np.int64), second - 1 + np.array(hours),
+                              np.array(label, bool)], names="machine_id,datetime,label")
+    tested = []
+    for fold in evaluate.make_folds(rows, k=3, seed=0):
+        train, test = rows[fold.train_rows], rows[fold.test_rows]
+        tested += set(test.machine_id.tolist())
+        assert len(test) == 2 and (test.datetime == second).all()
+        assert len(train) == 4 and (train.datetime < second).all()
+        assert test.machine_id[0] not in train.machine_id
+    assert sorted(tested) == [1, 2, 3]
+
+
 def test_fold_missing_a_class_names_the_fold():
     no_train_pos = _cv_rows(3, train_failures=False)
     with pytest.raises(evaluate.FoldError,

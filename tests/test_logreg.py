@@ -417,6 +417,23 @@ def test_more_iterations_never_raise_the_objective():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_first_newton_step_at_a_large_l2_is_taken_whole():
+    # Balanced labels zero the intercept's gradient at the start, so at a large
+    # l2 the penalty's share l2*t*(t/2*|db|^2 - beta.db) of the step's exact
+    # change decides the line search: the full step lowers the objective, and
+    # one iteration lands on the dense Newton step from zero.
+    l2 = 1e3
+    x = helpers.random_instance(seed=9, n_rows=40, n_features=3, weighted=False).dense
+    data = _design(x, np.arange(40) % 2 == 0)
+    grad = helpers.dense_gradient((0.0, np.zeros(3)), data, l2)
+    augmented = helpers.augmented(data)
+    hessian = 0.25 * augmented.T @ augmented + l2 * np.diag([0.0, 1.0, 1.0, 1.0])
+    model = logreg.fit(data, logreg.FitConfig(l2=l2, max_iterations=1))
+    assert model.fit_meta.iterations == 1 and grad[0] == 0.0
+    np.testing.assert_allclose(np.concatenate([[model.alpha], model.beta]),
+                               -np.linalg.solve(hessian, grad), rtol=1e-12, atol=1e-300)
+
+
 def test_fit_stops_unconverged_when_no_halving_lowers_the_objective():
     # Below float resolution no halved step lowers the objective, so the fit
     # stops there, short of its iteration cap (after 18 of 100 here).
@@ -425,6 +442,28 @@ def test_fit_stops_unconverged_when_no_halving_lowers_the_objective():
     bundle = synth.generate(synth.SynthConfig(machines=8, days=120, seed=7))
     data = assemble.encode(assemble.build_event_stream(bundle))
     config = logreg.FitConfig(tolerance=1e-14)
+    meta = logreg.fit(data, config).fit_meta
+    assert not meta.converged and meta.iterations < config.max_iterations
+
+
+def test_a_step_whose_exact_change_is_zero_is_not_taken():
+    # At a tolerance no fit reaches: from the 11th iterate the full and half
+    # steps raise the objective, and the exact change of each of the 58 shorter
+    # steps rounds to 0.0.  A step is taken only when its change is negative,
+    # so the fit stops there; taking zero-change steps would run to the cap.
+    data = helpers.random_instance(seed=10, n_rows=30, n_features=2)
+    config = logreg.FitConfig(tolerance=1e-300, max_iterations=200)
+    meta = logreg.fit(data, config).fit_meta
+    assert not meta.converged and meta.iterations < config.max_iterations
+
+
+def test_gradient_descent_takes_its_base_step_when_the_gradient_does_not_move():
+    # At a tolerance no fit reaches, iterations 25-27 follow accepted steps
+    # that left the gradient's bits unchanged.  The Barzilai-Borwein size then
+    # has a zero denominator, so the base step is used, and the fit stops
+    # where no halving lowers the objective instead of dividing by zero.
+    data = helpers.random_instance(seed=0, n_rows=30, n_features=2)
+    config = logreg.FitConfig(tolerance=1e-300, solver="gradient_descent")
     meta = logreg.fit(data, config).fit_meta
     assert not meta.converged and meta.iterations < config.max_iterations
 

@@ -95,10 +95,13 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
         raise AssembleError(f"telemetry spans {radix - 3} s: too long to key {len(ids)} machines")
 
     def key(table, shift=0):
-        rank, lo = np.searchsorted(ids, table.machine_id), first - 1 + shift
-        offset = np.clip(table.datetime.view(np.int64), lo, min(lo + radix - 1, 2**63 - 1)) - lo
-        return np.where(np.searchsorted(ids, table.machine_id, side="right") > rank,
-                        rank * radix + offset, -1)
+        keys, lo = np.searchsorted(ids, table.machine_id), first - 1 + shift
+        absent = ids.take(keys, mode="clip") != table.machine_id if len(ids) else True
+        offset = np.clip(table.datetime.view(np.int64), lo, min(lo + radix - 1, 2**63 - 1))
+        keys *= radix
+        keys += np.subtract(offset, lo, out=offset)
+        keys[absent] = -1
+        return keys
 
     keys = key(telemetry)
     missing = telemetry.machine_id[keys < 0]
@@ -106,15 +109,22 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
         raise AssembleError(f"telemetry references machine_id {missing.min()} "
                             "absent from the machines dataset")
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    ends = keys[np.searchsorted(keys, (keys // radix + 1) * radix) - 1]  # machines' last keys
-    keep = (ends - keys) // 3600 >= horizon_hours  # leads in whole hours: t + horizon wraps
-    order, keys = order[keep], keys[keep]
+    keys.sort()
+    # Machine r's rows are keys[at[r]:at[r + 1]]; those up to its cut lead its last key by the
+    # horizon in whole hours (seconds compared, clamped not to wrap); a rowless one keeps none.
+    at = np.searchsorted(keys, np.arange(len(ids) + 1) * radix)
+    ends = keys[at[1:] - 1] if len(keys) else at[1:]
+    cut = np.searchsorted(keys, ends - min(3600 * horizon_hours, radix), side="right")
+    keep = np.repeat(np.tile([True, False], len(ids)), np.diff(np.column_stack(
+        [at[:-1], np.clip(cut, at[:-1], at[1:]), at[1:]])).ravel())
+    del keys  # rebuilt from the stream: at most two row-sized arrays live at once
+    order = order[keep]
 
     stream = np.recarray(len(order), [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
     for f in telemetry.dtype.names:
         stream[f] = telemetry[f][order]
-    del order, keep, ends
+    del order, keep
+    keys = key(stream)
     for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
                           (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
         event_keys = key(events)
@@ -124,12 +134,11 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     # surviving row's lead; with no row it may pass int64 seconds.
     ahead = (horizon_hours, 1 if window else horizon_hours) if len(stream) else (0, 0)
     stream["label"] = _rows_in(keys, *(key(bundle.failures, 3600 * k) for k in ahead))
-    descriptor = by_id[keys // radix]
+    keys //= radix  # each row's machine rank in ids
     for f in ("age",) + schema.MODEL_FLAGS:
-        stream[f] = machines[f][descriptor]
-    days = stream.datetime.astype("datetime64[D]").view(np.int64)
-    for day, name in enumerate(schema.DAY_NAMES):  # day 0 of datetime64 was a Thursday
-        np.copyto(stream.day_of_week, name, where=days % 7 == (day - 3) % 7)
+        stream[f] = machines[f][by_id][keys]
+    del keys
+    stream["day_of_week"] = (stream.datetime.view(np.int64) // 86400 + 3) % 7  # day 0: a Thursday
     return stream
 
 
@@ -147,7 +156,7 @@ def _feature_names(features):
 
 def _column(rows, name, at=slice(None)):
     """Raw values of feature ``name`` at the stream rows ``at``."""
-    day = dict(zip(schema.DOW_FEATURES, schema.DAY_NAMES)).get(name)
+    day = {f: code for code, f in enumerate(schema.DOW_FEATURES)}.get(name)
     return rows[name][at] if day is None else rows["day_of_week"][at] == day
 
 

@@ -97,8 +97,6 @@ def _canonical(column):
         return np.where(column, "1", "0").tolist()
     if column.dtype.kind == "M":
         return np.char.replace(np.datetime_as_string(column), "T", " ").tolist()
-    if column.dtype.kind == "U":
-        return column.tolist()
     return list(map(repr, column.tolist()))  # a number's str, but quicker to call
 
 
@@ -253,15 +251,17 @@ def load_bundle(telemetry, errors, maintenance, failures, machines):
 
 def write_csv(path, table):
     """Write a table (a dataset or the stream) as CSV, header first, each
-    cell formatted by ``_canonical``.  Rows are formatted column by column,
-    one block of rows at a time."""
+    cell formatted by ``_canonical`` but the stream's day_of_week codes, which
+    are written as their names.  Rows are formatted column by column, one
+    block of rows at a time."""
     names = table.dtype.names
     with open(path, "w", newline="") as handle:
         handle.write(",".join(names) + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            handle.writelines(",".join(row) + "\n" for row in
-                              zip(*[_canonical(block[name]) for name in names]))
+            handle.writelines(",".join(row) + "\n" for row in zip(*[
+                [schema.DAY_NAMES[d] for d in block[name].tolist()] if name == "day_of_week"
+                else _canonical(block[name]) for name in names]))
 
 
 def write_bundle(bundle, directory):

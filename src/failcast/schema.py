@@ -75,9 +75,10 @@ STREAM_COLUMNS = (
     + TELEMETRY_FIELDS + ("age",) + MODEL_FLAGS + ("day_of_week", "label")
 )
 
-# numpy type of every dataset and stream column; unlisted flag columns are bool.
+# numpy type of every dataset and stream column; unlisted flag columns are bool, and
+# day_of_week holds its day's index in DAY_NAMES (0 = Mon), which the CSV writes as the name.
 _COLUMN_TYPES = {"machine_id": np.int64, "age": np.int64, "datetime": "datetime64[s]",
-                 "day_of_week": "U3", **dict.fromkeys(TELEMETRY_FIELDS, np.float64)}
+                 "day_of_week": np.int8, **dict.fromkeys(TELEMETRY_FIELDS, np.float64)}
 
 
 def column_type(name: str) -> np.dtype:

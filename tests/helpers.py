@@ -137,8 +137,13 @@ def brute_force_stream(bundle, horizon_hours=24, window=False):
 
 def table_rows(rows):
     """A table's rows (a dataset's or the stream's) as dicts of plain Python
-    values, the form brute_force_stream returns."""
-    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+    values, the form brute_force_stream returns: the stream's day_of_week
+    code becomes its name."""
+    out = [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+    for row in out:
+        if "day_of_week" in row:
+            row["day_of_week"] = DOW[row["day_of_week"]]
+    return out
 
 
 def bundle_rows(bundle):

@@ -150,10 +150,12 @@ def test_join_holds_the_stream_and_little_more(window):
     """tracemalloc counts numpy's allocations exactly, so this bound does not
     flake.  Above the bundle, the join peaked at 2.27 times the stream's
     bytes when it held the sort order, a copy of the key columns and the day
-    names beside the stream, at 1.40 once it held the row index, the
-    (machine_id, datetime) join keys and one column-sized temporary, and at
-    1.39 (point and window) with one int64 key per row, the row index, the
-    machines' last keys and one column-sized temporary (8 x 120, seed 7,
+    names beside the stream, and at 1.39 (119.5 bytes a stream row of 86) with
+    one int64 key per row, the row index, the machines' last keys and one
+    column-sized temporary.  With one-byte weekday codes, each machine's lead
+    test on its own rows and the keys rebuilt from the stream once the row
+    index is freed, it holds at most two row-sized int64 arrays beside the
+    75-byte rows: 95.3 bytes a stream row, point and window (8 x 120, seed 7,
     numpy 2.4)."""
     bundle = synth.generate(synth.SynthConfig(machines=8, days=120, seed=7))
     tracemalloc.start()
@@ -163,7 +165,8 @@ def test_join_holds_the_stream_and_little_more(window):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - start) / stream.nbytes < 1.6
+    assert stream.dtype.itemsize == 75
+    assert (peak - start) / len(stream) < 97
 
 
 def test_horizon_past_int64_seconds_yields_no_rows():
@@ -290,13 +293,72 @@ def test_missing_descriptor_of_a_machine_without_labelable_rows_is_named():
         assemble.build_event_stream(broken)
 
 
+def test_empty_machines_table_misses_every_telemetry_machine():
+    # No machine has a rank to key by: every telemetry row is the missing-machine
+    # error, and without telemetry the stream is empty.
+    bundle = helpers.micro_bundle(machines=3, n_hours=30, failures_at=((2, 28),))
+    broken = assemble.DatasetBundle(
+        telemetry=bundle.telemetry[::-1], errors=bundle.errors, maintenance=bundle.maintenance,
+        failures=bundle.failures, machines=bundle.machines[:0])
+    with pytest.raises(assemble.AssembleError,
+                       match=r"^telemetry references machine_id 1 absent from the machines dataset$"):
+        assemble.build_event_stream(broken)
+    empty = assemble.DatasetBundle(
+        telemetry=bundle.telemetry[:0], errors=bundle.errors, maintenance=bundle.maintenance,
+        failures=bundle.failures, machines=bundle.machines[:0])
+    assert len(assemble.build_event_stream(empty)) == 0
+
+
+@pytest.mark.parametrize("end", ["earliest", "latest"])
+def test_grid_at_either_end_of_datetime64_joins_as_it_does_in_2015(end):
+    # Keys count seconds from the first telemetry time, so moving every table by
+    # one delta moves only the stream's datetimes and weekdays.  Moved so its
+    # first time is the earliest datetime64[s] after NaT, or its last the latest,
+    # the join's clip bounds reach int64's ends: a failure at the latest second
+    # still labels the row a horizon before it.
+    bundle = helpers.micro_bundle(machines=2, n_hours=40, failures_at=((1, 39), (2, 30)),
+                                  errors_at=((1, 0, 2), (2, 39, 1), (2, 5, 1)),
+                                  maintenance_at=((1, 12, 2),))
+    seconds = bundle.telemetry.datetime.view(np.int64)
+    # A time t moves to t - anchor + target, which int64 holds throughout.
+    anchor, target = ((int(seconds.min()), -2**63 + 1) if end == "earliest"
+                      else (int(seconds.max()), 2**63 - 1))
+    moved = {}
+    for name in ("telemetry", "errors", "maintenance", "failures"):
+        moved[name] = getattr(bundle, name).copy()
+        moved[name].datetime.view(np.int64)[:] -= anchor
+        moved[name].datetime.view(np.int64)[:] += target
+    moved = assemble.DatasetBundle(machines=bundle.machines, **moved)
+    for window in (False, True):
+        want = assemble.build_event_stream(bundle, window=window)
+        got = assemble.build_event_stream(moved, window=window)
+        assert want.label.any() and want.error_1.any()
+        times = got.datetime.view(np.int64).tolist()
+        assert times == [t - anchor + target for t in want.datetime.view(np.int64).tolist()]
+        assert got.day_of_week.tolist() == [(t // 86400 + 3) % 7 for t in times]
+        for column in schema.STREAM_COLUMNS:
+            if column not in ("datetime", "day_of_week"):
+                assert np.array_equal(got[column], want[column]), column
+
+
 def test_day_of_week_derived_from_datetime(small_rows):
+    # The code is the day's index in DAY_NAMES, Monday 0, as datetime.weekday() counts.
+    assert schema.column_type("day_of_week") == np.int8
     rows = small_rows[::501]
-    days = [t.weekday() for t in rows.datetime.tolist()]
-    assert rows.day_of_week.tolist() == [helpers.DOW[d] for d in days]
+    assert rows.day_of_week.tolist() == [t.weekday() for t in rows.datetime.tolist()]
     # 2015-01-01, the first hour of every micro bundle, was a Thursday.
     first = assemble.build_event_stream(helpers.micro_bundle(machines=1, n_hours=25))
-    assert first.day_of_week.tolist() == ["Thu"]
+    assert first.day_of_week.tolist() == [3]
+    assert [helpers.DOW[d] for d in first.day_of_week] == ["Thu"]
+    # Days before 1970 have negative day numbers, and the year-9999 end large ones.
+    for start in (dt.datetime(1, 1, 1), dt.datetime(1900, 3, 1), dt.datetime(1969, 12, 29, 20),
+                  dt.datetime(1969, 12, 31, 23), dt.datetime(2000, 2, 28, 12),
+                  dt.datetime(9999, 12, 20)):
+        bundle = helpers.micro_bundle(machines=1, n_hours=24 * 9)
+        bundle.telemetry.datetime += np.datetime64(start) - np.datetime64(helpers.T0)
+        rows = assemble.build_event_stream(bundle)
+        assert len(rows) == 24 * 8
+        assert rows.day_of_week.tolist() == [t.weekday() for t in rows.datetime.tolist()]
 
 
 def test_encode_zscores_at_fit_mean():
@@ -343,7 +405,8 @@ def test_exactly_one_day_indicator_set(small_rows):
     x = helpers.design_features(data)
     sums = x[:, dow_cols].sum(axis=1)
     assert np.all(sums == 1.0)
-    wednesday = [i for i, r in enumerate(rows) if r.day_of_week == "Wed"]
+    wednesday = [i for i, r in enumerate(rows) if helpers.DOW[r.day_of_week] == "Wed"]
+    assert wednesday
     j = data.encoding.feature_names.index("dow_wed")
     assert np.all(x[wednesday, j] == 1.0)
 
@@ -422,7 +485,7 @@ def test_pattern_keys_match_a_dict_of_value_tuples(data):
     flags = schema.ERROR_FLAGS + schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS + schema.MODEL_FLAGS
     pool = data.draw(st.lists(st.fixed_dictionaries({
         **dict.fromkeys(flags, st.booleans()), "age": st.integers(0, 2**20).map(lambda a: a << 40),
-        "day_of_week": st.sampled_from(schema.DAY_NAMES)}), min_size=1, max_size=8))
+        "day_of_week": st.integers(0, len(schema.DAY_NAMES) - 1)}), min_size=1, max_size=8))
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
     stream = np.zeros(len(picks), [(c, schema.column_type(c))
                                    for c in schema.STREAM_COLUMNS]).view(np.recarray)

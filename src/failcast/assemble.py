@@ -203,10 +203,10 @@ def apply_encoding(matrix, encoding: schema.FeatureEncoding, columns=slice(None)
 
 
 def pattern_keys(rows, features=None) -> np.ndarray:
-    """Pattern group of every stream row's non-telemetry features, from an int64
-    mixed-radix key where a bool column adds a bit and age its rank.  Groups
-    ascend with the values, so the keys of any subset rank as its own groups.
-    These are at most 24 bool columns and age, so the key stays below 2**24 x rows."""
+    """Pattern key of every stream row's non-telemetry features, an int64 mixed-
+    radix number where a bool column adds a bit and age its rank: equal iff the
+    values are, and ascending with them.  These are at most 24 bool columns and
+    age, so a key stays below 2**24 x rows."""
     names, in_dense = _feature_names(features)
     key = np.zeros(len(rows), np.int64)
     for name in np.compress(~in_dense, names):
@@ -216,16 +216,17 @@ def pattern_keys(rows, features=None) -> np.ndarray:
         else:
             rank = np.unique(column, return_inverse=True)[1]
             key = key * (int(rank.max(initial=0)) + 1) + rank
-    return np.unique(key, return_inverse=True)[1]
+    return key
 
 
 def encode(rows, weight_positive=100.0, features=None, index=None, keys=None) -> DesignMatrix:
     """Encode the stream rows at ``index`` (all rows when None) into a design
     matrix.  Continuous features are z-scored with these rows' statistics; flags
     become 0/1 and day of week 7 indicators.  Positive rows get weight_positive,
-    the others 1.  ``keys`` is ``pattern_keys(rows, features)``, computed when
-    None.  Without telemetry, rows of one pattern and label merge into one with
-    their summed weight (the grouped binomial form): the same objective."""
+    the others 1.  The patterns are the ranks at ``index`` of ``keys``, which is
+    ``pattern_keys(rows, features)``, computed when None.  Without telemetry, rows
+    of one pattern and label merge into one with their summed weight (the grouped
+    binomial form): the same objective."""
     if not weight_positive > 0:
         raise ValueError("weight_positive must be positive")
     names, in_dense = _feature_names(features)

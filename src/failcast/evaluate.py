@@ -170,7 +170,9 @@ PRUNE_RULES = ("relative", "paper-reduced")
 
 
 def check_prune_threshold(threshold: float):
-    """Reject a ``relative`` cutoff above 1, which no feature can reach."""
+    """Reject a non-finite ``relative`` cutoff, or one above 1, which no feature can reach."""
+    if not np.isfinite(threshold):
+        raise PruneError(f"prune threshold {threshold!r} is not finite")
     if threshold > 1:
         raise PruneError("pruning removed every feature")
 
@@ -180,8 +182,8 @@ def prune_features(weights, rule: str = "relative",
     """Reduced feature list in canonical order, from a run's ``weights``.
 
     ``relative`` drops features whose |mean| is below ``threshold`` times
-    the largest non-constant |mean|; ``paper-reduced`` is the fixed preset.
-    The intercept is never part of the output.
+    the largest non-constant |mean|, and rejects a non-finite mean;
+    ``paper-reduced`` is the fixed preset.  The intercept is never part of the output.
     """
     if rule == "paper-reduced":
         present = {w["feature"] for w in weights}
@@ -192,8 +194,9 @@ def prune_features(weights, rule: str = "relative",
     magnitudes = {w["feature"]: abs(w["mean"]) for w in weights if w["feature"] != "constant"}
     if not magnitudes:
         raise PruneError("weight report has no features")
+    for feature, magnitude in sorted(magnitudes.items()):
+        if not np.isfinite(magnitude):
+            raise PruneError(f"feature {feature!r} has a non-finite mean weight")
     peak = max(magnitudes.values())
     kept = {f for f, m in magnitudes.items() if m >= threshold * peak}
-    if not kept:
-        raise PruneError("pruning removed every feature")
     return [f for f in schema.FEATURE_NAMES if f in kept]

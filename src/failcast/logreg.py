@@ -100,18 +100,14 @@ def predict(model: LogisticModel, x, threshold=0.5):
 
 
 def objective(params, data, config: FitConfig) -> float:
-    """Weighted penalized negative log-likelihood at (alpha, beta)."""
+    """Weighted penalized negative log-likelihood at (alpha, beta), each term
+    -y log p - (1-y) log(1-p) taken safely as log(1 + exp(z)) - y z at z = alpha + x.beta."""
     theta = np.hstack(params).astype(float)  # alpha, then beta
-    return _objective_at(data.margins(theta), theta[1:], data, config)
-
-
-def _objective_at(z, beta, data, config):
-    """The objective from the margins z = alpha + x.beta, its terms
-    -y log p - (1-y) log(1-p) computed safely as log(1 + exp(z)) - y z."""
+    z = data.margins(theta)
     with np.errstate(over="ignore"):  # fit rejects a non-finite start
         terms = np.logaddexp(0.0, z) - data.labels.astype(float) * z
         value = float(np.dot(data.sample_weights, terms))
-    return value + 0.5 * config.l2 * float(np.dot(beta, beta))
+    return value + 0.5 * config.l2 * float(np.dot(theta[1:], theta[1:]))
 
 
 def gradient(params, data, config: FitConfig) -> np.ndarray:
@@ -151,7 +147,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     changes the objective by exactly sum_i w_i*(log1p(p_i*expm1(-t*u_i)) +
     y_i*t*u_i) + l2*t*(t/2*|db|^2 - beta.db), resolved row by row far below one
     ulp of the objective, so a step is taken when it is negative and halved
-    otherwise.
+    otherwise.  The fit stops unconverged where no such step moves theta.
     """
     if len(data.labels) == 0:
         raise FitError("no rows to fit")
@@ -160,14 +156,13 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
         raise FitError("labels contain a single class; both classes are required")
     newton, y = config.solver == "newton", data.labels.astype(float)
     theta = np.zeros(1 + len(data.in_dense))
-    z = data.margins(theta)
-    obj = _objective_at(z, theta[1:], data, config)
+    obj = objective((theta[0], theta[1:]), data, config)
     if not np.isfinite(obj):
         raise FitError(f"objective became non-finite ({obj})")
     base = None if newton else 1.0 / max(_lipschitz_bound(data, config), 1e-12)
     previous, iterations = None, 0  # previous: gradient descent's last (theta, grad)
     while True:
-        p = sigmoid(z)
+        p = sigmoid(data.margins(theta))
         grad = data.transpose_dot(data.sample_weights * (p - y))
         grad[1:] += config.l2 * theta[1:]
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
@@ -197,22 +192,22 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
             raise FitError(f"step direction became non-finite at iteration {iterations}")
         d_beta = direction[1:]
         u = data.margins(direction)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
+        for t in 0.5 ** np.arange(_MAX_HALVINGS):
             with np.errstate(over="ignore", invalid="ignore"):  # NaN is no descent
                 per_row = np.log1p(p * np.expm1(-t * u)) + y * t * u
                 change = np.dot(data.sample_weights, per_row) + config.l2 * t * (
                     t / 2 * (d_beta @ d_beta) - theta[1:] @ d_beta)
             if change < 0:
                 break
-            t *= 0.5
         else:
             break
-        theta = theta - t * direction
-        z = data.margins(theta)
+        moved = theta - t * direction
+        if np.array_equal(moved, theta):  # the step rounds back to theta
+            break
+        theta = moved
         iterations += 1
     meta = FitMeta(iterations=iterations, converged=converged,
-                   final_objective=_objective_at(z, theta[1:], data, config))
+                   final_objective=objective((theta[0], theta[1:]), data, config))
     return LogisticModel(alpha=theta[0], beta=theta[1:], encoding=data.encoding, fit_meta=meta)
 
 

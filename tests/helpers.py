@@ -264,3 +264,40 @@ def central_fd_gradient(params, data, config, step=1e-5):
         out[j + 1] = (naive_objective(alpha, up, data, l2)
                       - naive_objective(alpha, dn, data, l2)) / (2 * step)
     return out
+
+
+# --- an independent whole-fold oracle -----------------------------------------
+
+CONTINUOUS = ("volt", "rotate", "pressure", "vibration", "age")
+
+
+def oracle_matrix(stream_rows, names):
+    """The raw feature matrix of brute_force_stream dicts, one float column per
+    name: a day-name indicator ("dow_mon" ...) set on its row's weekday, which
+    comes from the datetime and not from the day_of_week column, and any other
+    feature its column's value."""
+    days = {f"dow_{name.lower()}": i for i, name in enumerate(DOW)}
+    return np.array([[float(row["datetime"].weekday() == days[name]) if name in days
+                      else float(row[name]) for name in names] for row in stream_rows],
+                    dtype=float).reshape(len(stream_rows), len(names))
+
+
+def oracle_fold(matrix, labels, names, train, test, weight_positive, l2, alpha, beta):
+    """One CV fold recomputed from the raw ``matrix``: every row standardized with
+    the mean and population std of each continuous column over the rows ``train``
+    alone, then (gradient, scale, test_probabilities) at (alpha, beta).  The
+    gradient is the weighted penalized objective's over the training rows, and
+    scale[j] sums the magnitudes of its component j's terms."""
+    continuous = np.isin(names, CONTINUOUS)
+    fit_rows = matrix[train]
+    mean = np.array([fit_rows[:, j].mean() if c else 0.0 for j, c in enumerate(continuous)])
+    std = np.array([fit_rows[:, j].std() if c else 1.0 for j, c in enumerate(continuous)])
+    x = np.hstack([np.ones((len(matrix), 1)), (matrix - mean) / std])
+    theta = np.concatenate([[alpha], beta])
+    x_fit, y = x[train], np.where(labels[train], 1.0, 0.0)
+    residual = np.where(labels[train], weight_positive, 1.0) * (
+        two_branch_sigmoid(x_fit @ theta) - y)
+    penalty = l2 * np.concatenate([[0.0], beta])
+    gradient = x_fit.T @ residual + penalty
+    scale = np.abs(x_fit).T @ np.abs(residual) + np.abs(penalty)
+    return gradient, scale, two_branch_sigmoid(x[test] @ theta)

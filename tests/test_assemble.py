@@ -479,9 +479,9 @@ def test_assembled_encoding_is_the_standardized_raw_matrix(small_rows, features,
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_pattern_keys_match_a_dict_of_value_tuples(data):
-    # Rows share a group iff their non-telemetry features are equal, and the
-    # groups ascend with those values in canonical order.  Ages up to 2**60,
-    # exact as floats, must be ranked, not read as digits of the key.
+    # Rows share a key iff their non-telemetry features are equal, and the keys
+    # ascend with those values in canonical order.  Ages up to 2**60, exact as
+    # floats, must be ranked, not read as digits of the key.
     flags = schema.ERROR_FLAGS + schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS + schema.MODEL_FLAGS
     pool = data.draw(st.lists(st.fixed_dictionaries({
         **dict.fromkeys(flags, st.booleans()), "age": st.integers(0, 2**20).map(lambda a: a << 40),
@@ -503,14 +503,16 @@ def test_pattern_keys_match_a_dict_of_value_tuples(data):
     first = {}
     for i, value in enumerate(values):
         first.setdefault(value, i)
-    assert sorted(set(keys.tolist())) == list(range(len(first)))
+    assert keys.dtype == np.int64 and 0 <= keys.min() <= keys.max() < 2**24 * len(stream)
+    assert len(set(keys.tolist())) == len(first)
     for i, value in enumerate(values):
         assert keys[i] == keys[first[value]]
     assert sorted(first, key=lambda value: keys[first[value]]) == sorted(first)
-    # So the keys of any subset rank as that subset's own groups.
+    # So the keys of any subset rank as the keys computed on that subset.
     subset = np.array(data.draw(st.lists(st.integers(0, len(stream) - 1), min_size=1)))
-    assert np.array_equal(np.unique(keys[subset], return_inverse=True)[1],
-                          assemble.pattern_keys(stream[subset], features))
+    assert np.array_equal(
+        np.unique(keys[subset], return_inverse=True)[1],
+        np.unique(assemble.pattern_keys(stream[subset], features), return_inverse=True)[1])
 
 
 def test_pattern_key_columns_are_24_bools_and_age(small_rows):

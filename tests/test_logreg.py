@@ -468,6 +468,33 @@ def test_gradient_descent_takes_its_base_step_when_the_gradient_does_not_move():
     assert not meta.converged and meta.iterations < config.max_iterations
 
 
+def test_a_zero_change_step_is_not_taken_where_it_would_move_theta():
+    # Unpenalized, with balanced labels at x = 1e-170 and 2e-170, gradient
+    # descent's first direction moves only beta, by about 1e-170, so every
+    # margin change underflows to zero and each step's exact change is 0.0, yet
+    # theta - t*direction moves beta off zero.  No step lowers the objective, so
+    # the fit stays at its start; taking zero-change steps would run to its cap.
+    data = _design(np.array([[1e-170], [2e-170]]), [True, False])
+    model = logreg.fit(data, logreg.FitConfig(l2=0.0, tolerance=1e-300,
+                                              solver="gradient_descent"))
+    assert (model.fit_meta.iterations, model.fit_meta.converged) == (0, False)
+    assert model.alpha == 0.0 and model.beta.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("max_iterations", [60, 200, 3000])
+def test_fit_stops_where_an_accepted_step_cannot_move_theta(max_iterations):
+    # Unpenalized at a tolerance no fit reaches, from the 36th iterate each
+    # step's row-by-row change is negative, yet theta - t*direction rounds back
+    # to theta.  The fit stops there rather than count such steps to its cap.
+    data = helpers.random_instance(seed=0, n_rows=30, n_features=2)
+    settings = dict(solver="gradient_descent", l2=0.0, tolerance=1e-300)
+    at_36 = logreg.fit(data, logreg.FitConfig(max_iterations=36, **settings))
+    model = logreg.fit(data, logreg.FitConfig(max_iterations=max_iterations, **settings))
+    assert (model.fit_meta.iterations, model.fit_meta.converged) == (36, False)
+    assert model.alpha == at_36.alpha and model.beta.tobytes() == at_36.beta.tobytes()
+    assert model.fit_meta.final_objective == at_36.fit_meta.final_objective
+
+
 def test_single_class_data_is_rejected():
     data = helpers.random_instance(seed=7, n_rows=10, n_features=2)
     for forced in (np.zeros(10, bool), np.ones(10, bool)):

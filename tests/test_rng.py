@@ -100,6 +100,28 @@ def test_shuffle_is_a_permutation(items, seed):
     assert sorted(shuffled) == sorted(items)
 
 
+def reference_shuffle(items, seed):
+    """Fisher-Yates from the top on a fresh stream: for i = n-1 down to 1, swap
+    item i with item floor(u * (i + 1)), u the next top-53-bit uniform; the
+    n - 1 draws (none below two items) are all the shuffle takes."""
+    items = list(items)
+    draws = reference_splitmix64(seed, max(len(items) - 1, 0))
+    for i, x in zip(range(len(items) - 1, 0, -1), draws):
+        j = int((x >> 11) * 2.0 ** -53 * (i + 1))
+        items[i], items[j] = items[j], items[i]
+    return items, len(draws)
+
+
+@given(st.integers(0, 40), st.integers(0, MASK))
+def test_shuffle_matches_reference_fisher_yates(n, seed):
+    stream, items = rng.Stream(seed), list(range(n))
+    stream.shuffle(items)
+    want, used = reference_shuffle(range(n), seed)
+    assert items == want
+    # The stream goes on right after the shuffle's draws.
+    assert int(stream.u64(1)[0]) == reference_splitmix64(seed, used + 1)[-1]
+
+
 def test_shuffle_deterministic():
     a, b = list(range(20)), list(range(20))
     rng.Stream(3).shuffle(a)

@@ -60,12 +60,7 @@ class DesignMatrix:
         return block[np.ix_(self.back, self.back)]
 
 
-def _rows_in(keys, lo, hi) -> np.ndarray:
-    """Mask of the rows of the sorted ``keys`` that lie in some ``[lo[j], hi[j]]``."""
-    marks = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.add.at(marks, np.searchsorted(keys, lo, side="left"), 1)
-    np.add.at(marks, np.searchsorted(keys, hi, side="right"), -1)
-    return np.cumsum(marks, out=marks)[:-1] > 0
+_BLOCK = 4096  # rows that the join keys and gathers at a time
 
 
 def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
@@ -95,12 +90,15 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
         raise AssembleError(f"telemetry spans {radix - 3} s: too long to key {len(ids)} machines")
 
     def key(table, shift=0):
-        keys, lo = np.searchsorted(ids, table.machine_id), first - 1 + shift
-        absent = ids.take(keys, mode="clip") != table.machine_id if len(ids) else True
-        offset = np.clip(table.datetime.view(np.int64), lo, min(lo + radix - 1, 2**63 - 1))
-        keys *= radix
-        keys += np.subtract(offset, lo, out=offset)
-        keys[absent] = -1
+        keys, lo = np.empty(len(table), np.int64), first - 1 + shift
+        for start in range(0, len(table), _BLOCK):  # so that only the keys are row-sized
+            part, block = table[start:start + _BLOCK], keys[start:start + _BLOCK]
+            block[:] = np.searchsorted(ids, part.machine_id)
+            absent = ids.take(block, mode="clip") != part.machine_id if len(ids) else True
+            offset = np.clip(part.datetime.view(np.int64), lo, min(lo + radix - 1, 2**63 - 1))
+            block *= radix
+            block += np.subtract(offset, lo, out=offset)
+            block[absent] = -1
         return keys
 
     keys = key(telemetry)
@@ -108,37 +106,57 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     if len(missing):
         raise AssembleError(f"telemetry references machine_id {missing.min()} "
                             "absent from the machines dataset")
-    order = np.argsort(keys, kind="stable")
+    # Telemetry in canonical order, as generate writes it, is gathered without a sort order.
+    order = None if (keys[1:] >= keys[:-1]).all() else np.argsort(keys, kind="stable")
     keys.sort()
-    # Machine r's rows are keys[at[r]:at[r + 1]]; those up to its cut lead its last key by the
-    # horizon in whole hours (seconds compared, clamped not to wrap); a rowless one keeps none.
+    # Machine r's rows are keys[at[r]:at[r + 1]]; it keeps the first kept[r], up to its cut, which
+    # lead its last key by the horizon in whole hours (seconds compared, clamped not to wrap).
     at = np.searchsorted(keys, np.arange(len(ids) + 1) * radix)
     ends = keys[at[1:] - 1] if len(keys) else at[1:]
     cut = np.searchsorted(keys, ends - min(3600 * horizon_hours, radix), side="right")
-    keep = np.repeat(np.tile([True, False], len(ids)), np.diff(np.column_stack(
-        [at[:-1], np.clip(cut, at[:-1], at[1:]), at[1:]])).ravel())
-    del keys  # rebuilt from the stream: at most two row-sized arrays live at once
-    order = order[keep]
+    kept = np.clip(cut, at[:-1], at[1:]) - at[:-1]
+    starts = np.cumsum(np.append(0, kept))  # each machine's first stream row, then the count
+    n = starts[-1]
 
-    stream = np.recarray(len(order), [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
-    for f in telemetry.dtype.names:
-        stream[f] = telemetry[f][order]
-    del order, keep
-    keys = key(stream)
+    def rows_in(lo, hi):
+        """The stream rows whose key lies in some [lo[j], hi[j]], as the runs (inside,
+        lengths) that np.repeat expands to their mask.  Each range's edges are the stream
+        rows that the sorted rows before them keep, and a row lies in as many ranges as the
+        edges up to it open less those that close."""
+        q = np.concatenate([[0], np.searchsorted(keys, lo, side="left"),
+                            np.searchsorted(keys, hi, side="right"), [len(keys)]])
+        r = np.searchsorted(at, q, side="right") - 1  # the machine of each sorted row q
+        edges = starts[r] + np.minimum(q - at[r], np.append(kept, 0)[r])
+        by_edge = np.argsort(edges, kind="stable")
+        inside = np.cumsum(np.repeat([0, 1, -1, 0], [1, len(lo), len(hi), 1])[by_edge]) > 0
+        return inside[:-1], np.diff(edges[by_edge])
+
+    # Flags and labels are found as runs of stream rows before the stream is made, so
+    # that beside it the join holds the sort order, if any, and one block at a time.
+    runs = {}
     for events, flags in ((bundle.errors, schema.ERROR_FLAGS),
                           (bundle.maintenance, schema.COMP_FLAGS + schema.COMP_FAIL_FLAGS)):
         event_keys = key(events)
-        for f in flags:
-            stream[f] = _rows_in(keys, event_keys[events[f]], event_keys[events[f]])
+        runs.update((f, rows_in(event_keys[events[f]], event_keys[events[f]])) for f in flags)
     # Failure f labels [f - horizon, f - first].  The horizon is at most a
     # surviving row's lead; with no row it may pass int64 seconds.
-    ahead = (horizon_hours, 1 if window else horizon_hours) if len(stream) else (0, 0)
-    stream["label"] = _rows_in(keys, *(key(bundle.failures, 3600 * k) for k in ahead))
-    keys //= radix  # each row's machine rank in ids
-    for f in ("age",) + schema.MODEL_FLAGS:
-        stream[f] = machines[f][by_id][keys]
-    del keys
-    stream["day_of_week"] = (stream.datetime.view(np.int64) // 86400 + 3) % 7  # day 0: a Thursday
+    ahead = (horizon_hours, 1 if window else horizon_hours) if n else (0, 0)
+    runs["label"] = rows_in(*(key(bundle.failures, 3600 * k) for k in ahead))
+    del keys, event_keys
+
+    stream = np.recarray(n, [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
+    for f, (inside, lengths) in runs.items():
+        stream[f] = np.repeat(inside, lengths)
+    for start in range(0, n, _BLOCK):
+        block, rows = slice(start, start + _BLOCK), np.arange(start, min(start + _BLOCK, n))
+        machine = np.searchsorted(starts, rows, side="right") - 1
+        rows += at[machine] - starts[machine]  # the sorted rows that the block keeps
+        for f in telemetry.dtype.names:
+            stream[f][block] = telemetry[f][rows if order is None else order[rows]]
+        for f in ("age",) + schema.MODEL_FLAGS:
+            stream[f][block] = machines[f][by_id[machine]]
+        day = stream.datetime[block].view(np.int64) // 86400
+        stream.day_of_week[block] = (day + 3) % 7  # day 0: a Thursday
     return stream
 
 
@@ -162,7 +180,10 @@ def _column(rows, name, at=slice(None)):
 
 def _gather(rows, names, at):
     """Column-major float block of the features ``names`` at the stream rows ``at``."""
-    return np.array([_column(rows, n, at) for n in names], float).reshape(len(names), len(at)).T
+    block = np.empty((len(names), len(at)))
+    for column, name in zip(block, names):
+        column[:] = _column(rows, name, at)
+    return block.T
 
 
 def raw_feature_matrix(rows, features=None, index=None):
@@ -235,10 +256,10 @@ def encode(rows, weight_positive=100.0, features=None, index=None, keys=None) ->
         raise EncodingError("fit rows must be non-empty")
     keys = pattern_keys(rows, names) if keys is None else keys
     _, first, groups = np.unique(keys[index], return_index=True, return_inverse=True)
-    encoding = fit_encoding({n: _column(rows, n, index).astype(float) for n in names
-                             if n in schema.CONTINUOUS_FEATURES}, names)
-    dense = apply_encoding(_gather(rows, np.compress(in_dense, names), index),
-                           encoding, in_dense)
+    dense = _gather(rows, np.compress(in_dense, names), index)  # standardized in place below
+    encoding = fit_encoding(dict(zip(np.compress(in_dense, names), dense.T),  # views but age
+                                 age=_column(rows, "age", index).astype(float)), names)
+    apply_encoding(dense, encoding, in_dense)
     table = np.column_stack([np.ones(len(first)), apply_encoding(
         _gather(rows, np.compress(~in_dense, names), index[first]), encoding, ~in_dense)])
     labels = rows["label"][index]

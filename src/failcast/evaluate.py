@@ -123,13 +123,14 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     keys = assemble.pattern_keys(rows, features)
     run_folds = []
     for fold in folds:
-        train_rows, test_rows = fold.train_rows, fold.test_rows  # each read derives them anew
+        n_train = len(fold.train_rows)  # each read derives them anew
         try:  # the training design is an argument alone, so it dies with the fit
             model = logreg.fit(assemble.encode(rows, weight_positive=weight_positive,
-                                               features=features, index=train_rows,
+                                               features=features, index=fold.train_rows,
                                                keys=keys), fit_config)
         except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
+        test_rows = fold.test_rows
         blocks = np.split(test_rows, range(_SCORE_ROWS, len(test_rows), _SCORE_ROWS))
         predicted = np.concatenate([logreg.predict(model, assemble.apply_encoding(
             assemble.raw_feature_matrix(rows, features, block)[0], model.encoding),
@@ -138,7 +139,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
         names = model.encoding.feature_names
         run_folds.append({
             "fold_index": fold.fold_index,
-            "n_train": len(train_rows),
+            "n_train": n_train,
             "n_test": len(test_rows),
             "iterations": model.fit_meta.iterations,
             "converged": model.fit_meta.converged,
@@ -147,7 +148,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
             "alpha": model.alpha,
             "beta": {name: float(b) for name, b in zip(names, model.beta)},
         })
-        del train_rows, test_rows, blocks  # so the next fold's sides are the only ones held
+        del test_rows, blocks  # so the next fold's sides are the only ones held
 
     values = {"constant": [f["alpha"] for f in run_folds],
               **{name: [f["beta"][name] for f in run_folds] for name in names}}

@@ -154,23 +154,25 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     n_pos = int(data.labels.sum())
     if n_pos == 0 or n_pos == len(data.labels):
         raise FitError("labels contain a single class; both classes are required")
-    newton, y = config.solver == "newton", data.labels.astype(float)
+    newton, w, y = config.solver == "newton", data.sample_weights, data.labels
     theta = np.zeros(1 + len(data.in_dense))
     obj = objective((theta[0], theta[1:]), data, config)
     if not np.isfinite(obj):
         raise FitError(f"objective became non-finite ({obj})")
     base = None if newton else 1.0 / max(_lipschitz_bound(data, config), 1e-12)
     previous, iterations = None, 0  # previous: gradient descent's last (theta, grad)
+    a, b = np.empty(len(y)), np.empty(len(y))  # held for each row's terms
     while True:
         p = sigmoid(data.margins(theta))
-        grad = data.transpose_dot(data.sample_weights * (p - y))
+        grad = data.transpose_dot(np.multiply(w, np.subtract(p, y, out=a), out=a))
         grad[1:] += config.l2 * theta[1:]
         converged = bool(np.max(np.abs(grad)) <= config.tolerance)
         if converged or iterations == config.max_iterations:
             break
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             if newton:
-                hess = data.gram(data.sample_weights * p * (1.0 - p))
+                hess = data.gram(np.multiply(np.multiply(w, p, out=a),
+                                             np.subtract(1.0, p, out=b), out=a))
                 hess[1:, 1:] += config.l2 * np.eye(len(theta) - 1)
                 try:
                     direction = np.linalg.solve(hess, grad)
@@ -194,8 +196,9 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
         u = data.margins(direction)
         for t in 0.5 ** np.arange(_MAX_HALVINGS):
             with np.errstate(over="ignore", invalid="ignore"):  # NaN is no descent
-                per_row = np.log1p(p * np.expm1(-t * u)) + y * t * u
-                change = np.dot(data.sample_weights, per_row) + config.l2 * t * (
+                np.log1p(np.multiply(p, np.expm1(np.multiply(-t, u, out=a), out=a), out=a), out=a)
+                np.multiply(np.multiply(y, t, out=b), u, out=b)  # y t u
+                change = np.dot(w, np.add(a, b, out=a)) + config.l2 * t * (
                     t / 2 * (d_beta @ d_beta) - theta[1:] @ d_beta)
             if change < 0:
                 break
@@ -206,6 +209,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
             break
         theta = moved
         iterations += 1
+        del p, u  # so that beside a and b only the next iterate's rows are held
     meta = FitMeta(iterations=iterations, converged=converged,
                    final_objective=objective((theta[0], theta[1:]), data, config))
     return LogisticModel(alpha=theta[0], beta=theta[1:], encoding=data.encoding, fit_meta=meta)

@@ -7,11 +7,18 @@ byte-identical files, and ``render`` re-creates the rest from report.json alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 from . import __version__
+
+try:  # the interpreter's own SHA-256, which hashlib falls back on; OpenSSL only without one
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 REPORT_JSON = "report.json"
 SUMMARY_TXT = "summary.txt"
@@ -23,7 +30,7 @@ _BAR_NEG = "#d62728"
 
 def dataset_digest(paths) -> str:
     """sha256 over the named input files, order-independent."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for label, path in sorted(paths.items()):
         digest.update(label.encode())
         digest.update(b"\0")

@@ -81,7 +81,9 @@ class Stream:
         return out[:n]
 
     def below(self, n: int, bound: int) -> np.ndarray:
-        """Next n integers uniform on [0, bound)."""
+        """Next n integers uniform on [0, bound); a bound below 1 raises ValueError."""
+        if bound < 1:
+            raise ValueError(f"bound must be at least 1, got {bound}")
         return np.minimum((self.uniforms(n) * bound).astype(np.int64), bound - 1)
 
     def shuffle(self, items: list) -> None:

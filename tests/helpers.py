@@ -7,6 +7,7 @@ the library implementations they check.
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -20,6 +21,19 @@ DOW = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 def hour(i):
     return T0 + dt.timedelta(hours=i)
+
+
+def traced_peak(call):
+    """``call()`` and the most bytes it held at once above those allocated when it
+    began.  tracemalloc counts numpy's allocations exactly, so a bound on it does
+    not flake on one numpy version."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def telemetry(machine, i, volt=None, rotate=None, pressure=None, vibration=None):

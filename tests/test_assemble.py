@@ -156,7 +156,9 @@ def test_join_holds_the_stream_and_little_more(window):
     test on its own rows and the keys rebuilt from the stream once the row
     index is freed, it holds at most two row-sized int64 arrays beside the
     75-byte rows: 95.3 bytes a stream row, point and window (8 x 120, seed 7,
-    numpy 2.4)."""
+    numpy 2.4).  Keyed and gathered a block at a time, flags and labels found
+    as runs of stream rows first, it holds 85.7, most of the rest being
+    4096-row blocks."""
     bundle = synth.generate(synth.SynthConfig(machines=8, days=120, seed=7))
     tracemalloc.start()
     try:
@@ -166,7 +168,28 @@ def test_join_holds_the_stream_and_little_more(window):
     finally:
         tracemalloc.stop()
     assert stream.dtype.itemsize == 75
-    assert (peak - start) / len(stream) < 97
+    assert (peak - start) / len(stream) < 90
+
+
+@pytest.mark.parametrize("order", ["canonical", "shuffled"])
+@pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+def test_join_holds_the_stream_and_blocks_at_the_bench_size(bench_bundle, order, window):
+    """On the 85,920-row bench stream the join held 92.8 bytes a stream row
+    above the bundle when it kept an int64 key per row and counted each
+    flag's rows in another (numpy 2.4).  Keyed a block at a time, with flags
+    and labels found as runs of stream rows before the stream is made and the
+    telemetry gathered a block at a time, it holds 78.8 bytes a row beside
+    telemetry in canonical order, and 86.8 beside shuffled telemetry, whose
+    sort order it also holds."""
+    telemetry = bench_bundle.telemetry
+    if order == "shuffled":
+        telemetry = telemetry[np.random.default_rng(0).permutation(len(telemetry))]
+    bundle = ingest.DatasetBundle(telemetry=telemetry, errors=bench_bundle.errors,
+                                  maintenance=bench_bundle.maintenance,
+                                  failures=bench_bundle.failures, machines=bench_bundle.machines)
+    stream, peak = helpers.traced_peak(lambda: assemble.build_event_stream(bundle, window=window))
+    assert len(stream) == 85920
+    assert peak / len(stream) < (85 if order == "canonical" else 90)
 
 
 def test_horizon_past_int64_seconds_yields_no_rows():
@@ -446,6 +469,20 @@ def test_encoding_by_index_matches_encoding_the_gathered_rows(small_rows, featur
     assert got.sample_weights.tobytes() == want.sample_weights.tobytes()
     assert got.encoding == want.encoding
     assert np.array_equal(got.groups, want.groups)
+
+
+def test_encode_holds_its_design_and_one_column_at_the_bench_size(bench_rows, bench_folds):
+    """Fold 0 of the bench set trains on 27,924 rows.  Its design keeps 49 bytes a
+    row (four standardized telemetry columns, the pattern index, the label and the
+    weight) and a table of its patterns.  Encoding peaked at 72.6 bytes a row when
+    it gathered each continuous column as a float copy for its statistics and the
+    telemetry block from a list of columns (numpy 2.4); with the statistics taken
+    on the block's own columns, filled one column at a time, it peaks at 56.6."""
+    index = bench_folds[0].train_rows
+    keys = assemble.pattern_keys(bench_rows)
+    design, peak = helpers.traced_peak(lambda: assemble.encode(bench_rows, index=index, keys=keys))
+    assert design.dense.shape == (27924, 4) and design.dense.flags.f_contiguous
+    assert peak / len(index) < 64
 
 
 @pytest.mark.parametrize("index", [None, _GATHERS[0]], ids=["all", "index"])

@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from failcast import __version__, assemble, cli, evaluate, ingest, logreg, report, schema
 
+import helpers
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -201,6 +203,25 @@ def test_evaluate_leaves_numpy_ma_unimported(tmp_path, dataset):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_evaluate_loads_no_openssl(tmp_path):
+    """The input digest takes SHA-256 from the interpreter's own module (_sha2
+    from CPython 3.12, _sha256 before), which hashlib falls back on: loading
+    OpenSSL for it added 3.4 MB to the peak RSS of every run."""
+    failures = tuple((m, h) for m in range(1, 7) for h in (30, 70))
+    ingest.write_bundle(helpers.micro_bundle(6, 96, failures_at=failures), tmp_path / "in")
+    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONDONTWRITEBYTECODE="1")
+    probe = ("import importlib.util, sys; from failcast import cli; "
+             "code = cli.main(['evaluate', '--in-dir', 'in', '--out-dir', 'out']); "
+             "built_in = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256')); "
+             "print(code, built_in, '_hashlib' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, built_in, openssl = done.stdout.split()[-3:]
+    assert code == "0"
+    assert openssl == "False" or built_in == "False"  # without both it falls back on OpenSSL
 
 
 # The full and reduced runs of `evaluate` on `generate --machines 8 --days 45

@@ -245,6 +245,18 @@ def test_final_objective_from_factored_margins_matches_the_dense_one(bench_rows,
         assert abs(model.fit_meta.final_objective - want) <= 1e-15 * abs(want)
 
 
+def test_fit_holds_few_rows_of_terms_at_the_bench_size(bench_rows, bench_folds):
+    """Above fold 0's bench design (27,924 rows), a Newton fit peaked at 81.4
+    bytes a row with a float copy of the labels and each expression's row-sized
+    temporaries (numpy 2.4).  With the residual, Hessian weights and line-search
+    terms in two held buffers it peaks at 65.4, set by the Hessian's weighted
+    copy of the four telemetry columns."""
+    design = assemble.encode(bench_rows, index=bench_folds[0].train_rows)
+    model, peak = helpers.traced_peak(lambda: logreg.fit(design))
+    assert model.fit_meta.converged
+    assert peak / len(design.labels) < 72
+
+
 def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
     # Unpenalized, an all-zero column leaves a zero row and column in every
     # Hessian, so np.linalg.solve fails and each Newton step is a lstsq one.

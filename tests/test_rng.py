@@ -93,6 +93,16 @@ def test_below_bounds():
     assert len(set(np.unique(draws))) == 4
 
 
+def test_below_a_bound_of_one_draws_zeros_and_a_smaller_one_raises():
+    # The clamp to bound - 1 was the only bound applied: below(3, 0) gave -1s.
+    assert np.array_equal(rng.Stream(8).below(50, 1), np.zeros(50, np.int64))
+    for bound in (0, -5):
+        stream = rng.Stream(8)
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            stream.below(3, bound)
+        assert np.array_equal(stream.u64(2), rng.Stream(8).u64(2))  # nothing was drawn
+
+
 @given(st.lists(st.integers(), max_size=40), st.integers(0, MASK))
 def test_shuffle_is_a_permutation(items, seed):
     shuffled = list(items)

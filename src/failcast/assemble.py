@@ -118,11 +118,8 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     starts = np.cumsum(np.append(0, kept))  # each machine's first stream row, then the count
     n = starts[-1]
 
-    def rows_in(lo, hi):
-        """The stream rows whose key lies in some [lo[j], hi[j]], as the runs (inside,
-        lengths) that np.repeat expands to their mask.  Each range's edges are the stream
-        rows that the sorted rows before them keep, and a row lies in as many ranges as the
-        edges up to it open less those that close."""
+    def rows_in(lo, hi):  # as np.repeat's runs (inside, lengths), the stream rows with a key
+        # in some [lo[j], hi[j]]: a row lies in the ranges opened, less those closed, before it
         q = np.concatenate([[0], np.searchsorted(keys, lo, side="left"),
                             np.searchsorted(keys, hi, side="right"), [len(keys)]])
         r = np.searchsorted(at, q, side="right") - 1  # the machine of each sorted row q
@@ -147,7 +144,7 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     stream = np.recarray(n, [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
     for f, (inside, lengths) in runs.items():
         stream[f] = np.repeat(inside, lengths)
-    for start in range(0, n, _BLOCK):
+    for start in range(0, n, _BLOCK):  # a weekday code counts from Monday; day 0 was a Thursday
         block, rows = slice(start, start + _BLOCK), np.arange(start, min(start + _BLOCK, n))
         machine = np.searchsorted(starts, rows, side="right") - 1
         rows += at[machine] - starts[machine]  # the sorted rows that the block keeps
@@ -155,8 +152,7 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
             stream[f][block] = telemetry[f][rows if order is None else order[rows]]
         for f in ("age",) + schema.MODEL_FLAGS:
             stream[f][block] = machines[f][by_id[machine]]
-        day = stream.datetime[block].view(np.int64) // 86400
-        stream.day_of_week[block] = (day + 3) % 7  # day 0: a Thursday
+        stream.day_of_week[block] = (stream.datetime[block].view(np.int64) // 86400 + 3) % 7
     return stream
 
 

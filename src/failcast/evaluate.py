@@ -123,14 +123,13 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
     keys = assemble.pattern_keys(rows, features)
     run_folds = []
     for fold in folds:
-        n_train = len(fold.train_rows)  # each read derives them anew
-        try:  # the training design is an argument alone, so it dies with the fit
+        try:  # the design and its rows are arguments alone, so they die with the fit
             model = logreg.fit(assemble.encode(rows, weight_positive=weight_positive,
                                                features=features, index=fold.train_rows,
                                                keys=keys), fit_config)
         except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
-        test_rows = fold.test_rows
+        test_rows = fold.test_rows  # each read derives a side anew
         blocks = np.split(test_rows, range(_SCORE_ROWS, len(test_rows), _SCORE_ROWS))
         predicted = np.concatenate([logreg.predict(model, assemble.apply_encoding(
             assemble.raw_feature_matrix(rows, features, block)[0], model.encoding),
@@ -139,7 +138,7 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
         names = model.encoding.feature_names
         run_folds.append({
             "fold_index": fold.fold_index,
-            "n_train": n_train,
+            "n_train": len(fold.train_rows),
             "n_test": len(test_rows),
             "iterations": model.fit_meta.iterations,
             "converged": model.fit_meta.converged,

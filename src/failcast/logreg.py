@@ -161,7 +161,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
         raise FitError(f"objective became non-finite ({obj})")
     base = None if newton else 1.0 / max(_lipschitz_bound(data, config), 1e-12)
     previous, iterations = None, 0  # previous: gradient descent's last (theta, grad)
-    a, b = np.empty(len(y)), np.empty(len(y))  # held for each row's terms
+    a = np.empty(len(y))  # held for each row's residual, Hessian weight and step change
     while True:
         p = sigmoid(data.margins(theta))
         grad = data.transpose_dot(np.multiply(w, np.subtract(p, y, out=a), out=a))
@@ -171,8 +171,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
             break
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             if newton:
-                hess = data.gram(np.multiply(np.multiply(w, p, out=a),
-                                             np.subtract(1.0, p, out=b), out=a))
+                hess = data.gram(np.multiply(np.multiply(w, p, out=a), 1.0 - p, out=a))
                 hess[1:, 1:] += config.l2 * np.eye(len(theta) - 1)
                 try:
                     direction = np.linalg.solve(hess, grad)
@@ -193,7 +192,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
         if not np.isfinite(direction).all():
             raise FitError(f"step direction became non-finite at iteration {iterations}")
         d_beta = direction[1:]
-        u = data.margins(direction)
+        u, b = data.margins(direction), np.empty(len(y))  # b: y t u, after the Hessian
         for t in 0.5 ** np.arange(_MAX_HALVINGS):
             with np.errstate(over="ignore", invalid="ignore"):  # NaN is no descent
                 np.log1p(np.multiply(p, np.expm1(np.multiply(-t, u, out=a), out=a), out=a), out=a)
@@ -209,7 +208,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
             break
         theta = moved
         iterations += 1
-        del p, u  # so that beside a and b only the next iterate's rows are held
+        del p, u, b  # so that beside a only the next iterate's rows are held
     meta = FitMeta(iterations=iterations, converged=converged,
                    final_objective=objective((theta[0], theta[1:]), data, config))
     return LogisticModel(alpha=theta[0], beta=theta[1:], encoding=data.encoding, fit_meta=meta)

@@ -148,11 +148,7 @@ def _svg_header(width, height, title):
 
 def _weights_svg(run, title) -> str:
     entries = run["weights"]
-    bar_h = 16
-    gap = 4
-    left = 120
-    plot_w = 360
-    top = 32
+    bar_h, gap, left, plot_w, top = 16, 4, 120, 360, 32
     height = top + len(entries) * (bar_h + gap) + 12
     width = left + plot_w + 90
     peak = max(abs(e["mean"]) for e in entries) or 1.0
@@ -173,18 +169,13 @@ def _weights_svg(run, title) -> str:
 
 
 def _heat_color(value):
-    # white at 0 to a saturated blue at 1
-    r = int(round(255 - value * (255 - 31)))
-    g = int(round(255 - value * (255 - 119)))
-    b = int(round(255 - value * (255 - 180)))
-    return f"#{r:02x}{g:02x}{b:02x}"
+    # white at 0 to a saturated blue (31, 119, 180) at 1
+    return "#" + "".join(f"{int(round(255 - value * (255 - c))):02x}" for c in (31, 119, 180))
 
 
 def _confusion_svg(run, title) -> str:
     matrix = run["average_normalized"]
-    cell = 110
-    left = 130
-    top = 60
+    cell, left, top = 110, 130, 60
     width = left + 2 * cell + 40
     height = top + 2 * cell + 50
     parts = _svg_header(width, height, title)

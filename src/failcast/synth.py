@@ -36,14 +36,8 @@ LEAD_HOURS = 24          # planted errors raise the hazard this many hours later
 MAX_AGE_YEARS = 20
 
 # Per-channel substream tags; one independent stream per (machine, channel).
-_CH_DESCRIPTOR = 0
-_CH_ERRORS = 1
-_CH_BACKGROUND = 2
-_CH_TRIGGER = 3
-_CH_FAIL_COMP = 4
-_CH_SCHED = 5
-_CH_SCHED_COMP = 6
-_CH_TELEMETRY = 7
+(_CH_DESCRIPTOR, _CH_ERRORS, _CH_BACKGROUND, _CH_TRIGGER, _CH_FAIL_COMP, _CH_SCHED,
+ _CH_SCHED_COMP, _CH_TELEMETRY) = range(8)
 
 # Telemetry baselines per machine model (volt, rotate, pressure, vibration).
 _TELEMETRY_MEANS = np.array([

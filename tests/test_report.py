@@ -207,3 +207,22 @@ def test_rendered_artifacts_match_their_golden_digests(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == GOLDEN_SHA256
+
+
+def test_weight_bars_and_cell_text_at_their_edges(tmp_path):
+    # A zero weight draws a 0.5-wide stub in the positive color, as does any
+    # mean >= 0; a cell's text turns white from 0.6 up.
+    run = {"features": ["error_1", "age"], "folds": [],
+           "average_normalized": [[0.6, 0.4], [0.5999, 0.4001]],
+           "weights": [{"feature": f, "mean": m, "std": 0.0, "abs_rank": r}
+                       for r, (f, m) in enumerate([("constant", -1.0), ("error_1", 0.5),
+                                                   ("age", 0.0)], 1)]}
+    report.write_bundle(tmp_path, {"version": "0.0-test", "command": "evaluate",
+                                   "config": {}, "runs": {"full": run}})
+    svg = ET.fromstring((tmp_path / "weights_full.svg").read_text())
+    bars = [(e.get("width"), e.get("fill")) for e in svg.iter() if e.tag.endswith("rect")][1:]
+    assert bars == [("360.00", "#d62728"), ("180.00", "#1f77b4"), ("0.50", "#1f77b4")]
+    svg = ET.fromstring((tmp_path / "confusion_full.svg").read_text())
+    fills = {e.text: e.get("fill") for e in svg.iter() if e.tag.endswith("text")}
+    assert [fills[v] for v in ("0.6000", "0.4000", "0.5999", "0.4001")] == [
+        "white", "black", "black", "black"]

@@ -154,7 +154,7 @@ def fit(data, config: FitConfig = FitConfig()) -> LogisticModel:
     n_pos = int(data.labels.sum())
     if n_pos == 0 or n_pos == len(data.labels):
         raise FitError("labels contain a single class; both classes are required")
-    newton, w, y = config.solver == "newton", data.sample_weights, data.labels
+    newton, w, y = config.solver == "newton", data.sample_weights, data.labels.astype(float)
     theta = np.zeros(1 + len(data.in_dense))
     obj = objective((theta[0], theta[1:]), data, config)
     if not np.isfinite(obj):

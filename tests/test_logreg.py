@@ -250,12 +250,13 @@ def test_fit_holds_few_rows_of_terms_at_the_bench_size(bench_rows, bench_folds):
     bytes a row with a float copy of the labels and each expression's row-sized
     temporaries (numpy 2.4).  With the residual, Hessian weights and line-search
     terms in one held buffer, and the line search's second one made after the
-    Hessian, it peaks at 57.4, set by the Hessian's weighted copy of the four
-    telemetry columns beside p and the held buffer."""
+    Hessian, it peaks at 65.4, set by the Hessian's weighted copy of the four
+    telemetry columns beside p, the float labels and the held buffer.  (Bool
+    labels would save 8 bytes a row but slow every fit by about a quarter.)"""
     design = assemble.encode(bench_rows, index=bench_folds[0].train_rows)
     model, peak = helpers.traced_peak(lambda: logreg.fit(design))
     assert model.fit_meta.converged
-    assert peak / len(design.labels) < 64
+    assert peak / len(design.labels) < 72
 
 
 def test_singular_hessian_falls_back_to_least_squares(monkeypatch):

@@ -60,9 +60,6 @@ class DesignMatrix:
         return block[np.ix_(self.back, self.back)]
 
 
-_BLOCK = 4096  # rows that the join keys and gathers at a time
-
-
 def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
                        window: bool = False):
     """Join the bundle into the stream table, one row per labelable
@@ -90,9 +87,9 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
         raise AssembleError(f"telemetry spans {radix - 3} s: too long to key {len(ids)} machines")
 
     def key(table, shift=0):
-        keys, lo = np.empty(len(table), np.int64), first - 1 + shift
-        for start in range(0, len(table), _BLOCK):  # so that only the keys are row-sized
-            part, block = table[start:start + _BLOCK], keys[start:start + _BLOCK]
+        keys, lo, step = np.empty(len(table), np.int64), first - 1 + shift, schema.BLOCK_ROWS
+        for start in range(0, len(table), step):  # so that only the keys are row-sized
+            part, block = table[start:start + step], keys[start:start + step]
             block[:] = np.searchsorted(ids, part.machine_id)
             absent = ids.take(block, mode="clip") != part.machine_id if len(ids) else True
             offset = np.clip(part.datetime.view(np.int64), lo, min(lo + radix - 1, 2**63 - 1))
@@ -144,8 +141,9 @@ def build_event_stream(bundle: DatasetBundle, horizon_hours: int = 24,
     stream = np.recarray(n, [(c, schema.column_type(c)) for c in schema.STREAM_COLUMNS])
     for f, (inside, lengths) in runs.items():
         stream[f] = np.repeat(inside, lengths)
-    for start in range(0, n, _BLOCK):  # a weekday code counts from Monday; day 0 was a Thursday
-        block, rows = slice(start, start + _BLOCK), np.arange(start, min(start + _BLOCK, n))
+    step = schema.BLOCK_ROWS
+    for start in range(0, n, step):  # a weekday code counts from Monday; day 0 was a Thursday
+        block, rows = slice(start, start + step), np.arange(start, min(start + step, n))
         machine = np.searchsorted(starts, rows, side="right") - 1
         rows += at[machine] - starts[machine]  # the sorted rows that the block keeps
         for f in telemetry.dtype.names:

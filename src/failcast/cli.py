@@ -313,7 +313,3 @@ def main(argv=None) -> int:
             evaluate.PruneError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

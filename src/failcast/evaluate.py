@@ -16,7 +16,6 @@ import numpy as np
 from . import assemble, logreg, rng, schema
 
 _FOLD_CHANNEL = 0x0F01D
-_SCORE_ROWS = 4096  # test rows gathered, standardized and predicted at a time
 
 
 class FoldError(Exception):
@@ -130,7 +129,8 @@ def evaluate_cv(rows, folds, fit_config: logreg.FitConfig = logreg.FitConfig(),
         except (assemble.EncodingError, logreg.FitError) as exc:
             raise type(exc)(f"fold {fold.fold_index}: {exc}") from exc
         test_rows = fold.test_rows  # each read derives a side anew
-        blocks = np.split(test_rows, range(_SCORE_ROWS, len(test_rows), _SCORE_ROWS))
+        step = schema.BLOCK_ROWS  # test rows gathered, standardized and predicted at a time
+        blocks = np.split(test_rows, range(step, len(test_rows), step))
         predicted = np.concatenate([logreg.predict(model, assemble.apply_encoding(
             assemble.raw_feature_matrix(rows, features, block)[0], model.encoding),
             threshold=threshold) for block in blocks])

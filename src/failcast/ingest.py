@@ -30,7 +30,6 @@ from .schema import CSV_COLUMNS
 
 BUNDLE_FILENAMES = {name: f"{name}.csv" for name in CSV_COLUMNS}
 
-_BLOCK_ROWS = 1 << 15
 _INT64 = np.iinfo(np.int64)
 _FIRST_DATETIME = np.datetime64(dt.datetime.min, "s")
 # The C reader reads each flag and datetime cell as text one byte wider than
@@ -131,7 +130,8 @@ def _read_canonical(path, columns):
                 if t.kind in _TEXT_CELLS:
                     low, high = (np.frombuffer(b, np.uint8) for b in _TEXT_CELLS[t.kind][1:])
                     chars = cells[name][:, None].view(np.uint8)  # a row of bytes per cell
-                    blocks = np.split(chars, range(_BLOCK_ROWS, len(chars), _BLOCK_ROWS))
+                    step = schema.BLOCK_ROWS
+                    blocks = np.split(chars, range(step, len(chars), step))
                     if not all(((block >= low) & (block <= high)).all() for block in blocks):
                         return None
                     # numpy rejects a date or time out of range, as strptime does.
@@ -146,7 +146,7 @@ def _read_canonical(path, columns):
 
 def _read_blocks(path, columns) -> np.ndarray:
     """The block parser: the file's rows as a structured array, read by the
-    csv module and parsed cell by cell, ``_BLOCK_ROWS`` rows to a block.
+    csv module and parsed cell by cell, ``schema.BLOCK_ROWS`` rows to a block.
     Raises the first structural fault in file order: within a line a wrong
     field count comes before any cell, and cells are checked left to right.
     A row's line is the physical line it starts on, which a quoted cell that
@@ -175,7 +175,7 @@ def _read_blocks(path, columns) -> np.ndarray:
                 if row:
                     rows.append(tuple([_parse_cell(cell.strip(), kind, path, line, name)
                                        for cell, kind, name in zip(row, kinds, columns)]))
-                if len(rows) == _BLOCK_ROWS:
+                if len(rows) == schema.BLOCK_ROWS:
                     blocks.append(np.array(rows, dtype))
                     rows = []
                 line = reader.line_num + 1
@@ -257,8 +257,8 @@ def write_csv(path, table):
     names = table.dtype.names
     with open(path, "w", newline="") as handle:
         handle.write(",".join(names) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
+        for start in range(0, len(table), schema.BLOCK_ROWS):
+            block = table[start:start + schema.BLOCK_ROWS]
             handle.writelines(",".join(row) + "\n" for row in zip(*[
                 [schema.DAY_NAMES[d] for d in block[name].tolist()] if name == "day_of_week"
                 else _canonical(block[name]) for name in names]))

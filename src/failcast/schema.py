@@ -18,6 +18,10 @@ import numpy as np
 
 DATETIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 
+# Rows that the CSV reader and writer, the join and the test-side scoring take
+# at a time; each loop reads it when it runs.  No output depends on it.
+BLOCK_ROWS = 4096
+
 DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 ERROR_FLAGS = ("error_1", "error_2", "error_3", "error_4", "error_5")

@@ -306,7 +306,7 @@ def test_evaluate_cv_scores_in_blocks_as_on_the_whole_test_side(monkeypatch):
     folds = evaluate.make_folds(rows)
     runs = {}
     for block_rows in (len(rows), 3):
-        monkeypatch.setattr(evaluate, "_SCORE_ROWS", block_rows)
+        monkeypatch.setattr(schema, "BLOCK_ROWS", block_rows)
         runs[block_rows] = [evaluate.evaluate_cv(rows, folds, features=features)
                             for features in (None, evaluate.PAPER_REDUCED_FEATURES)]
     assert runs[3] == runs[len(rows)]

@@ -448,6 +448,29 @@ def test_first_newton_step_at_a_large_l2_is_taken_whole():
                                -np.linalg.solve(hessian, grad), rtol=1e-12, atol=1e-300)
 
 
+def test_the_penalty_term_decides_which_halving_is_taken(monkeypatch):
+    # Weighted classes that balance zero the intercept's gradient at the start,
+    # and at an l2 far above the loss curvature the objective along a direction
+    # five times Newton's step is nearly the quadratic q(5t), with q(s) < q(0)
+    # iff s < 2.  So the exact change rejects t = 1 and t = 1/2 and takes
+    # t = 1/4.  Were the penalty's t/2 * |db|^2 t/3 instead, t = 1/2 would be
+    # taken, and there the objective rises.
+    x = helpers.random_instance(seed=9, n_rows=40, n_features=3, weighted=False).dense
+    labels = np.arange(40) % 4 == 0  # 10 positives, weighted 3, against 30 negatives
+    data = _design(x, labels, np.where(labels, 3.0, 1.0))
+    config = logreg.FitConfig(l2=1e3, max_iterations=1)
+    solve, steps = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: steps.append(5 * solve(a, b)) or steps[-1])
+    model = logreg.fit(data, config)
+    start = logreg.objective((0.0, np.zeros(3)), data, config)
+    assert helpers.dense_gradient((0.0, np.zeros(3)), data, config.l2)[0] == 0.0
+    assert model.fit_meta.iterations == 1 and len(steps) == 1
+    assert [model.alpha, *model.beta] == (-0.25 * steps[0]).tolist()
+    assert model.fit_meta.final_objective < start
+    half = -0.5 * steps[0]
+    assert logreg.objective((half[0], half[1:]), data, config) > start
+
+
 def test_fit_stops_unconverged_when_no_halving_lowers_the_objective():
     # Below float resolution no halved step lowers the objective, so the fit
     # stops there, short of its iteration cap (after 18 of 100 here).

@@ -407,6 +407,40 @@ def test_out_of_range_integer_exits_1(dataset, tmp_path, capsys, dataset_file):
     assert f"{dataset_file}:3:machine_id: integer out of range" in err
 
 
+def _break(path, fault):
+    """Give the input file ``path`` a structural fault; returns its stderr line."""
+    if fault == "missing":
+        path.unlink()
+        return f"error: [Errno 2] No such file or directory: '{path}'"
+    lines = path.read_text().splitlines()
+    lines[2] = "1"  # a row of one field
+    path.write_text("\n".join(lines) + "\n")
+    width = len(lines[0].split(","))
+    return f"error: {path}:3:-: expected {width} fields, got 1"
+
+
+@pytest.mark.parametrize("command, out", [("evaluate", "--out-dir"), ("assemble", "--out")])
+@pytest.mark.parametrize("first, second", [
+    (("telemetry", "short_row"), ("errors", "missing")),
+    (("errors", "missing"), ("machines", "short_row")),
+    (("maintenance", "short_row"), ("failures", "short_row")),
+    (("failures", "missing"), ("machines", "missing")),
+], ids=["telemetry-errors", "errors-machines", "maintenance-failures", "failures-machines"])
+def test_faults_in_two_files_report_the_earlier_dataset(dataset, tmp_path, capsys,
+                                                        command, out, first, second):
+    """With structural faults in two input files, a run exits 1 and prints
+    only the fault of the file that comes first in the order telemetry,
+    errors, maintenance, failures, machines, whatever order it reads them in."""
+    broken = tmp_path / "data"
+    shutil.copytree(dataset, broken)
+    expected = _break(broken / f"{first[0]}.csv", first[1])
+    _break(broken / f"{second[0]}.csv", second[1])
+    capsys.readouterr()
+    rc = cli.main([command, "--in-dir", str(broken), out, str(tmp_path / "out")])
+    assert rc == cli.EXIT_FAILURE
+    assert capsys.readouterr() == ("", expected + "\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, out", [("train", "--out"), ("evaluate", "--out-dir")])
 def test_overflowing_reading_exits_1_naming_its_column(dataset, tmp_path, capsys,

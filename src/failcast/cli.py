@@ -157,10 +157,12 @@ def _config_payload(command: str, cfg: dict) -> dict:
             "config": dict(sorted(cfg.items()))}
 
 
-def _load_stream(cfg: dict):
-    """Load the input datasets, report their violations on stderr and join
-    them into the labeled stream; returns ``(rows, violations)``."""
-    bundle, violations = ingest.load_bundle(**_input_paths(cfg))
+def _load_stream(cfg: dict, hashed: bool) -> dict:
+    """Load the input datasets, hashing them if ``hashed``, report their violations
+    on stderr and join them into the labeled stream; returns what a handler gets:
+    the stream, the violations and the SHA-256 of the inputs (None if not hashed)."""
+    digest = report.sha256() if hashed else None
+    bundle, violations = ingest.load_bundle(**_input_paths(cfg), digest=digest)
     seen = dict.fromkeys(BUNDLE_FILENAMES, 0)
     for v in violations:
         seen[v.dataset] += 1
@@ -173,8 +175,8 @@ def _load_stream(cfg: dict):
                   file=sys.stderr)
     if violations:
         print(f"{len(violations)} validation violation(s); continuing", file=sys.stderr)
-    return (assemble.build_event_stream(bundle, cfg["horizon"], cfg["label_window"]),
-            violations)
+    return {"rows": assemble.build_event_stream(bundle, cfg["horizon"], cfg["label_window"]),
+            "violations": violations, "digest": digest}
 
 
 def _config(config_class, cfg: dict):
@@ -187,30 +189,33 @@ def _warn_unconverged(what: str, converged: bool, iterations: int):
               "iteration(s); gradient max-norm is above --tolerance", file=sys.stderr)
 
 
-def cmd_generate(cfg: dict, rows):
+def cmd_generate(cfg: dict, loaded):
     bundle = synth.generate(_config(synth.SynthConfig, cfg))
     ingest.write_bundle(bundle, cfg["out_dir"])
     print(f"wrote {cfg['machines']} machines x {cfg['days']} days "
           f"({len(bundle.failures)} failures) to {cfg['out_dir']}")
 
 
-def cmd_assemble(cfg: dict, rows):
+def cmd_assemble(cfg: dict, loaded):
+    rows = loaded["rows"]
     ingest.write_csv(cfg["out"], rows)
     positives = int(rows.label.sum())
     print(f"wrote {len(rows)} rows ({positives} labeled failures) to {cfg['out']}")
 
 
-def cmd_train(cfg: dict, rows):
-    data = assemble.encode(rows, weight_positive=cfg["weight"])
+def cmd_train(cfg: dict, loaded):
+    n_rows = len(loaded["rows"])  # the fit runs without the stream, which encode copied
+    data = assemble.encode(loaded.pop("rows"), weight_positive=cfg["weight"])
     model = logreg.fit(data, _config(logreg.FitConfig, cfg))
     meta = model.fit_meta
     _warn_unconverged("train", meta.converged, meta.iterations)
     logreg.save_model(model, cfg["out"])
-    print(f"fit {len(rows)} rows in {meta.iterations} iterations "
+    print(f"fit {n_rows} rows in {meta.iterations} iterations "
           f"(objective {meta.final_objective:.6g}); model saved to {cfg['out']}")
 
 
-def _run_cv(command: str, cfg: dict, rows, rule: str, rule_threshold: float):
+def _run_cv(command: str, cfg: dict, loaded, rule: str, rule_threshold: float):
+    rows = loaded["rows"]
     if rule == "relative":
         evaluate.check_prune_threshold(rule_threshold)
     folds = evaluate.make_folds(rows, k=cfg["folds"], seed=cfg["seed"])
@@ -228,7 +233,7 @@ def _run_cv(command: str, cfg: dict, rows, rule: str, rule_threshold: float):
                               fold["converged"], fold["iterations"])
     payload = {
         **_config_payload(command, cfg),
-        "dataset_digest": report.dataset_digest(_input_paths(cfg)),
+        "dataset_digest": report.dataset_digest(loaded["digest"]),
         "label_semantics": "within-horizon" if cfg["label_window"] else "point-at-horizon",
         "pruning_rule": rule,
         "runs": runs,
@@ -240,7 +245,7 @@ def _run_cv(command: str, cfg: dict, rows, rule: str, rule_threshold: float):
     print(f"report bundle written to {cfg['out_dir']}")
 
 
-def cmd_report(cfg: dict, rows):
+def cmd_report(cfg: dict, loaded):
     payload = report.load_bundle_payload(cfg["bundle"])
     try:
         report.render(cfg["bundle"], payload)
@@ -251,7 +256,8 @@ def cmd_report(cfg: dict, rows):
     print(f"re-rendered artifacts in {cfg['bundle']}")
 
 
-# Each subcommand: (help summary, options, handler taking (cfg, rows)).
+# Each subcommand: (help summary, options, handler taking (cfg, loaded)), where
+# ``loaded`` is what ``_load_stream`` returns; a handler may take the stream out.
 _COMMANDS = {
     "generate": ("write a seeded synthetic five-CSV dataset", {
         "out_dir": (str, None, "output directory"),
@@ -276,13 +282,13 @@ _COMMANDS = {
         **_INPUT, "out": (str, None, "output model file path"), **_HORIZON, **_FIT},
         cmd_train),
     "evaluate": ("machine-disjoint temporal cross-validation report", _EVAL,
-                 lambda cfg, rows: _run_cv("evaluate", cfg, rows, "paper-reduced", 0.10)),
+                 lambda cfg, loaded: _run_cv("evaluate", cfg, loaded, "paper-reduced", 0.10)),
     "prune": ("evaluate, prune weak features, re-evaluate reduced set", {
         **_EVAL,
         "rule": (evaluate.PRUNE_RULES, "relative", "pruning rule for the reduced run"),
         "prune_threshold": (float, 0.10,
                             "relative-magnitude cutoff for rule 'relative'"),
-    }, lambda cfg, rows: _run_cv("prune", cfg, rows, cfg["rule"], cfg["prune_threshold"])),
+    }, lambda cfg, loaded: _run_cv("prune", cfg, loaded, cfg["rule"], cfg["prune_threshold"])),
     "report": ("re-render summary/CSV/SVG artifacts from report.json", {
         "bundle": (str, None, "report bundle directory")}, cmd_report),
 }
@@ -299,13 +305,14 @@ def main(argv=None) -> int:
         out_key = next(key for key in ("out_dir", "out", "bundle") if key in cfg)
         if cfg[out_key] is None:
             raise ValueError(f"missing required option {_flag(out_key)}")
-        rows, violations = _load_stream(cfg) if "in_dir" in cfg else (None, [])
-        _COMMANDS[args.subcommand][2](cfg, rows)
+        hashed = args.subcommand in ("evaluate", "prune")  # the runs that report the digest
+        loaded = _load_stream(cfg, hashed) if "in_dir" in cfg else {"violations": []}
+        _COMMANDS[args.subcommand][2](cfg, loaded)
         if out_key != "bundle":  # report re-renders a bundle that has its record
             record = (os.path.join(cfg[out_key], RUN_CONFIG) if out_key == "out_dir"
                       else os.path.splitext(cfg[out_key])[0] + ".config.json")
             report.write_json(record, _config_payload(args.subcommand, cfg))
-        return EXIT_VIOLATIONS if violations else EXIT_OK
+        return EXIT_VIOLATIONS if loaded["violations"] else EXIT_OK
     except (evaluate.FoldError, logreg.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -1,12 +1,13 @@
 """CSV parsing and validation for the five event datasets.
 
-Each file is parsed into columns, giving one table per dataset (see
-``schema``).  A file in canonical form, such as every ``write_csv``
-output, is read once by numpy's C reader (``np.loadtxt``).  Any other
-file, valid or not, goes to the block parser, which reads it again with the
-csv module, strips whitespace around each cell and parses cell by cell; it
-alone raises ``IngestError``, at the first malformed cell.  Timestamps are
-rounded to the nearest hour (exact half rounds up).
+Each file is opened once and parsed into columns, giving one table per
+dataset (see ``schema``); its bytes pass once through a reader that checks
+them and may hash them.  A file in canonical form, such as every
+``write_csv`` output, is parsed from that reader by numpy's C reader
+(``np.loadtxt``).  Any other file goes to the block parser, which reads it
+again with the csv module, strips whitespace around each cell and parses
+cell by cell; it alone raises ``IngestError``, at the first malformed
+cell.  Timestamps are rounded to the nearest hour (exact half rounds up).
 
 After validation every row that a violation names is dropped: duplicate
 telemetry or machine keys keep their first row, and rows referencing a
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -99,32 +102,43 @@ def _canonical(column):
     return list(map(repr, column.tolist()))  # a number's str, but quicker to call
 
 
-def _read_canonical(path, columns):
-    """The file's columns as numpy's C reader reads them, or None unless the
-    file is canonical: ASCII (so loadtxt's default encoding cannot matter),
-    the exact header, no NUL (a text cell loses trailing NULs), no quote,
-    comment or line past the csv field limit (where the block parser stops),
-    and flags and datetimes exactly as ``write_csv`` writes them.  The C
-    reader reads every number there as Python does."""
-    header = ",".join(columns).encode()
-    half = csv.field_size_limit() // 2  # a longer line holds a whole chunk this long
-    with open(path, "rb") as handle:  # checked one aligned chunk at a time
-        chunk = handle.read(half)
-        if not chunk.startswith((header + b"\n", header + b"\r\n")):
-            return None
-        while chunk:
-            if not chunk.isascii() or b"\0" in chunk or (len(chunk) == half and b"\n" not in chunk):
-                return None
-            chunk = handle.read(half)
+def _checked_lines(handle, digest):
+    """The lines of the binary file ``handle`` as str without their newlines,
+    a list for each chunk half the csv field limit long, each chunk fed to
+    ``digest`` if there is one.  ValueError stops them at a chunk that holds
+    a byte past ASCII or a NUL, or at a full chunk without a newline, which
+    any line past the limit holds."""
+    half, rest = max(csv.field_size_limit() // 2, 1), ""
+    for chunk in iter(lambda: handle.read(half), b""):
+        if digest is not None:
+            digest.update(chunk)
+        if b"\0" in chunk or (len(chunk) == half and b"\n" not in chunk):
+            raise ValueError("not canonical")
+        *lines, rest = (rest + chunk.decode("ascii")).split("\n")
+        yield lines
+    yield [rest]
+
+
+def _read_canonical(handle, columns, digest=None):
+    """The columns of the binary file ``handle``, read by numpy's C reader from
+    ``_checked_lines``, or None unless the file is canonical: ASCII (decoded
+    here, so loadtxt decodes nothing), the exact header, no NUL (a text cell
+    loses trailing NULs), no quote, comment or line past the csv field limit
+    (where the block parser stops), and flags and datetimes exactly as
+    ``write_csv`` writes them.  The C reader reads every number there as
+    Python does."""
+    lines = itertools.chain.from_iterable(_checked_lines(handle, digest))
     types = {name: schema.column_type(name) for name in columns}
     read_as = [(name, _TEXT_CELLS[t.kind][0] if t.kind in _TEXT_CELLS else t)
                for name, t in types.items()]
     parsed = {}
     try:
+        if next(lines, None) not in (",".join(columns), ",".join(columns) + "\r"):
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = np.loadtxt(path, read_as, delimiter=",", skiprows=1, comments=None,
-                               quotechar=None, ndmin=1)
+            cells = np.loadtxt(lines, read_as, delimiter=",", comments=None, quotechar=None,
+                               ndmin=1)
             for name, t in types.items():
                 parsed[name] = cells[name]
                 if t.kind in _TEXT_CELLS:
@@ -144,57 +158,64 @@ def _read_canonical(path, columns):
     return parsed
 
 
-def _read_blocks(path, columns) -> np.ndarray:
-    """The block parser: the file's rows as a structured array, read by the
-    csv module and parsed cell by cell, ``schema.BLOCK_ROWS`` rows to a block.
-    Raises the first structural fault in file order: within a line a wrong
-    field count comes before any cell, and cells are checked left to right.
-    A row's line is the physical line it starts on, which a quoted cell that
-    holds a newline moves on."""
+def _read_blocks(lines, columns) -> np.ndarray:
+    """The block parser: the rows of the text file ``lines`` as a structured
+    array, read by the csv module and parsed cell by cell, ``schema.BLOCK_ROWS``
+    rows to a block.  Raises the first structural fault in file order: within
+    a line a wrong field count comes before any cell, and cells are checked
+    left to right.  A row's line is the physical line it starts on, which a
+    quoted cell that holds a newline moves on."""
+    path = lines.name
     dtype = np.dtype([(name, schema.column_type(name)) for name in columns])
     kinds = [dtype[name].kind for name in columns]
     blocks, rows = [], []
-    # Undecodable bytes become lone surrogates, which no cell parser accepts,
-    # so they are reported at their file:line:column like any malformed cell.
-    with open(path, newline="", errors="surrogateescape") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(path, 1, "-", "empty file, header row required")
-            if tuple(header) != columns:
-                missing = [c for c in columns if c not in header]
-                detail = f"missing column(s) {missing}" if missing else f"got {header}"
-                raise IngestError(path, 1, "-",
-                                  f"header must be {','.join(columns)}; {detail}")
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(path, 1, "-", "empty file, header row required")
+        if tuple(header) != columns:
+            missing = [c for c in columns if c not in header]
+            detail = f"missing column(s) {missing}" if missing else f"got {header}"
+            raise IngestError(path, 1, "-",
+                              f"header must be {','.join(columns)}; {detail}")
+        line = reader.line_num + 1
+        for row in reader:
+            if row and len(row) != len(columns):
+                raise IngestError(path, line, "-",
+                                  f"expected {len(columns)} fields, got {len(row)}")
+            if row:
+                rows.append(tuple([_parse_cell(cell.strip(), kind, path, line, name)
+                                   for cell, kind, name in zip(row, kinds, columns)]))
+            if len(rows) == schema.BLOCK_ROWS:
+                blocks.append(np.array(rows, dtype))
+                rows = []
             line = reader.line_num + 1
-            for row in reader:
-                if row and len(row) != len(columns):
-                    raise IngestError(path, line, "-",
-                                      f"expected {len(columns)} fields, got {len(row)}")
-                if row:
-                    rows.append(tuple([_parse_cell(cell.strip(), kind, path, line, name)
-                                       for cell, kind, name in zip(row, kinds, columns)]))
-                if len(rows) == schema.BLOCK_ROWS:
-                    blocks.append(np.array(rows, dtype))
-                    rows = []
-                line = reader.line_num + 1
-        except csv.Error as exc:  # such as a field past the field limit
-            raise IngestError(path, reader.line_num, "-", str(exc)) from None
+    except csv.Error as exc:  # such as a field past the field limit
+        raise IngestError(path, reader.line_num, "-", str(exc)) from None
     return np.concatenate(blocks + [np.array(rows, dtype)])
 
 
-def parse_csv(path, dataset: str) -> np.recarray:
+def parse_csv(path, dataset: str, digest=None) -> np.recarray:
     """Parse one dataset file into its table, aborting on structural faults.
-
-    A file in canonical form (``_read_canonical``) is read once by numpy's C
-    reader.  Any other file is parsed again by the block parser
-    (``_read_blocks``), which is slower and alone reports a fault, with its
-    file, line and column.
-    """
+    The file is opened once, and its bytes go once to ``digest`` (a SHA-256
+    object) when given.  A canonical file is read by the C reader alone; any
+    other is read again from its start by the block parser, which alone
+    reports a fault, with its file, line and column."""
     columns = CSV_COLUMNS[dataset]
-    table = schema.table(dataset, _read_canonical(path, columns)
-                         or _read_blocks(path, columns))
+    with open(path, "rb") as handle:
+        parsed = _read_canonical(handle, columns, digest)
+        if parsed is None:
+            if digest is not None:  # the bytes the C reader left unread
+                for piece in iter(lambda: handle.read(1 << 16), b""):
+                    digest.update(piece)
+            handle.seek(0)
+            # Undecodable bytes become lone surrogates, which no cell parser accepts,
+            # so they are reported at their file:line:column like any malformed cell.
+            with io.TextIOWrapper(handle, newline="", errors="surrogateescape") as lines:
+                parsed = _read_blocks(lines, columns)
+    table = schema.table(dataset, parsed)
+    del parsed  # so that only the table is held while its times are rounded
     if "datetime" in columns:
         table.datetime = round_to_hour(table.datetime)
     return table
@@ -227,19 +248,32 @@ def _kept(table, violations, name):
     return np.delete(table, dropped) if dropped else table
 
 
-def load_bundle(telemetry, errors, maintenance, failures, machines):
+def load_bundle(telemetry, errors, maintenance, failures, machines, digest=None):
     """Load, round and validate the five datasets and drop violating rows.
 
     Returns ``(DatasetBundle, violations)``.  Each table holds its file's
     rows in file order, minus the rows a violation names; event rows that
     share a (machine_id, hour) stay separate rows.  Violations are data;
     only structural faults (missing column, malformed cell) raise IngestError.
+    The files are read in label order, feeding ``digest`` (if any) each one's
+    label, a NUL, its bytes and a NUL.  Validation, and which fault is raised
+    when several files have one, follow the parameter order.
     """
     paths = {"telemetry": telemetry, "errors": errors, "maintenance": maintenance,
              "failures": failures, "machines": machines}
-    raw = {name: parse_csv(path, name) for name, path in paths.items()}
-    violations = [v for name, table in raw.items()
-                  for v in schema.validate_dataset(table, name)]
+    raw, faults = {}, {}
+    for name in sorted(paths):
+        if digest is not None:
+            digest.update(name.encode() + b"\0")
+        try:
+            raw[name] = parse_csv(paths[name], name, digest)
+        except (IngestError, OSError) as exc:  # raised below, in parameter order
+            faults[name] = exc
+        if digest is not None:
+            digest.update(b"\0")
+    if faults:
+        raise next(faults[name] for name in paths if name in faults)
+    violations = [v for name in paths for v in schema.validate_dataset(raw[name], name)]
     machines = _kept(raw["machines"], violations, "machines")
     violations.extend(_reference_violations(raw, machines.machine_id))
     violations.extend(_grid_violations(raw["telemetry"]))

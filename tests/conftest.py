@@ -1,6 +1,30 @@
+import functools
+
 import pytest
 
-from failcast import assemble, evaluate, synth
+from failcast import assemble, evaluate, ingest, report, synth
+
+import helpers
+
+
+@pytest.fixture(scope="session", autouse=True)
+def digest_matches_its_oracle():
+    """Every dataset digest that ``ingest.load_bundle`` feeds in a test equals
+    the oracle's, recomputed from the files it read, when it returns."""
+    load = ingest.load_bundle
+
+    @functools.wraps(load)
+    def checked(telemetry, errors, maintenance, failures, machines, digest=None):
+        paths = {"telemetry": telemetry, "errors": errors, "maintenance": maintenance,
+                 "failures": failures, "machines": machines}
+        loaded = load(**paths, digest=digest)
+        if digest is not None:
+            assert report.dataset_digest(digest) == helpers.dataset_digest(paths)
+        return loaded
+
+    ingest.load_bundle = checked
+    yield
+    ingest.load_bundle = load
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,12 @@ loops, textual duplication of constants) so they cannot share a bug with
 the library implementations they check.
 """
 
+import collections
 import datetime as dt
+import hashlib
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +38,43 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+_OPENED = []  # a Counter for each opened_paths call under way
+
+
+def _count_open(event, args):
+    if event == "open" and _OPENED and isinstance(args[0], (str, os.PathLike)):
+        _OPENED[-1][os.path.abspath(args[0])] += 1
+
+
+sys.addaudithook(_count_open)
+
+
+def opened_paths(call):
+    """``call()`` and a Counter of the absolute paths it opened.  Every open of
+    a file, by ``open``, ``os.open`` or numpy, raises the interpreter's "open"
+    audit event, which this counts."""
+    _OPENED.append(collections.Counter())
+    try:
+        return call(), _OPENED[-1]
+    finally:
+        _OPENED.pop()
+
+
+def dataset_digest(paths) -> str:
+    """The oracle of the dataset digest, recomputed from the files named by
+    ``paths`` (label -> path): ``sha256:`` and the SHA-256 of each file's
+    label, a NUL, its bytes and a NUL, in label order."""
+    digest = hashlib.sha256()
+    for label, path in sorted(paths.items()):
+        digest.update(label.encode())
+        digest.update(b"\0")
+        with open(path, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):  # 1 MiB at a time
+                digest.update(block)
+        digest.update(b"\0")
+    return "sha256:" + digest.hexdigest()
 
 
 def telemetry(machine, i, volt=None, rotate=None, pressure=None, vibration=None):

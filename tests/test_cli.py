@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -357,6 +358,94 @@ def test_input_rewrite_keeps_the_report(dataset, base_report, tmp_path, rewrite,
     assert _report_without_paths(out) == base_report
 
 
+# --- one read of each input ---------------------------------------------------
+
+def _copy_inputs(dataset, directory, rewrite=None):
+    """The dataset's five CSVs copied into ``directory``, each file's data
+    rows passed through ``rewrite(name, rows)`` when given; returns their
+    paths by label."""
+    directory.mkdir()
+    for filename in ingest.BUNDLE_FILENAMES.values():
+        header, *rows = (dataset / filename).read_text().splitlines()
+        rows = rows if rewrite is None else rewrite(filename.removesuffix(".csv"), rows)
+        (directory / filename).write_text("\n".join([header] + rows) + "\n")
+    return {key: directory / name for key, name in ingest.BUNDLE_FILENAMES.items()}
+
+
+@pytest.mark.parametrize("rewrite", [None, _padded], ids=["canonical", "padded"])
+@pytest.mark.parametrize("command, out", [("evaluate", "--out-dir"), ("prune", "--out-dir"),
+                                          ("train", "--out"), ("assemble", "--out")])
+def test_each_input_file_is_opened_once(dataset, tmp_path, monkeypatch, command, out,
+                                        rewrite):
+    """One open of each input feeds the canonical check, the parse and, for
+    the runs that report it, the dataset digest: a padded file, which the C
+    reader leaves to the block parser, too.  Only evaluate and prune hash."""
+    paths = _copy_inputs(dataset, tmp_path / "data", rewrite)
+    # The session's digest check opens the inputs again.
+    monkeypatch.setattr(ingest, "load_bundle", inspect.unwrap(ingest.load_bundle))
+    sha256, hashes = report.sha256, []
+
+    def counted_sha256():
+        hashes.append(sha256())
+        return hashes[-1]
+
+    monkeypatch.setattr(report, "sha256", counted_sha256)
+    rc, opened = helpers.opened_paths(lambda: cli.main(
+        [command, "--in-dir", str(tmp_path / "data"), out, str(tmp_path / "out")]))
+    assert rc == cli.EXIT_OK
+    assert {name: opened[str(path)] for name, path in paths.items()} == \
+        dict.fromkeys(paths, 1)
+    assert len(hashes) == (command in ("evaluate", "prune"))
+
+
+def test_input_replaced_after_loading_keeps_the_digest_of_the_bytes_read(
+        dataset, tmp_path, monkeypatch):
+    """The digest is taken as the inputs are read, so a file replaced while
+    the folds are fitted leaves the report naming the bytes evaluated."""
+    paths = _copy_inputs(dataset, tmp_path / "data")
+    read = helpers.dataset_digest(paths)
+    load = ingest.load_bundle
+
+    def load_then_replace(**kwargs):
+        loaded = load(**kwargs)
+        replacement = tmp_path / "new.csv"
+        replacement.write_bytes(paths["telemetry"].read_bytes().replace(b",", b", "))
+        os.replace(replacement, paths["telemetry"])
+        return loaded
+
+    monkeypatch.setattr(ingest, "load_bundle", load_then_replace)
+    out = tmp_path / "rep"
+    assert cli.main(["evaluate", "--in-dir", str(tmp_path / "data"),
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert report.load_bundle_payload(out)["dataset_digest"] == read
+    assert helpers.dataset_digest(paths) != read
+
+
+def _late_non_ascii(name, rows):
+    """A volt cell in full-width digits, which Python's float reads, far enough
+    into the telemetry file to lie past the reader's first two 64 KiB chunks."""
+    if name == "telemetry":
+        cells = rows[2000].split(",")
+        rows[2000] = ",".join(cells[:2] + ["\uff11\uff17\uff10.5"] + cells[3:])
+    return rows
+
+
+@pytest.mark.parametrize("rewrite", [None, _padded, _late_non_ascii],
+                         ids=["canonical", "padded", "late_non_ascii"])
+def test_report_digest_is_the_oracle_of_the_inputs(dataset, tmp_path, rewrite):
+    """The report's digest hashes every byte once: also of a padded file, which
+    the C reader reads whole and leaves to the block parser, and of a file
+    whose reader stops partway, at a chunk that is not ASCII."""
+    paths = _copy_inputs(dataset, tmp_path / "data", rewrite)
+    odd = next((i for i, byte in enumerate(paths["telemetry"].read_bytes()) if byte > 127),
+               None)
+    assert (odd is not None and odd > 1 << 17) == (rewrite is _late_non_ascii)
+    out = tmp_path / "rep"
+    assert cli.main(["evaluate", "--in-dir", str(tmp_path / "data"),
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert report.load_bundle_payload(out)["dataset_digest"] == helpers.dataset_digest(paths)
+
+
 # --- exit codes --------------------------------------------------------------
 
 def test_tolerated_violations_exit_2_but_write_outputs(dataset, tmp_path,
@@ -408,20 +497,23 @@ def test_out_of_range_integer_exits_1(dataset, tmp_path, capsys, dataset_file):
 
 
 def _break(path, fault):
-    """Give the input file ``path`` a structural fault; returns its stderr line."""
+    """Give the input file ``path`` a structural fault: ``missing``, a
+    ``short_row`` or, in telemetry, a ``bad_reading``; returns its stderr line."""
     if fault == "missing":
         path.unlink()
         return f"error: [Errno 2] No such file or directory: '{path}'"
     lines = path.read_text().splitlines()
-    lines[2] = "1"  # a row of one field
+    header, cells = lines[0].split(","), lines[2].split(",")
+    lines[2] = "1" if fault == "short_row" else ",".join(cells[:2] + ["abc"] + cells[3:])
     path.write_text("\n".join(lines) + "\n")
-    width = len(lines[0].split(","))
-    return f"error: {path}:3:-: expected {width} fields, got 1"
+    if fault == "short_row":
+        return f"error: {path}:3:-: expected {len(header)} fields, got 1"
+    return f"error: {path}:3:{header[2]}: expected number, got 'abc'"
 
 
 @pytest.mark.parametrize("command, out", [("evaluate", "--out-dir"), ("assemble", "--out")])
 @pytest.mark.parametrize("first, second", [
-    (("telemetry", "short_row"), ("errors", "missing")),
+    (("telemetry", "bad_reading"), ("errors", "missing")),
     (("errors", "missing"), ("machines", "short_row")),
     (("maintenance", "short_row"), ("failures", "short_row")),
     (("failures", "missing"), ("machines", "missing")),
@@ -740,6 +832,34 @@ def test_extreme_weight_prints_no_numpy_warning(dataset, tmp_path, capsys,
     assert not model.exists()
 
 
+def test_train_fits_beside_its_design_without_the_stream(tmp_path, monkeypatch):
+    """``train`` hands the stream to ``encode`` and keeps no reference to it,
+    so the fit runs beside its design and little else.  The stream is 75
+    bytes a row; at 8 machines x 365 days, 69,888 rows, ``train`` held 77.1
+    bytes a row beside the design while it kept the stream through the fit,
+    and 1.1 once it let the stream go (tracemalloc, CPython 3.11)."""
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out-dir", str(data), "--machines", "8",
+                     "--days", "365", "--seed", "0"]) == cli.EXIT_OK
+    fit, held = logreg.fit, []
+
+    def measured(design, config):
+        arrays = (design.dense, design.table, design.groups, design.labels,
+                  design.sample_weights)
+        held.append(tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in arrays))
+        return fit(design, config)
+
+    monkeypatch.setattr(logreg, "fit", measured)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["train", "--in-dir", str(data),
+                         "--out", str(tmp_path / "model.json")]) == cli.EXIT_OK
+    finally:
+        tracemalloc.stop()
+    assert (held[0] - start) / (8 * (365 * 24 - 24)) < 8
+
+
 def test_train_summary_stays_short_at_a_huge_objective(dataset, tmp_path, capsys):
     # At weight 1e300 the final objective is about 1.7e300; the summary prints
     # it in six significant digits, not as a 300-digit fixed-point number.
@@ -1047,6 +1167,51 @@ def test_wrong_typed_config_value_exits_1(subcommand, tmp_path, capsys, data):
         capsys.readouterr()
         assert cli.main([subcommand, "--config", str(config)]) == cli.EXIT_FAILURE
         assert capsys.readouterr().err.startswith(f"error: config key {key!r}")
+
+
+# --- no traceback at extreme flag values -------------------------------------
+
+_EXTREME_INTS = [0, 1, 2, 6, 7, -1, 2**63 - 1, -2**63]
+_EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300, -1e-300,
+                   1e-17, 0.5, 0.999999, 1.0, 1.0000001, 2.0, 1e300, 1.7e308, -1.7e308]
+
+
+@st.composite
+def _extreme_settings(draw):
+    """A subcommand that runs on inputs, one of its numeric flags and an extreme
+    value for it: ints for an int flag, ints and floats for a float flag.
+    ``generate`` keeps its size, so that a run stays small."""
+    command = draw(st.sampled_from(["generate", "assemble", "train", "evaluate", "prune"]))
+    numeric = {key: kind for key, (kind, _, _) in cli._COMMANDS[command][1].items()
+               if kind in (int, float) and key not in ("machines", "days")}
+    key = draw(st.sampled_from(sorted(numeric)))
+    values = _EXTREME_INTS + (_EXTREME_FLOATS if numeric[key] is float else [])
+    return command, key, draw(st.sampled_from(values))
+
+
+@pytest.fixture(scope="module")
+def micro_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("micro")
+    failures = tuple((m, h) for m in range(1, 7) for h in (30, 70))
+    ingest.write_bundle(helpers.micro_bundle(6, 96, failures_at=failures), path / "in")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting=_extreme_settings())
+def test_extreme_flag_value_exits_0_to_3_without_a_traceback(micro_inputs, setting):
+    """Any subcommand with any of its numeric flags at an extreme value (the
+    ends of int64, subnormals, signed zeros, values next to 1 and the ends of
+    the float range) exits 0, 1, 2 or 3 and raises nothing."""
+    command, key, value = setting
+    argv = [command, f"{cli._flag(key)}={value!r}"]
+    target = str(micro_inputs / command)
+    if command == "generate":
+        argv += ["--out-dir", target, "--machines", "4", "--days", "20"]
+    else:
+        argv += ["--in-dir", str(micro_inputs / "in"),
+                 "--out-dir" if command in ("evaluate", "prune") else "--out", target]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_VIOLATIONS, cli.EXIT_FIT)
 
 
 # --- parser niceties ---------------------------------------------------------

@@ -51,6 +51,13 @@ def _write(path, text):
     return path
 
 
+def _c_reader(path, dataset):
+    """The dataset file's columns as the C reader reads them, or None when it
+    leaves the file to the block parser."""
+    with open(path, "rb") as handle:
+        return ingest._read_canonical(handle, schema.CSV_COLUMNS[dataset])
+
+
 def _write_minimal(dir_path, telemetry_rows):
     """Write a minimal consistent bundle with custom telemetry body."""
     files = {
@@ -223,11 +230,23 @@ def test_write_then_load_round_trip(tmp_path, small_bundle):
     assert helpers.bundle_rows(loaded) == helpers.bundle_rows(small_bundle)
 
 
+def test_parse_holds_the_table_and_the_read_columns_at_the_bench_size(tmp_path,
+                                                                     bench_bundle):
+    """The C reader's columns and the table copied from them are held at once,
+    then the columns go before the times are rounded.  On the 86,400-row bench
+    telemetry parse_csv peaked at 116.0 bytes a row, and at 140.0 when the
+    columns outlived the copy (tracemalloc, numpy 2.4)."""
+    path = tmp_path / "telemetry.csv"
+    ingest.write_csv(path, bench_bundle.telemetry)
+    table, peak = helpers.traced_peak(lambda: ingest.parse_csv(path, "telemetry"))
+    assert len(table) == 86_400 and peak / len(table) < 128
+
+
 def test_block_parser_reads_both_ends_of_int64(tmp_path):
     # A padded flag is not canonical, so this file reaches the block parser.
     path = _write(tmp_path / "machines.csv", "machine_id,age,model_1,model_2,model_3,model_4\n"
                   "-9223372036854775808,5, 1,0,0,0\n9223372036854775807,5,1,0,0,0\n")
-    assert ingest._read_canonical(path, schema.CSV_COLUMNS["machines"]) is None
+    assert _c_reader(path, "machines") is None
     assert ingest.parse_csv(path, "machines").machine_id.tolist() == [-2**63, 2**63 - 1]
 
 
@@ -236,7 +255,7 @@ def test_first_datetime_is_read_by_the_c_reader(tmp_path):
     written.datetime = np.datetime64("0001-01-01T00:00:00")
     path = tmp_path / "failures.csv"
     ingest.write_csv(path, written)
-    parsed = ingest._read_canonical(path, schema.CSV_COLUMNS["failures"])
+    parsed = _c_reader(path, "failures")
     assert parsed is not None and parsed["datetime"].tolist() == [dt.datetime(1, 1, 1)]
 
 
@@ -403,7 +422,8 @@ def test_rows_parsed_in_blocks_load_the_same_table(tmp_path, monkeypatch):
     whole = ingest.parse_csv(paths["telemetry"], "telemetry")
     monkeypatch.setattr(schema, "BLOCK_ROWS", 2)
     # The file is canonical, so only a direct call reaches the block parser.
-    blocked = ingest._read_blocks(paths["telemetry"], schema.CSV_COLUMNS["telemetry"])
+    with open(paths["telemetry"], newline="") as lines:
+        blocked = ingest._read_blocks(lines, schema.CSV_COLUMNS["telemetry"])
     assert helpers.table_rows(schema.table("telemetry", blocked)) == \
         helpers.table_rows(whole)
     assert len(blocked) == 7
@@ -507,8 +527,8 @@ def test_bundle_without_violations_holds_the_parsed_tables(tmp_path, monkeypatch
     ingest.write_bundle(small_bundle, tmp_path)
     parse, parsed = ingest.parse_csv, {}
 
-    def recorded(path, dataset):
-        parsed[dataset] = parse(path, dataset)
+    def recorded(path, dataset, digest=None):
+        parsed[dataset] = parse(path, dataset, digest)
         return parsed[dataset]
 
     monkeypatch.setattr(ingest, "parse_csv", recorded)
@@ -595,7 +615,7 @@ def test_c_reader_leaves_each_faulty_file_to_the_block_parser(tmp_path, dataset,
             "errors": "1,2015-01-01 00:00:00,1,0,0,0,0"}[dataset]
     path = _write(tmp_path / f"{dataset}.csv",
                   ",".join(schema.CSV_COLUMNS[dataset]) + f"\n{good}\n{row}\n")
-    assert ingest._read_canonical(path, schema.CSV_COLUMNS[dataset]) is None
+    assert _c_reader(path, dataset) is None
     with pytest.raises(ingest.IngestError):
         ingest.parse_csv(path, dataset)
 
@@ -606,7 +626,7 @@ def test_c_reader_takes_only_ascii_files(tmp_path):
     path = _write(tmp_path / "telemetry.csv",
                   ",".join(schema.CSV_COLUMNS["telemetry"])
                   + "\n1,2015-01-01 00:00:00,\uff11\uff17\uff10.\uff15,450,100,40\n")
-    assert ingest._read_canonical(path, schema.CSV_COLUMNS["telemetry"]) is None
+    assert _c_reader(path, "telemetry") is None
     assert ingest.parse_csv(path, "telemetry").volt.tolist() == [170.5]
 
 
@@ -632,7 +652,7 @@ def _row(h, width):
 def _by_blocks(path, dataset):
     """``parse_csv``'s outcome with the C reader turned off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_read_canonical", lambda path, columns: None)
+        patch.setattr(ingest, "_read_canonical", lambda handle, columns, digest=None: None)
         return _outcome(lambda: ingest.parse_csv(path, dataset))
 
 
@@ -654,8 +674,7 @@ def test_c_reader_checks_lines_across_a_chunk_boundary(tmp_path, half, width, st
             + "".join(_row(h, 40) for h in range(2, 6)))
     assert text.index(_row(1, half + width)) == start and len(text) > 3 * half
     path = _write(tmp_path / "telemetry.csv", text)
-    columns = schema.CSV_COLUMNS["telemetry"]
-    assert (ingest._read_canonical(path, columns) is not None) == canonical
+    assert (_c_reader(path, "telemetry") is not None) == canonical
     assert _outcome(lambda: ingest.parse_csv(path, "telemetry")) == \
         _by_blocks(path, "telemetry")
 
@@ -669,7 +688,7 @@ def test_c_reader_finds_a_nul_or_non_ascii_byte_in_a_later_chunk(tmp_path, half,
     data = path.read_bytes()
     odd = next(i for i, byte in enumerate(data) if byte == 0 or byte > 127)
     assert half <= odd < 2 * half
-    assert ingest._read_canonical(path, schema.CSV_COLUMNS["telemetry"]) is None
+    assert _c_reader(path, "telemetry") is None
     outcome = _outcome(lambda: ingest.parse_csv(path, "telemetry"))
     assert outcome == _by_blocks(path, "telemetry")
     assert isinstance(outcome, bytes) == (cell != "170\x00")
@@ -704,9 +723,8 @@ def test_c_reader_and_block_parser_agree(tmp_path_factory, case):
     dataset, data = case
     path = tmp_path_factory.mktemp("csv") / f"{dataset}.csv"
     path.write_bytes(data)
-    event("C reader" if ingest._read_canonical(path, schema.CSV_COLUMNS[dataset])
-          is not None else "block parser")
+    event("C reader" if _c_reader(path, dataset) is not None else "block parser")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_read_canonical", lambda path, columns: None)
+        patch.setattr(ingest, "_read_canonical", lambda handle, columns, digest=None: None)
         by_blocks = _outcome(lambda: ingest.parse_csv(path, dataset))
     assert _outcome(lambda: ingest.parse_csv(path, dataset)) == by_blocks

@@ -34,7 +34,7 @@ def payload(micro_cv):
     }
 
 
-# --- dataset digest ----------------------------------------------------------
+# --- dataset digest oracle ---------------------------------------------------
 
 def test_digest_matches_hand_hash(tmp_path):
     a = tmp_path / "a.csv"
@@ -45,7 +45,7 @@ def test_digest_matches_hand_hash(tmp_path):
     for label, path in (("errors", b), ("telemetry", a)):
         expected.update(label.encode() + b"\0")
         expected.update(path.read_bytes() + b"\0")
-    got = report.dataset_digest({"telemetry": a, "errors": b})
+    got = helpers.dataset_digest({"telemetry": a, "errors": b})
     assert got == "sha256:" + expected.hexdigest()
 
 
@@ -57,7 +57,7 @@ def test_digest_reads_a_file_of_any_size_whole(tmp_path, size):
     content = bytes(range(256)) * (size // 256) + b"x" * (size % 256)
     path.write_bytes(content)
     expected = hashlib.sha256(b"telemetry\0" + content + b"\0")
-    assert report.dataset_digest({"telemetry": path}) == "sha256:" + expected.hexdigest()
+    assert helpers.dataset_digest({"telemetry": path}) == "sha256:" + expected.hexdigest()
 
 
 def test_digest_is_order_independent_but_content_sensitive(tmp_path):
@@ -65,12 +65,12 @@ def test_digest_is_order_independent_but_content_sensitive(tmp_path):
     b = tmp_path / "b.csv"
     a.write_bytes(b"one")
     b.write_bytes(b"two")
-    fwd = report.dataset_digest({"telemetry": a, "errors": b})
-    rev = report.dataset_digest({"errors": b, "telemetry": a})
+    fwd = helpers.dataset_digest({"telemetry": a, "errors": b})
+    rev = helpers.dataset_digest({"errors": b, "telemetry": a})
     assert fwd == rev
     b.write_bytes(b"two!")
-    assert report.dataset_digest({"telemetry": a, "errors": b}) != fwd
-    relabeled = report.dataset_digest({"telemetry": a, "failures": b})
+    assert helpers.dataset_digest({"telemetry": a, "errors": b}) != fwd
+    relabeled = helpers.dataset_digest({"telemetry": a, "failures": b})
     assert relabeled != fwd
 
 

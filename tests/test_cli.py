@@ -331,6 +331,18 @@ def _weeks_shifted(name, rows):
             for machine, when, rest in (row.split(",", 2) for row in rows)]
 
 
+def _copy_inputs(dataset, directory, rewrite=None):
+    """The dataset's five CSVs copied into ``directory``, each file's data
+    rows passed through ``rewrite(name, rows)`` when given; returns their
+    paths by label."""
+    directory.mkdir()
+    for filename in ingest.BUNDLE_FILENAMES.values():
+        header, *rows = (dataset / filename).read_text().splitlines()
+        rows = rows if rewrite is None else rewrite(filename.removesuffix(".csv"), rows)
+        (directory / filename).write_text("\n".join([header] + rows) + "\n")
+    return {key: directory / name for key, name in ingest.BUNDLE_FILENAMES.items()}
+
+
 @pytest.fixture(scope="module")
 def base_report(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("base") / "rep"
@@ -348,29 +360,13 @@ def base_report(dataset, tmp_path_factory):
 ])
 def test_input_rewrite_keeps_the_report(dataset, base_report, tmp_path, rewrite, rc):
     data = tmp_path / "data"
-    data.mkdir()
-    for filename in ingest.BUNDLE_FILENAMES.values():
-        header, *rows = (dataset / filename).read_text().splitlines()
-        rows = rewrite(filename.removesuffix(".csv"), rows)
-        (data / filename).write_text("\n".join([header] + rows) + "\n")
+    _copy_inputs(dataset, data, rewrite)
     out = tmp_path / "rep"
     assert cli.main(["evaluate", "--in-dir", str(data), "--out-dir", str(out)]) == rc
     assert _report_without_paths(out) == base_report
 
 
 # --- one read of each input ---------------------------------------------------
-
-def _copy_inputs(dataset, directory, rewrite=None):
-    """The dataset's five CSVs copied into ``directory``, each file's data
-    rows passed through ``rewrite(name, rows)`` when given; returns their
-    paths by label."""
-    directory.mkdir()
-    for filename in ingest.BUNDLE_FILENAMES.values():
-        header, *rows = (dataset / filename).read_text().splitlines()
-        rows = rows if rewrite is None else rewrite(filename.removesuffix(".csv"), rows)
-        (directory / filename).write_text("\n".join([header] + rows) + "\n")
-    return {key: directory / name for key, name in ingest.BUNDLE_FILENAMES.items()}
-
 
 @pytest.mark.parametrize("rewrite", [None, _padded], ids=["canonical", "padded"])
 @pytest.mark.parametrize("command, out", [("evaluate", "--out-dir"), ("prune", "--out-dir"),
